@@ -1,11 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from sentinet.channel import (Frame, Message, MessageKind, RadioConfig,
-                              compute_lqi, deliver, make_frame, overhearers,
-                              rx_power_dbm)
+from sentinet.channel import (UNICAST_KINDS, Frame, Message, MessageKind,
+                              RadioConfig, _receivable, compute_lqi, deliver,
+                              make_frame, overhearers, rx_power_dbm)
 
 RADIO = RadioConfig()
 
@@ -180,3 +180,71 @@ def test_loss_free_three_node_line_without_collisions():
         frame = _mk(_broadcast(sender, 0.0), positions, [0, 1, 2])
         got = deliver(frame, [frame], {0, 1, 2}, RADIO)
         assert [rid for rid, _ in got] == expected
+
+
+# -- oracle: delivery against a brute-force scan of every node ----------------
+
+@st.composite
+def air_scenes(draw):
+    """A small field with 1-3 frames on the air, some overlapping in time,
+    plus the awake sets at each frame's start and at resolution time."""
+    n = draw(st.integers(2, 10))
+    coord = st.floats(0.0, 30.0)
+    xs = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    ys = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    # drawn as complements: hypothesis favours small sets, and most nodes
+    # alive and awake keep the receptions and collisions frequent
+    node_sets = st.sets(st.integers(0, n - 1)).map(
+        lambda left_out: set(range(n)) - left_out)
+    alive = np.isin(np.arange(n), list(draw(node_sets)))
+    frames, awake_at = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        sender = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(MessageKind))
+        addressee = None
+        if kind in UNICAST_KINDS:
+            addressee = draw(st.integers(0, n - 1).filter(lambda a: a != sender))
+        power = draw(st.sampled_from(RADIO.power_levels))
+        start = draw(st.sampled_from([0.0, 0.001, 0.002, 0.004, 0.006]))
+        shadow = np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=n,
+                                        max_size=n)))
+        awake = draw(node_sets)
+        msg = Message(kind, sender, addressee, power, start)
+        frames.append(make_frame(msg, xs, ys, alive, awake, RADIO, shadow))
+        awake_at.append(awake)
+    return n, frames, awake_at, draw(node_sets), draw(node_sets)
+
+
+def _reference_deliver(n, frame, in_flight, awake_start, awake_now):
+    msg = frame.msg
+    got = []
+    for nid in range(n):
+        if nid == msg.sender or nid not in awake_start or nid not in awake_now:
+            continue
+        if msg.addressee is not None and nid != msg.addressee:
+            continue
+        if _receivable(frame, nid, in_flight, RADIO):
+            got.append((nid, compute_lqi(RADIO, frame.rx_dbm[nid])))
+    return got
+
+
+def _reference_overhearers(n, frame, in_flight, awake_start, listeners):
+    msg = frame.msg
+    got = []
+    for nid in range(n):
+        if nid in (msg.sender, msg.addressee) or nid not in listeners:
+            continue
+        if nid in awake_start and _receivable(frame, nid, in_flight, RADIO):
+            got.append((nid, compute_lqi(RADIO, frame.rx_dbm[nid])))
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(air_scenes())
+def test_delivery_matches_brute_force_scan(scene):
+    n, frames, awake_at, awake_now, listeners = scene
+    for frame, awake_start in zip(frames, awake_at):
+        assert deliver(frame, frames, awake_now, RADIO) == \
+            _reference_deliver(n, frame, frames, awake_start, awake_now)
+        assert overhearers(frame, frames, listeners, RADIO) == \
+            _reference_overhearers(n, frame, frames, awake_start, listeners)
