@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import AbstractSet, Optional
 
 import numpy as np
 
@@ -90,13 +90,17 @@ def compute_lqi(radio: RadioConfig, rx_dbm: float) -> int:
 
 @dataclass
 class Frame:
-    """One transmission on the air: message plus per-receiver power map."""
+    """One transmission on the air: message plus per-receiver power map.
+
+    ``awake_at_start`` holds only the audible receivers (keys of ``rx_dbm``)
+    that were awake when the frame started; nobody else can receive it.
+    """
 
     msg: Message
     start: float
     end: float
     rx_dbm: dict[int, float] = field(default_factory=dict)
-    awake_at_start: frozenset[int] = frozenset()
+    awake_at_start: AbstractSet[int] = frozenset()
 
     def overlaps(self, other: "Frame") -> bool:
         return self.start < other.end and other.start < self.end
@@ -125,9 +129,10 @@ def make_frame(msg: Message, xs, ys, alive, awake_ids,
         rx = rx - shadow
     audible = (rx >= radio.sensitivity_dbm) & alive
     audible[msg.sender] = False
-    rx_map = {int(i): float(rx[i]) for i in np.flatnonzero(audible)}
+    idx = np.flatnonzero(audible)
+    rx_map = dict(zip(idx.tolist(), rx[idx].tolist()))
     return Frame(msg=msg, start=msg.tx_time, end=msg.tx_time + radio.tx_duration_s,
-                 rx_dbm=rx_map, awake_at_start=frozenset(awake_ids))
+                 rx_dbm=rx_map, awake_at_start=rx_map.keys() & awake_ids)
 
 
 def _receivable(frame: Frame, node_id: int, in_flight, radio: RadioConfig) -> bool:
@@ -151,7 +156,7 @@ def deliver(frame: Frame, in_flight, awake_now, radio: RadioConfig) -> list[tupl
     """
     msg = frame.msg
     if msg.addressee is None:
-        candidates = sorted(frame.awake_at_start & frozenset(awake_now))
+        candidates = sorted(frame.awake_at_start.intersection(awake_now))
     else:
         candidates = [msg.addressee] if (
             msg.addressee in frame.awake_at_start and msg.addressee in awake_now
@@ -166,10 +171,14 @@ def deliver(frame: Frame, in_flight, awake_now, radio: RadioConfig) -> list[tupl
 
 
 def overhearers(frame: Frame, in_flight, listener_ids, radio: RadioConfig) -> list[tuple[int, int]]:
-    """Receptions of a unicast frame at awake third parties (same rules)."""
+    """Receptions of a unicast frame at awake third parties (same rules).
+
+    Only listeners in the frame's power map can receive it, so the scan
+    covers the audible receivers rather than every listener.
+    """
     msg = frame.msg
     result = []
-    for nid in sorted(listener_ids):
+    for nid in sorted(frame.rx_dbm.keys() & listener_ids):
         if nid == msg.sender or nid == msg.addressee:
             continue
         if nid not in frame.awake_at_start:

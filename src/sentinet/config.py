@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 
 from .channel import RadioConfig
@@ -61,6 +62,9 @@ class RunConfig:
     hazard_feedback: str = "off"
 
     def __post_init__(self):
+        for name, value in _float_leaves(self, "config"):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.field_width <= 0.0 or self.field_height <= 0.0:
             raise ValueError("field dimensions must be positive")
         if self.node_count < 1:
@@ -178,6 +182,19 @@ class RunConfig:
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_flat(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def _float_leaves(value, name: str):
+    """(name, value) for every float in ``value``, looking into nested
+    config dataclasses and tuples."""
+    if is_dataclass(value):
+        for f in fields(value):
+            yield from _float_leaves(getattr(value, f.name), f"{name}.{f.name}")
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from _float_leaves(item, f"{name}[{i}]")
+    elif isinstance(value, float):
+        yield name, value
 
 
 def _num(x: float) -> str:

@@ -55,24 +55,30 @@ class EnergyLedger:
                 "active": self.active_j, "tx": self.tx_j}
 
 
+# status name -> (EnergyConfig draw attribute, EnergyLedger field); DEAD
+# draws nothing. Enum members are looked up by ``_name_``, a plain attribute,
+# because their ``name`` property costs more than the rest of accrue.
+_STATE_DRAWS = {
+    "SLEEP": ("sleep_draw_w", "sleep_j"),
+    "PROBE": ("probe_awake_draw_w", "probe_j"),
+    "ACTIVE": ("active_draw_w", "active_j"),
+    "DEAD": None,
+}
+
+
 def accrue(ledger: EnergyLedger, config: EnergyConfig, status, dt: float) -> float:
     """Add state-draw * dt to the ledger; DEAD accrues nothing. Returns joules."""
     if dt < 0.0:
         raise ValueError(f"dt must be non-negative, got {dt}")
-    status = getattr(status, "name", status)
-    if status == "SLEEP":
-        joules = config.sleep_draw_w * dt
-        ledger.sleep_j += joules
-    elif status == "PROBE":
-        joules = config.probe_awake_draw_w * dt
-        ledger.probe_j += joules
-    elif status == "ACTIVE":
-        joules = config.active_draw_w * dt
-        ledger.active_j += joules
-    elif status == "DEAD":
-        joules = 0.0
-    else:
-        raise ValueError(f"unknown status {status!r}")
+    try:
+        slot = _STATE_DRAWS[getattr(status, "_name_", status)]
+    except KeyError:
+        raise ValueError(f"unknown status {status!r}") from None
+    if slot is None:
+        return 0.0
+    draw, spent = slot
+    joules = getattr(config, draw) * dt
+    setattr(ledger, spent, getattr(ledger, spent) + joules)
     return joules
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional
 
@@ -38,15 +38,15 @@ class ClockViolationError(ValueError):
     """Raised when an event is scheduled before the current clock."""
 
 
-@dataclass(order=True)
+@dataclass(eq=False, slots=True)
 class Event:
     time: float
     seq: int
-    target: Optional[int] = field(compare=False)  # None = system-wide
-    kind: EventKind = field(compare=False)
-    payload: Any = field(compare=False, default=None)
-    cancelled: bool = field(compare=False, default=False)
-    dispatched: bool = field(compare=False, default=False)
+    target: Optional[int]  # None = system-wide
+    kind: EventKind
+    payload: Any = None
+    cancelled: bool = False
+    dispatched: bool = False
 
 
 @dataclass
@@ -67,7 +67,8 @@ class Engine:
         self.seed = int(seed)
         self.clock = 0.0
         self.handler = handler  # callable(event) set by the simulation
-        self._queue: list[Event] = []
+        # (time, seq, event): seq is unique, so events are never compared
+        self._queue: list[tuple[float, int, Event]] = []
         self._next_seq = 0
         self._rngs: dict[tuple[int, int], np.random.Generator] = {}
         self._counts: Counter = Counter()
@@ -99,10 +100,10 @@ class Engine:
         if time < self.clock:
             raise ClockViolationError(
                 f"cannot schedule {kind.value} at {time} behind clock {self.clock}")
-        ev = Event(time=time, seq=self._next_seq, target=target, kind=kind,
-                   payload=payload)
-        self._next_seq += 1
-        heapq.heappush(self._queue, ev)
+        seq = self._next_seq
+        ev = Event(time=time, seq=seq, target=target, kind=kind, payload=payload)
+        self._next_seq = seq + 1
+        heapq.heappush(self._queue, (time, seq, ev))
         return ev
 
     def cancel(self, event: Event) -> bool:
@@ -120,8 +121,9 @@ class Engine:
         if t_end < self.clock:
             raise ClockViolationError(
                 f"cannot run to {t_end} behind clock {self.clock}")
-        while self._queue and self._queue[0].time <= t_end:
-            ev = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue and queue[0][0] <= t_end:
+            ev = heapq.heappop(queue)[2]
             if ev.cancelled:
                 continue
             self.clock = ev.time
@@ -131,6 +133,3 @@ class Engine:
                 self.handler(ev)
         self.clock = t_end
         return RunSummary(clock=self.clock, dispatched=Counter(self._counts))
-
-    def pending(self) -> int:
-        return sum(1 for ev in self._queue if not ev.cancelled)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import time as _wall
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -42,7 +43,11 @@ class Simulation:
         """``positions`` pins node placement (id -> (x, y)) for scenario
         construction; by default nodes deploy uniformly at random."""
         self.config = config
-        self.engine = Engine(config.seed, handler=self._dispatch)
+        # a weak reference back: a bound _dispatch would make every dropped
+        # Simulation (heap, RNGs, frames) cyclic garbage that lingers until
+        # the next full collection
+        me = weakref.ref(self)
+        self.engine = Engine(config.seed, handler=lambda ev: me()._dispatch(ev))
         self.transition_hook = transition_hook
         self.post_event_hook = post_event_hook
         self.frames: list[chan.Frame] = []

@@ -1,6 +1,8 @@
 import dataclasses
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sentinet.config import LinkControlMode, RunConfig
 from sentinet.weibull import WeibullParams
@@ -74,3 +76,31 @@ def test_mode_properties():
     assert LinkControlMode.PIGGYBACKED.uses_piggyback
     assert LinkControlMode.BOTH.uses_conn_timer
     assert LinkControlMode.BOTH.uses_piggyback
+
+
+# flat keys whose values are floats or lists of floats
+FLOAT_KEYS = ("field", "duration", "lambda", "beta", "sensing_range",
+              "grid_step", "tw", "tc_min", "tc_max", "metric_interval",
+              "tx_levels", "path_loss_exponent", "reference_loss",
+              "shadowing_sigma", "noise_floor", "sensitivity", "lqi_snr_min",
+              "lqi_snr_max", "tx_duration", "sleep_draw", "probe_draw",
+              "active_draw", "tx_draw")
+
+
+def test_float_keys_cover_every_non_integer_key():
+    others = {"nodes", "seed", "lqi_threshold", "link_control",
+              "hazard_feedback"}
+    assert set(RunConfig().to_flat()) == set(FLOAT_KEYS) | others
+
+
+@given(st.sampled_from(FLOAT_KEYS), st.sampled_from(["nan", "inf", "-inf"]),
+       st.integers(0, 3))
+def test_from_flat_rejects_non_finite_values(key, bad, position):
+    flat = RunConfig().to_flat()
+    # swap one number of the (possibly compound) value, e.g. "100.0x100.0"
+    parts = re.split(r"([x,:])", flat[key])
+    numbers = list(range(0, len(parts), 2))
+    parts[numbers[position % len(numbers)]] = bad
+    flat[key] = "".join(parts)
+    with pytest.raises(ValueError):
+        RunConfig.from_flat(flat)

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -214,3 +216,19 @@ def test_healing_report_unrecovered_is_none():
     [entry] = healing_report(rows, [{"time": 10.0}], epsilon=0.05)
     assert entry["recovered_at"] is None
     assert entry["recovery_time"] is None
+
+
+def test_dropped_simulations_are_freed_without_the_cycle_collector():
+    # a dropped run must not stay alive as cyclic garbage (its heap, RNGs
+    # and frames) until the next full collection, finished or not
+    gc.disable()
+    try:
+        sim = Simulation(small_config())
+        finished = weakref.ref(sim)
+        result = sim.run()
+        del sim, result
+        assert finished() is None
+        never_run = weakref.ref(Simulation(small_config()))
+        assert never_run() is None
+    finally:
+        gc.enable()
