@@ -87,7 +87,7 @@ FLOAT_KEYS = ("field", "duration", "lambda", "beta", "sensing_range",
               "active_draw", "tx_draw")
 
 
-def test_float_keys_cover_every_non_integer_key():
+def test_float_keys_list_every_float_valued_key():
     others = {"nodes", "seed", "lqi_threshold", "link_control",
               "hazard_feedback"}
     assert set(RunConfig().to_flat()) == set(FLOAT_KEYS) | others
