@@ -5,7 +5,7 @@ from .channel import Message, MessageKind, RadioConfig, compute_lqi, rx_power_db
 from .config import LinkControlMode, RunConfig
 from .energy import EnergyConfig, EnergyLedger, summarize, tx_cost
 from .engine import ClockViolationError, Engine, Event, EventKind
-from .metrics import Snapshot, coverage_fraction, sentinel_components
+from .metrics import coverage_fraction, sentinel_components
 from .protocol import Node, NodeStatus, ProtocolViolationError
 from .sim import RunResult, Simulation, healing_report, run_simulation, write_outputs
 from .weibull import WeibullParams, hazard_rate, sample_sleep_time, update_probe_rate
@@ -16,7 +16,7 @@ __all__ = [
     "ClockViolationError", "Engine", "EnergyConfig", "EnergyLedger", "Event",
     "EventKind", "LinkControlMode", "Message", "MessageKind", "Node",
     "NodeStatus", "ProtocolViolationError", "RadioConfig", "RunConfig",
-    "RunResult", "Simulation", "Snapshot", "WeibullParams", "compute_lqi",
+    "RunResult", "Simulation", "WeibullParams", "compute_lqi",
     "coverage_fraction", "hazard_rate", "healing_report", "run_simulation",
     "rx_power_dbm", "sample_sleep_time", "sentinel_components", "summarize",
     "tx_cost", "update_probe_rate", "write_outputs",

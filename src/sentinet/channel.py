@@ -9,7 +9,7 @@ interval cannot receive it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import AbstractSet, Optional
 
@@ -43,6 +43,7 @@ class RadioConfig:
     tx_duration_s: float = 0.004
 
     def __post_init__(self):
+        require_finite(self, "radio")
         if len(self.power_levels) < 1:
             raise ValueError("at least one transmit power level is required")
         if any(b <= a for a, b in zip(self.power_levels, self.power_levels[1:])):
@@ -53,6 +54,23 @@ class RadioConfig:
             raise ValueError("lqi_snr_min_db must be below lqi_snr_max_db")
         if self.tx_duration_s <= 0.0:
             raise ValueError("tx_duration_s must be positive")
+
+
+def require_finite(config, name: str) -> None:
+    """Reject NaN/±inf in the float fields of a config dataclass, tuples
+    included; nested config dataclasses check themselves."""
+    for f in fields(config):
+        for value in _floats(getattr(config, f.name)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name}.{f.name} must be finite, got {value!r}")
+
+
+def _floats(value):
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _floats(item)
+    elif isinstance(value, float):
+        yield value
 
 
 @dataclass(frozen=True)
@@ -86,6 +104,22 @@ def compute_lqi(radio: RadioConfig, rx_dbm: float) -> int:
     frac = min(max(frac, 0.0), 1.0)
     # round half away from zero so the scale is language-neutral
     return int(math.floor(10.0 * frac + 0.5))
+
+
+def rx_power_array(radio: RadioConfig, tx_power, distance: np.ndarray) -> np.ndarray:
+    """``rx_power_dbm`` without shadowing over an array of distances;
+    ``tx_power`` is a scalar or an array that broadcasts against them."""
+    d = np.maximum(distance, MIN_DISTANCE_M)
+    return tx_power - (radio.reference_loss_db
+                       + 10.0 * radio.path_loss_exponent * np.log10(d))
+
+
+def lqi_array(radio: RadioConfig, rx_dbm: np.ndarray) -> np.ndarray:
+    """``compute_lqi`` over an array of received powers."""
+    span = radio.lqi_snr_max_db - radio.lqi_snr_min_db
+    frac = np.clip((rx_dbm - radio.noise_floor_dbm - radio.lqi_snr_min_db) / span,
+                   0.0, 1.0)
+    return np.floor(10.0 * frac + 0.5).astype(int)
 
 
 @dataclass
@@ -122,9 +156,7 @@ def make_frame(msg: Message, xs, ys, alive, awake_ids,
     map; they can neither decode the frame nor disturb anyone else.
     """
     d = np.hypot(xs - xs[msg.sender], ys - ys[msg.sender])
-    np.maximum(d, MIN_DISTANCE_M, out=d)
-    rx = msg.tx_power_dbm - (radio.reference_loss_db
-                             + 10.0 * radio.path_loss_exponent * np.log10(d))
+    rx = rx_power_array(radio, msg.tx_power_dbm, d)
     if shadow is not None:
         rx = rx - shadow
     audible = (rx >= radio.sensitivity_dbm) & alive

@@ -19,28 +19,18 @@ from .sim import run_simulation, write_outputs
 
 AGGREGATE_HEADER = "axis_value,rep,energy_total_j,energy_mean_j,components,coverage_final"
 
-_FLAG_TO_KEY = {
-    "nodes": "nodes", "field": "field", "duration": "duration", "seed": "seed",
-    "lam": "lambda", "beta": "beta", "link_control": "link_control",
-    "lqi_threshold": "lqi_threshold", "tx_levels": "tx_levels",
-    "sensing_range": "sensing_range", "grid_step": "grid_step", "tw": "tw",
-    "tc_min": "tc_min", "tc_max": "tc_max",
-    "shadowing_sigma": "shadowing_sigma", "metric_interval": "metric_interval",
-    "hazard_feedback": "hazard_feedback",
-}
-
-
 class CliError(Exception):
     pass
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
+    """Config flags; each one's dest is its key in ``RunConfig.to_flat``."""
     parser.add_argument("--nodes", type=int)
     parser.add_argument("--field", metavar="WxH")
     parser.add_argument("--duration", type=float)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--beta", type=float)
-    parser.add_argument("--lambda", dest="lam", type=float)
+    parser.add_argument("--lambda", type=float)
     parser.add_argument("--link-control",
                         choices=[m.value for m in LinkControlMode])
     parser.add_argument("--lqi-threshold", type=int)
@@ -107,8 +97,8 @@ def resolve_config(args: argparse.Namespace,
     flat: dict[str, str] = {}
     if args.config:
         flat.update(parse_config_file(args.config))
-    for attr, key in _FLAG_TO_KEY.items():
-        value = getattr(args, attr, None)
+    for key in RunConfig().to_flat():
+        value = getattr(args, key, None)
         if value is not None:
             flat[key] = str(value)
     if overrides:

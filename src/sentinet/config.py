@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .channel import RadioConfig
+from .channel import RadioConfig, require_finite
 from .energy import EnergyConfig
 from .weibull import WeibullParams
 
@@ -20,8 +19,8 @@ from .weibull import WeibullParams
 class LinkControlMode(Enum):
     """How guards assess their links.
 
-    Every mode except OFF runs the per-guard connectivity timer; in the
-    piggybacked modes, link evidence carried by overheard probe replies
+    Every mode except OFF runs the per-guard connectivity timer; in
+    PIGGYBACKED mode, link evidence carried by overheard probe replies
     keeps resetting that timer, so busy guards rarely need a standalone
     connectivity round and sentry-to-sentry traffic shrinks.
     """
@@ -29,7 +28,6 @@ class LinkControlMode(Enum):
     OFF = "off"
     STANDALONE = "standalone"
     PIGGYBACKED = "piggybacked"
-    BOTH = "both"
 
     @property
     def uses_conn_timer(self) -> bool:
@@ -37,7 +35,7 @@ class LinkControlMode(Enum):
 
     @property
     def uses_piggyback(self) -> bool:
-        return self in (LinkControlMode.PIGGYBACKED, LinkControlMode.BOTH)
+        return self is LinkControlMode.PIGGYBACKED
 
 
 HAZARD_FEEDBACK_MODES = ("off", "global", "cycle")
@@ -62,9 +60,7 @@ class RunConfig:
     hazard_feedback: str = "off"
 
     def __post_init__(self):
-        for name, value in _float_leaves(self, "config"):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        require_finite(self, "config")
         if self.field_width <= 0.0 or self.field_height <= 0.0:
             raise ValueError("field dimensions must be positive")
         if self.node_count < 1:
@@ -182,19 +178,6 @@ class RunConfig:
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_flat(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-def _float_leaves(value, name: str):
-    """(name, value) for every float in ``value``, looking into nested
-    config dataclasses and tuples."""
-    if is_dataclass(value):
-        for f in fields(value):
-            yield from _float_leaves(getattr(value, f.name), f"{name}.{f.name}")
-    elif isinstance(value, tuple):
-        for i, item in enumerate(value):
-            yield from _float_leaves(item, f"{name}[{i}]")
-    elif isinstance(value, float):
-        yield name, value
 
 
 def _num(x: float) -> str:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .channel import require_finite
+
 
 @dataclass(frozen=True)
 class EnergyConfig:
@@ -18,6 +20,7 @@ class EnergyConfig:
     tx_draw_w: tuple[tuple[float, float], ...] = ((-10.0, 0.040), (-5.0, 0.046))
 
     def __post_init__(self):
+        require_finite(self, "energy")
         draws = [self.sleep_draw_w, self.probe_awake_draw_w, self.active_draw_w]
         draws += [w for _, w in self.tx_draw_w]
         if any(w < 0.0 for w in draws):

@@ -1,5 +1,7 @@
 """Observability: coverage fraction, guard connectivity, CSV/JSON outputs.
 
+The metrics take the guards' positions (and, for connectivity, their
+transmit powers) as arrays, so a caller passes just the guards it keeps.
 The connectivity graph deliberately uses deterministic (zero-shadowing)
 received power at the nodes' current transmit levels so the metric is
 stable run to run; the stochastic per-frame LQI stays a protocol-runtime
@@ -10,12 +12,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .channel import RadioConfig
+from .channel import RadioConfig, lqi_array, rx_power_array
 
 CSV_HEADER = ("time_s,n_sleep,n_probe,n_active,n_dead,coverage,components,"
               "isolated,msgs_probe,msgs_probe_reply,msgs_conn,msgs_conn_reply,"
@@ -24,44 +24,25 @@ CSV_HEADER = ("time_s,n_sleep,n_probe,n_active,n_dead,coverage,components,"
 _GRID_CHUNK = 4096
 
 
-@dataclass(frozen=True)
-class NodeView:
-    id: int
-    x: float
-    y: float
-    status: str
-    tx_dbm: float
-    energy_j: float
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    time: float
-    field_width: float
-    field_height: float
-    nodes: tuple[NodeView, ...]
-    counters: dict
-
-
 def _grid_centers(extent: float, step: float) -> np.ndarray:
     n = max(1, math.ceil(extent / step))
     return (np.arange(n, dtype=float) + 0.5) * step
 
 
-def coverage_fraction(snapshot: Snapshot, sensing_range: float,
-                      grid_step: float) -> float:
-    """Fraction of grid cell centers within sensing range of a guard."""
+def coverage_fraction(xs, ys, field_width: float, field_height: float,
+                      sensing_range: float, grid_step: float) -> float:
+    """Fraction of grid cell centers within sensing range of a guard at
+    (``xs[i]``, ``ys[i]``)."""
     if grid_step <= 0.0:
         raise ValueError("grid_step must be positive")
-    xs = _grid_centers(snapshot.field_width, grid_step)
-    ys = _grid_centers(snapshot.field_height, grid_step)
-    total = len(xs) * len(ys)
-    actives = [(nv.x, nv.y) for nv in snapshot.nodes if nv.status == "ACTIVE"]
-    if not actives:
+    cx = _grid_centers(field_width, grid_step)
+    cy = _grid_centers(field_height, grid_step)
+    total = len(cx) * len(cy)
+    if len(xs) == 0:
         return 0.0
-    ax = np.array([p[0] for p in actives])
-    ay = np.array([p[1] for p in actives])
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    ax = np.asarray(xs)
+    ay = np.asarray(ys)
+    gx, gy = np.meshgrid(cx, cy, indexing="ij")
     gx = gx.ravel()
     gy = gy.ravel()
     r2 = sensing_range * sensing_range
@@ -74,32 +55,16 @@ def coverage_fraction(snapshot: Snapshot, sensing_range: float,
     return covered / total
 
 
-def _lqi_matrix(views, radio: RadioConfig) -> np.ndarray:
-    """lqi[i, j]: quality of i's transmission measured at j (zero shadowing)."""
-    x = np.array([nv.x for nv in views])
-    y = np.array([nv.y for nv in views])
-    tx = np.array([nv.tx_dbm for nv in views])
+def guard_adjacency(xs, ys, tx_dbm, radio: RadioConfig) -> np.ndarray:
+    """Symmetric link matrix of the guards: i and j are linked when each
+    hears the other at LQI >= threshold (zero shadowing)."""
+    x, y, tx = np.asarray(xs), np.asarray(ys), np.asarray(tx_dbm)
     d = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
-    d = np.maximum(d, 0.01)
-    rx = tx[:, None] - (radio.reference_loss_db
-                        + 10.0 * radio.path_loss_exponent * np.log10(d))
-    snr = rx - radio.noise_floor_dbm
-    span = radio.lqi_snr_max_db - radio.lqi_snr_min_db
-    frac = np.clip((snr - radio.lqi_snr_min_db) / span, 0.0, 1.0)
-    return np.floor(10.0 * frac + 0.5).astype(int)
-
-
-def guard_adjacency(snapshot: Snapshot, radio: RadioConfig) -> tuple[list[int], np.ndarray]:
-    """Guard ids and their symmetric link matrix (LQI >= threshold both ways)."""
-    views = [nv for nv in snapshot.nodes if nv.status == "ACTIVE"]
-    ids = [nv.id for nv in views]
-    k = len(views)
-    if k == 0:
-        return ids, np.zeros((0, 0), dtype=bool)
-    lqi = _lqi_matrix(views, radio)
+    # lqi[i, j]: quality of i's transmission measured at j
+    lqi = lqi_array(radio, rx_power_array(radio, tx[:, None], d))
     adj = (lqi >= radio.lqi_threshold) & (lqi.T >= radio.lqi_threshold)
     np.fill_diagonal(adj, False)
-    return ids, adj
+    return adj
 
 
 def components_from_adjacency(adj: np.ndarray) -> list[list[int]]:
@@ -127,14 +92,14 @@ def components_from_adjacency(adj: np.ndarray) -> list[list[int]]:
     return comps
 
 
-def guard_components(snapshot: Snapshot, radio: RadioConfig) -> list[list[int]]:
-    """Connected components of the guard graph, as lists of node ids."""
-    ids, adj = guard_adjacency(snapshot, radio)
-    return [[ids[i] for i in comp] for comp in components_from_adjacency(adj)]
+def guard_components(xs, ys, tx_dbm, radio: RadioConfig) -> list[list[int]]:
+    """Connected components of the guard graph, as lists of indices into
+    the guard arrays."""
+    return components_from_adjacency(guard_adjacency(xs, ys, tx_dbm, radio))
 
 
-def sentinel_components(snapshot: Snapshot, radio: RadioConfig) -> dict[str, int]:
-    comps = guard_components(snapshot, radio)
+def sentinel_components(xs, ys, tx_dbm, radio: RadioConfig) -> dict[str, int]:
+    comps = guard_components(xs, ys, tx_dbm, radio)
     return {"component_count": len(comps),
             "isolated_count": sum(1 for c in comps if len(c) == 1)}
 
@@ -182,16 +147,6 @@ def read_metrics_csv(path) -> list[dict]:
             row[key] = int(part) if part.lstrip("-").isdigit() else float(part)
         rows.append(row)
     return rows
-
-
-def snapshot_document(snapshot: Snapshot, meta: dict) -> dict:
-    return {
-        "meta": meta,
-        "time": snapshot.time,
-        "nodes": [{"id": nv.id, "x": nv.x, "y": nv.y, "status": nv.status,
-                   "tx_dbm": nv.tx_dbm, "energy_j": nv.energy_j}
-                  for nv in snapshot.nodes],
-    }
 
 
 def write_json(path, document: dict) -> None:

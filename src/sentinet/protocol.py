@@ -87,10 +87,6 @@ class Node:
     def alive(self) -> bool:
         return self.status is not NodeStatus.DEAD
 
-    @property
-    def awake(self) -> bool:
-        return self.status in (NodeStatus.PROBE, NodeStatus.ACTIVE)
-
 
 def set_status(node: Node, new: NodeStatus, ctx) -> None:
     old = node.status

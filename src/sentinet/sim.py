@@ -23,7 +23,6 @@ from . import metrics as metrics_mod
 from . import protocol
 from .config import RunConfig
 from .engine import RNG_NAME, Engine, Event, EventKind
-from .metrics import NodeView, Snapshot
 from .protocol import Node, NodeStatus
 
 
@@ -33,7 +32,7 @@ class RunResult:
     nodes: dict[int, Node]
     rows: list[dict]
     summary: dict
-    snapshot: Snapshot
+    snapshot: dict  # {"time", "nodes"}: the final node states
     failure_log: list[dict] = field(default_factory=list)
 
 
@@ -75,6 +74,8 @@ class Simulation:
         self._alive = np.ones(config.node_count, dtype=bool)
         self._awake_ids: set[int] = set()
         self._guard_ids: set[int] = set()
+        self._census = {status: 0 for status in NodeStatus}
+        self._census[NodeStatus.SLEEP] = config.node_count
         for node in self.nodes.values():
             protocol.on_deploy(node, self)
         self._schedule_sample(0)
@@ -107,6 +108,8 @@ class Simulation:
         node.accrued_until = self.now
 
     def note_transition(self, node: Node, old: NodeStatus, new: NodeStatus) -> None:
+        self._census[old] -= 1
+        self._census[new] += 1
         if new is NodeStatus.DEAD:
             self._alive[node.id] = False
         if new in (NodeStatus.PROBE, NodeStatus.ACTIVE):
@@ -231,8 +234,7 @@ class Simulation:
                                      "requested": 1, "killed": killed})
             return
         count = (ev.payload or {}).get("count")
-        guards = sorted(n.id for n in self.nodes.values()
-                        if n.status is NodeStatus.ACTIVE)
+        guards = sorted(self._guard_ids)
         victims = guards if count is None else guards[:count]
         for nid in victims:
             protocol.mark_dead(self.nodes[nid], self)
@@ -250,36 +252,33 @@ class Simulation:
         if at <= self.config.duration:
             self.engine.schedule(at, None, EventKind.METRIC_SAMPLE, payload=index)
 
-    def snapshot(self) -> Snapshot:
-        views = tuple(NodeView(id=n.id, x=n.x, y=n.y, status=n.status.value,
-                               tx_dbm=n.tx_power, energy_j=n.ledger.total_j)
-                      for n in self.nodes.values())
-        counters = {k.value: v for k, v in self.counters.items()}
-        return Snapshot(time=self.now, field_width=self.config.field_width,
-                        field_height=self.config.field_height,
-                        nodes=views, counters=counters)
+    def snapshot(self) -> dict:
+        """The current node states, as written to snapshot.json."""
+        return {"time": self.now,
+                "nodes": [{"id": n.id, "x": n.x, "y": n.y,
+                           "status": n.status.value, "tx_dbm": n.tx_power,
+                           "energy_j": n.ledger.total_j}
+                          for n in self.nodes.values()]}
 
     def _sample_metrics(self, index: int) -> None:
         for node in self.nodes.values():
             self.touch_energy(node)
-        snap = self.snapshot()
-        census = {status: 0 for status in NodeStatus}
-        for node in self.nodes.values():
-            census[node.status] += 1
+        cfg = self.config
         # guard set and powers change rarely; reuse derived metrics when
         # the inputs they depend on are unchanged since the last sample
-        guard_key = tuple((n.id, n.tx_power) for n in self.nodes.values()
-                          if n.status is NodeStatus.ACTIVE)
-        cov_key = tuple(nid for nid, _ in guard_key)
-        if self._coverage_cache[0] != cov_key:
+        guards = sorted(self._guard_ids)
+        powers = [self.nodes[g].tx_power for g in guards]
+        if self._coverage_cache[0] != guards:
             cov = metrics_mod.coverage_fraction(
-                snap, self.config.sensing_range, self.config.grid_step)
-            self._coverage_cache = (cov_key, cov)
-        if self._component_cache[0] != guard_key:
-            self._component_cache = (
-                guard_key, metrics_mod.sentinel_components(snap, self.config.radio))
+                self._xs[guards], self._ys[guards], cfg.field_width,
+                cfg.field_height, cfg.sensing_range, cfg.grid_step)
+            self._coverage_cache = (guards, cov)
+        if self._component_cache[0] != (guards, powers):
+            self._component_cache = ((guards, powers), metrics_mod.sentinel_components(
+                self._xs[guards], self._ys[guards], powers, cfg.radio))
         comps = self._component_cache[1]
         totals = energy_mod.summarize(n.ledger for n in self.nodes.values())
+        census = self._census
         self.rows.append({
             "time_s": self.now,
             "n_sleep": census[NodeStatus.SLEEP],
@@ -306,7 +305,6 @@ class Simulation:
         for node in self.nodes.values():
             self.touch_energy(node)
         wall = _wall.perf_counter() - started
-        snap = self.snapshot()
         totals = energy_mod.summarize(n.ledger for n in self.nodes.values())
         final_row = self.rows[-1] if self.rows else None
         summary = {
@@ -317,8 +315,7 @@ class Simulation:
                 "energy": totals,
                 "messages": {k.value: v for k, v in self.counters.items()},
                 "events": engine_summary.as_dict()["dispatched"],
-                "census": {s.value: sum(1 for n in self.nodes.values()
-                                        if n.status is s) for s in NodeStatus},
+                "census": {s.value: self._census[s] for s in NodeStatus},
                 "coverage_final": final_row["coverage"] if final_row else None,
                 "components_final": final_row["components"] if final_row else None,
                 "isolated_final": final_row["isolated"] if final_row else None,
@@ -327,7 +324,7 @@ class Simulation:
             "runtime_wall_s": wall,
         }
         return RunResult(config=self.config, nodes=self.nodes, rows=self.rows,
-                         summary=summary, snapshot=snap,
+                         summary=summary, snapshot=self.snapshot(),
                          failure_log=self.failure_log)
 
     def _meta_dict(self) -> dict:
@@ -378,8 +375,9 @@ def write_outputs(result: RunResult, out_dir, healing_epsilon: Optional[float] =
     healing.json when fault injection ran). Returns the path map."""
     os.makedirs(out_dir, exist_ok=True)
     cfg = result.config
-    meta = metrics_mod.meta_line(cfg.seed, cfg.config_hash(), RNG_NAME)
-    meta_dict = {"seed": cfg.seed, "config": cfg.config_hash(), "rng": RNG_NAME}
+    meta_dict = result.summary["meta"]
+    meta = metrics_mod.meta_line(meta_dict["seed"], meta_dict["config"],
+                                 meta_dict["rng"])
     paths = {
         "metrics": os.path.join(out_dir, "metrics.csv"),
         "snapshot": os.path.join(out_dir, "snapshot.json"),
@@ -387,8 +385,7 @@ def write_outputs(result: RunResult, out_dir, healing_epsilon: Optional[float] =
         "config": os.path.join(out_dir, "config.txt"),
     }
     metrics_mod.write_metrics_csv(paths["metrics"], result.rows, meta)
-    metrics_mod.write_json(paths["snapshot"],
-                           metrics_mod.snapshot_document(result.snapshot, meta_dict))
+    metrics_mod.write_json(paths["snapshot"], {"meta": meta_dict, **result.snapshot})
     metrics_mod.write_json(paths["summary"], result.summary)
     metrics_mod.write_config_echo(paths["config"], cfg, meta)
     if result.failure_log or healing_epsilon is not None:

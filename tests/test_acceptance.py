@@ -228,10 +228,10 @@ def test_criterion_06_connectivity():
             grid_step=5.0, metric_interval=10.0))
         sim = Simulation(cfg)
         sim.run()
-        snap = sim.snapshot()
-        singles = {c[0] for c in guard_components(snap, cfg.radio)
-                   if len(c) == 1}
-        guards = [nv for nv in snap.nodes if nv.status == "ACTIVE"]
+        guards = [n for n in sim.nodes.values() if n.status is NodeStatus.ACTIVE]
+        comps = guard_components([n.x for n in guards], [n.y for n in guards],
+                                 [n.tx_power for n in guards], cfg.radio)
+        singles = {guards[c[0]].id for c in comps if len(c) == 1}
         top = max(cfg.radio.power_levels)
         for nv in guards:
             if nv.id not in singles:
@@ -344,8 +344,7 @@ class UnionFind:
 
 
 def test_criterion_10_metric_oracles():
-    from sentinet.metrics import (NodeView, Snapshot, coverage_fraction,
-                                  sentinel_components)
+    from sentinet.metrics import coverage_fraction, sentinel_components
 
     started = time.perf_counter()
     rng = np.random.Generator(np.random.Philox(55))
@@ -353,17 +352,13 @@ def test_criterion_10_metric_oracles():
 
     for trial in range(100):
         k = int(rng.integers(0, 9))
-        views = tuple(
-            NodeView(id=i, x=float(rng.uniform(0, 50)),
-                     y=float(rng.uniform(0, 50)),
-                     status="ACTIVE" if rng.random() < 0.8 else "SLEEP",
-                     tx_dbm=-10.0, energy_j=0.0)
-            for i in range(k))
-        snap = Snapshot(time=0.0, field_width=50.0, field_height=50.0,
-                        nodes=views, counters={})
+        nodes = [(float(rng.uniform(0, 50)), float(rng.uniform(0, 50)),
+                  rng.random() < 0.8)
+                 for _ in range(k)]
+        actives = [(x, y) for x, y, active in nodes if active]
         sensing = float(rng.uniform(3.0, 25.0))
-        got = coverage_fraction(snap, sensing, 1.0)
-        actives = [(nv.x, nv.y) for nv in views if nv.status == "ACTIVE"]
+        got = coverage_fraction([x for x, _ in actives], [y for _, y in actives],
+                                50.0, 50.0, sensing, 1.0)
         covered = 0
         r2 = sensing * sensing
         for i in range(50):
@@ -376,22 +371,18 @@ def test_criterion_10_metric_oracles():
 
     for trial in range(100):
         k = int(rng.integers(0, 30))
-        views = tuple(
-            NodeView(id=i, x=float(rng.uniform(0, 100)),
-                     y=float(rng.uniform(0, 100)), status="ACTIVE",
-                     tx_dbm=float(rng.choice(radio.power_levels)),
-                     energy_j=0.0)
-            for i in range(k))
-        snap = Snapshot(time=0.0, field_width=100.0, field_height=100.0,
-                        nodes=views, counters={})
-        got = sentinel_components(snap, radio)
+        xs, ys, tx = [], [], []
+        for _ in range(k):
+            xs.append(float(rng.uniform(0, 100)))
+            ys.append(float(rng.uniform(0, 100)))
+            tx.append(float(rng.choice(radio.power_levels)))
+        got = sentinel_components(xs, ys, tx, radio)
         finder = UnionFind(range(k))
         for a in range(k):
             for b in range(a + 1, k):
-                d = math.hypot(views[a].x - views[b].x,
-                               views[a].y - views[b].y)
-                ab = compute_lqi(radio, rx_power_dbm(radio, views[a].tx_dbm, d))
-                ba = compute_lqi(radio, rx_power_dbm(radio, views[b].tx_dbm, d))
+                d = math.hypot(xs[a] - xs[b], ys[a] - ys[b])
+                ab = compute_lqi(radio, rx_power_dbm(radio, tx[a], d))
+                ba = compute_lqi(radio, rx_power_dbm(radio, tx[b], d))
                 if ab >= radio.lqi_threshold and ba >= radio.lqi_threshold:
                     finder.union(a, b)
         comps = finder.components() if k else []

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from sentinet.cli import main, parse_kill_spec
+from sentinet.config import RunConfig
 from sentinet.metrics import CSV_HEADER, read_metrics_csv
 
 FAST = ["--nodes", "8", "--duration", "30", "--field", "60x60",
@@ -65,6 +66,34 @@ def test_flags_override_config_file(tmp_path):
                    "--out", str(b)) == 0
     summary = json.loads((b / "summary.json").read_text())
     assert summary["seed"] == 77
+
+
+def test_every_config_flag_reaches_the_summary(tmp_path, monkeypatch):
+    monkeypatch.delenv("SENTINET_SEED", raising=False)
+    want = {"nodes": "6", "field": "50.0x40.0", "duration": "5.0",
+            "seed": "11", "beta": "1.5", "lambda": "0.07",
+            "link_control": "standalone", "lqi_threshold": "6",
+            "tx_levels": "-5.0", "sensing_range": "12.0", "grid_step": "5.0",
+            "tw": "0.2", "tc_min": "3.0", "tc_max": "8.0",
+            "shadowing_sigma": "2.0", "metric_interval": "2.5",
+            "hazard_feedback": "cycle"}
+    argv = [f"--{key.replace('_', '-')}={value}" for key, value in want.items()]
+    out = tmp_path / "r1"
+    assert run_cli("run", *argv, "--out", str(out)) == 0
+    config = json.loads((out / "summary.json").read_text())["config"]
+    defaults = RunConfig().to_flat()
+    assert len(want) == 17
+    for key, value in want.items():
+        assert config[key] == value != defaults[key], key
+
+
+def test_link_control_both_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "both.cfg"
+    cfg.write_text("link_control=both\n")
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+    assert "'both'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        run_cli("run", *FAST, "--link-control", "both", "--out", str(tmp_path / "y"))
 
 
 def test_env_seed_overrides_flag(tmp_path, monkeypatch):

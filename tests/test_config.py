@@ -4,7 +4,9 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from sentinet.channel import RadioConfig
 from sentinet.config import LinkControlMode, RunConfig
+from sentinet.energy import EnergyConfig
 from sentinet.weibull import WeibullParams
 
 
@@ -17,7 +19,7 @@ def test_flat_roundtrip_customized():
     cfg = RunConfig(
         field_width=250.0, field_height=80.0, node_count=123, duration=742.5,
         seed=987654321, weibull=WeibullParams(0.013, 3.0),
-        link_control=LinkControlMode.BOTH, sensing_range=21.5, t_w=0.25,
+        link_control=LinkControlMode.STANDALONE, sensing_range=21.5, t_w=0.25,
         t_c_range=(2.0, 9.0), grid_step=0.5, metric_interval=2.5,
         hazard_feedback="cycle",
         radio=dataclasses.replace(RunConfig().radio, shadowing_sigma_db=0.0,
@@ -74,8 +76,6 @@ def test_mode_properties():
     assert not LinkControlMode.STANDALONE.uses_piggyback
     assert LinkControlMode.PIGGYBACKED.uses_conn_timer
     assert LinkControlMode.PIGGYBACKED.uses_piggyback
-    assert LinkControlMode.BOTH.uses_conn_timer
-    assert LinkControlMode.BOTH.uses_piggyback
 
 
 # flat keys whose values are floats or lists of floats
@@ -93,9 +93,24 @@ def test_float_keys_list_every_float_valued_key():
     assert set(RunConfig().to_flat()) == set(FLOAT_KEYS) | others
 
 
+# every float field of the configs RunConfig nests, which check themselves
+NESTED_FIELDS = [(cls, f.name) for cls in (RadioConfig, EnergyConfig)
+                 for f in dataclasses.fields(cls)
+                 if isinstance(getattr(cls(), f.name), (float, tuple))]
+
+
+def _with_bad_number(value, bad: float, position: int):
+    """``value`` with one of its (possibly nested tuple) numbers set to bad."""
+    if not isinstance(value, tuple):
+        return bad
+    i = position % len(value)
+    return (value[:i] + (_with_bad_number(value[i], bad, position // len(value)),)
+            + value[i + 1:])
+
+
 @given(st.sampled_from(FLOAT_KEYS), st.sampled_from(["nan", "inf", "-inf"]),
-       st.integers(0, 3))
-def test_from_flat_rejects_non_finite_values(key, bad, position):
+       st.integers(0, 3), st.sampled_from(NESTED_FIELDS))
+def test_from_flat_rejects_non_finite_values(key, bad, position, nested):
     flat = RunConfig().to_flat()
     # swap one number of the (possibly compound) value, e.g. "100.0x100.0"
     parts = re.split(r"([x,:])", flat[key])
@@ -104,3 +119,8 @@ def test_from_flat_rejects_non_finite_values(key, bad, position):
     flat[key] = "".join(parts)
     with pytest.raises(ValueError):
         RunConfig.from_flat(flat)
+    # RadioConfig and EnergyConfig reject it when built on their own too
+    cls, name = nested
+    value = _with_bad_number(getattr(cls(), name), float(bad), position)
+    with pytest.raises(ValueError, match="must be finite"):
+        cls(**{name: value})

@@ -27,8 +27,7 @@ def test_t_c_drawn_inside_configured_range(ctx):
 
 
 def test_new_guard_arms_timer_in_every_link_mode():
-    for mode in (LinkControlMode.STANDALONE, LinkControlMode.PIGGYBACKED,
-                 LinkControlMode.BOTH):
+    for mode in (LinkControlMode.STANDALONE, LinkControlMode.PIGGYBACKED):
         ctx = ctx_with(mode)
         node = guard()
         on_active_entered(node, ctx)

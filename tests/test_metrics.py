@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sentinet.channel import RadioConfig
-from sentinet.metrics import (CSV_HEADER, NodeView, Snapshot,
-                              components_from_adjacency, coverage_fraction,
-                              format_row, guard_components, meta_line,
-                              read_metrics_csv, sentinel_components,
+from sentinet.metrics import (CSV_HEADER, components_from_adjacency,
+                              coverage_fraction, format_row, guard_components,
+                              meta_line, read_metrics_csv, sentinel_components,
                               write_metrics_csv)
 
 import numpy as np
@@ -15,60 +14,63 @@ import numpy as np
 RADIO = RadioConfig()
 
 
-def snap(views, field=100.0, t=0.0):
-    return Snapshot(time=t, field_width=field, field_height=field,
-                    nodes=tuple(views), counters={})
+def guards(*points):
+    """x, y and tx power arrays for guards given as (x, y[, power])."""
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    powers = [p[2] if len(p) > 2 else -10.0 for p in points]
+    return np.array(xs, dtype=float), np.array(ys, dtype=float), powers
 
 
-def view(nid, x, y, status="ACTIVE", power=-10.0):
-    return NodeView(id=nid, x=x, y=y, status=status, tx_dbm=power, energy_j=0.0)
+def cover(points, sensing_range, step, field=100.0):
+    xs, ys, _ = guards(*points)
+    return coverage_fraction(xs, ys, field, field, sensing_range, step)
 
 
-def brute_coverage(snapshot, sensing_range, step):
+def components(*points):
+    return sentinel_components(*guards(*points), RADIO)
+
+
+def brute_coverage(points, sensing_range, step, field=100.0):
     """Independent oracle: plain python loops over the same grid."""
-    nx = max(1, math.ceil(snapshot.field_width / step))
-    ny = max(1, math.ceil(snapshot.field_height / step))
-    actives = [(nv.x, nv.y) for nv in snapshot.nodes if nv.status == "ACTIVE"]
+    nx = max(1, math.ceil(field / step))
+    ny = max(1, math.ceil(field / step))
     r2 = sensing_range * sensing_range
     covered = 0
     for i in range(nx):
         for j in range(ny):
             cx = (i + 0.5) * step
             cy = (j + 0.5) * step
-            if any((cx - ax) ** 2 + (cy - ay) ** 2 <= r2 for ax, ay in actives):
+            if any((cx - ax) ** 2 + (cy - ay) ** 2 <= r2 for ax, ay in points):
                 covered += 1
     return covered / (nx * ny)
 
 
 def test_no_guards_no_coverage():
-    s = snap([view(0, 50.0, 50.0, status="SLEEP")])
-    assert coverage_fraction(s, 15.0, 1.0) == 0.0
+    assert cover([], 15.0, 1.0) == 0.0
 
 
 def test_single_central_guard_matches_disc_area():
-    s = snap([view(0, 50.0, 50.0)])
-    cov = coverage_fraction(s, 15.0, 1.0)
-    assert cov == brute_coverage(s, 15.0, 1.0)
+    cov = cover([(50.0, 50.0)], 15.0, 1.0)
+    assert cov == brute_coverage([(50.0, 50.0)], 15.0, 1.0)
     # 1 m grid discretization sits within ~2% of the continuous disc area
     assert cov == pytest.approx(math.pi * 15.0 ** 2 / 1e4, rel=0.02)
 
 
 def test_saturated_coverage():
-    s = snap([view(0, 50.0, 50.0)])
-    assert coverage_fraction(s, 150.0, 1.0) == 1.0
+    assert cover([(50.0, 50.0)], 150.0, 1.0) == 1.0
 
 
 def test_coverage_monotone_in_range_and_guards():
-    views = [view(0, 20.0, 20.0), view(1, 70.0, 60.0)]
-    one = snap(views[:1])
-    two = snap(views)
-    assert coverage_fraction(two, 15.0, 2.0) >= coverage_fraction(one, 15.0, 2.0)
-    assert coverage_fraction(one, 20.0, 2.0) >= coverage_fraction(one, 15.0, 2.0)
+    one = [(20.0, 20.0)]
+    two = [(20.0, 20.0), (70.0, 60.0)]
+    assert cover(two, 15.0, 2.0) >= cover(one, 15.0, 2.0)
+    assert cover(one, 20.0, 2.0) >= cover(one, 15.0, 2.0)
 
 
 def test_coverage_rejects_bad_grid():
     with pytest.raises(ValueError):
-        coverage_fraction(snap([]), 15.0, 0.0)
+        cover([], 15.0, 0.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -76,44 +78,39 @@ def test_coverage_rejects_bad_grid():
                 min_size=0, max_size=6),
        st.floats(2.0, 30.0))
 def test_coverage_equals_brute_force(points, sensing):
-    views = [view(i, x, y) for i, (x, y) in enumerate(points)]
-    s = snap(views, field=50.0)
-    assert coverage_fraction(s, sensing, 1.0) == brute_coverage(s, sensing, 1.0)
+    assert (cover(points, sensing, 1.0, field=50.0)
+            == brute_coverage(points, sensing, 1.0, field=50.0))
 
 
 # -- connectivity -------------------------------------------------------------
 
 
 def test_adjacent_pair_is_one_component():
-    s = snap([view(0, 10.0, 10.0), view(1, 11.0, 10.0)], field=30.0)
-    assert sentinel_components(s, RADIO) == {"component_count": 1,
-                                              "isolated_count": 0}
+    assert components((10.0, 10.0), (11.0, 10.0)) == {"component_count": 1,
+                                                       "isolated_count": 0}
 
 
 def test_no_guards_no_components():
-    s = snap([view(0, 10.0, 10.0, status="SLEEP")])
-    assert sentinel_components(s, RADIO) == {"component_count": 0,
-                                              "isolated_count": 0}
+    assert components() == {"component_count": 0, "isolated_count": 0}
 
 
 def test_chain_connects_transitively():
     # consecutive pairs in range, ends not directly linked
-    s = snap([view(0, 10.0, 50.0), view(1, 17.0, 50.0), view(2, 24.0, 50.0)])
-    assert guard_components(s, RADIO) == [[0, 1, 2]]
+    chain = guards((10.0, 50.0), (17.0, 50.0), (24.0, 50.0))
+    assert guard_components(*chain, RADIO) == [[0, 1, 2]]
 
 
 def test_low_power_pair_beyond_threshold_radius_is_isolated():
     # 12 m apart: fine at -5 dBm, too weak for LQI 7 at -10 dBm
-    views = [view(0, 40.0, 50.0, power=-10.0), view(1, 52.0, 50.0, power=-10.0)]
-    assert sentinel_components(snap(views), RADIO)["isolated_count"] == 2
-    boosted = [view(0, 40.0, 50.0, power=-5.0), view(1, 52.0, 50.0, power=-5.0)]
-    assert sentinel_components(snap(boosted), RADIO) == {
+    assert components((40.0, 50.0, -10.0),
+                      (52.0, 50.0, -10.0))["isolated_count"] == 2
+    assert components((40.0, 50.0, -5.0), (52.0, 50.0, -5.0)) == {
         "component_count": 1, "isolated_count": 0}
 
 
 def test_edge_requires_both_directions():
-    views = [view(0, 40.0, 50.0, power=-5.0), view(1, 52.0, 50.0, power=-10.0)]
-    assert sentinel_components(snap(views), RADIO)["isolated_count"] == 2
+    assert components((40.0, 50.0, -5.0),
+                      (52.0, 50.0, -10.0))["isolated_count"] == 2
 
 
 def test_components_from_adjacency_handles_empty_and_full():
@@ -124,11 +121,9 @@ def test_components_from_adjacency_handles_empty_and_full():
 
 
 def test_escalation_never_splits_components():
-    views = [view(0, 40.0, 50.0, power=-10.0), view(1, 52.0, 50.0, power=-10.0),
-             view(2, 45.0, 58.0, power=-10.0)]
-    before = sentinel_components(snap(views), RADIO)["component_count"]
-    boosted = [view(v.id, v.x, v.y, power=-5.0) for v in views]
-    after = sentinel_components(snap(boosted), RADIO)["component_count"]
+    points = [(40.0, 50.0), (52.0, 50.0), (45.0, 58.0)]
+    before = components(*[(x, y, -10.0) for x, y in points])["component_count"]
+    after = components(*[(x, y, -5.0) for x, y in points])["component_count"]
     assert after <= before
 
 

@@ -1,13 +1,17 @@
 import dataclasses
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 
 from conftest import zero_shadow
 from sentinet import (LinkControlMode, RunConfig, Simulation, run_simulation)
 from sentinet.channel import MessageKind
+from sentinet.engine import EventKind
+from sentinet.metrics import sentinel_components
 from sentinet.protocol import NodeStatus
+from test_metrics import brute_coverage
 
 
 def small_config(**kw):
@@ -62,6 +66,41 @@ def test_census_identity_every_row():
         total = (row["n_sleep"] + row["n_probe"] + row["n_active"]
                  + row["n_dead"])
         assert total == 10
+
+
+def test_census_and_cached_metrics_match_a_recount():
+    # every row's incrementally kept census and cached coverage/components
+    # must equal a recount from the nodes, across single and mass kills
+    cfg = small_config(node_count=30, duration=150.0)
+    checked = []
+
+    def recount(sim, ev):
+        if ev.kind is not EventKind.METRIC_SAMPLE:
+            return
+        row = sim.rows[-1]
+        census = Counter(n.status for n in sim.nodes.values())
+        assert [row["n_sleep"], row["n_probe"], row["n_active"],
+                row["n_dead"]] == [census[s] for s in NodeStatus]
+        guards = [n for n in sim.nodes.values() if n.status is NodeStatus.ACTIVE]
+        points = [(n.x, n.y) for n in guards]
+        assert row["coverage"] == brute_coverage(
+            points, cfg.sensing_range, cfg.grid_step, field=cfg.field_width)
+        comps = sentinel_components([n.x for n in guards], [n.y for n in guards],
+                                    [n.tx_power for n in guards], cfg.radio)
+        assert (row["components"], row["isolated"]) == (
+            comps["component_count"], comps["isolated_count"])
+        checked.append(row["n_dead"])
+
+    sim = Simulation(cfg, post_event_hook=recount)
+    sim.inject_failure(0, 40.0)
+    sim.inject_sentinel_failure(80.0, 3)
+    result = sim.run()
+    assert len(checked) == len(result.rows) == 151
+    assert [f["kind"] for f in result.failure_log] == ["node", "sentinels"]
+    assert checked[-1] == sum(len(f["killed"]) for f in result.failure_log) >= 2
+    final = Counter(n.status for n in result.nodes.values())
+    assert result.summary["totals"]["census"] == {s.value: final[s]
+                                                  for s in NodeStatus}
 
 
 def test_rows_strictly_increasing_in_time():
