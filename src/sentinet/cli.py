@@ -2,8 +2,9 @@
 
 Configuration resolves in layers: built-in defaults, then a flat key=value
 config file (--config), then explicit flags; SENTINET_SEED overrides the
-seed when set. Every output directory receives the fully resolved
-configuration, so any result can be reproduced from its own echo.
+seed when set. A sweep's repetitions run with that seed + rep. Every output
+directory receives the fully resolved configuration, so any result can be
+reproduced from its own echo.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 
 from .config import HAZARD_FEEDBACK_MODES, LinkControlMode, RunConfig
 from .engine import RNG_NAME
-from .metrics import meta_line
+from .metrics import atomic_write, meta_line
 from .sim import run_simulation, write_outputs
 
 AGGREGATE_HEADER = "axis_value,rep,energy_total_j,energy_mean_j,components,coverage_final"
@@ -101,11 +102,11 @@ def resolve_config(args: argparse.Namespace,
         value = getattr(args, key, None)
         if value is not None:
             flat[key] = str(value)
-    if overrides:
-        flat.update(overrides)
     env_seed = os.environ.get("SENTINET_SEED")
     if env_seed is not None:
         flat["seed"] = env_seed
+    if overrides:
+        flat.update(overrides)
     source = args.config if args.config else "configuration"
     try:
         return RunConfig.from_flat(flat)
@@ -186,7 +187,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                               totals["components_final"],
                               totals["coverage_final"]))
     agg_path = os.path.join(args.out, "aggregate.csv")
-    with open(agg_path, "w") as fh:
+    with atomic_write(agg_path) as fh:
         fh.write(meta_line(base.seed, base.config_hash(), RNG_NAME) + "\n")
         fh.write(AGGREGATE_HEADER + "\n")
         for value, rep, total, mean, comps, cov in aggregate:

@@ -1,4 +1,4 @@
-"""Per-node energy ledger: state draws integrated over time plus frame costs.
+"""Network energy ledger: state draws integrated over time plus frame costs.
 
 Draw constants approximate a low-power 802.15.4-class radio and are plain
 configuration, echoed into run metadata; senders pay for every transmitted
@@ -7,7 +7,9 @@ frame whether or not it collides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .channel import require_finite
 
@@ -40,65 +42,92 @@ def tx_cost(config: EnergyConfig, level_dbm: float, frame_duration: float) -> fl
     return config.tx_draw(level_dbm) * frame_duration
 
 
-@dataclass
+# Joule rows of an EnergyLedger, indexed by a node's status code. A dead
+# node draws 0 W into the DEAD row, which therefore only ever holds zeros.
+SLEEP, PROBE, ACTIVE, TX, DEAD = 0, 1, 2, 3, 4
+STATUS_CODES = {"SLEEP": SLEEP, "PROBE": PROBE, "ACTIVE": ACTIVE, "DEAD": DEAD}
+
+
 class EnergyLedger:
-    """Joules consumed by one node, split by what the radio was doing."""
+    """Joules consumed by each of ``n`` nodes (indexed by node id), split by
+    what the radio was doing, with the status each node accrues in and the
+    time up to which it has been accrued."""
 
-    sleep_j: float = 0.0
-    probe_j: float = 0.0
-    active_j: float = 0.0
-    tx_j: float = 0.0
+    def __init__(self, config: EnergyConfig, n: int):
+        self.config = config
+        self.joules = np.zeros((5, n))  # rows SLEEP, PROBE, ACTIVE, TX, DEAD
+        self.accrued_until = np.zeros(n)
+        self.status = np.full(n, SLEEP, dtype=np.intp)
+        self.draws = np.array([config.sleep_draw_w, config.probe_awake_draw_w,
+                               config.active_draw_w, 0.0, 0.0])  # W by code
+        self._ids = np.arange(n)
 
-    @property
-    def total_j(self) -> float:
-        return self.sleep_j + self.probe_j + self.active_j + self.tx_j
-
-    def as_dict(self) -> dict[str, float]:
-        return {"sleep": self.sleep_j, "probe": self.probe_j,
-                "active": self.active_j, "tx": self.tx_j}
-
-
-# status name -> (EnergyConfig draw attribute, EnergyLedger field); DEAD
-# draws nothing. Enum members are looked up by ``_name_``, a plain attribute,
-# because their ``name`` property costs more than the rest of accrue.
-_STATE_DRAWS = {
-    "SLEEP": ("sleep_draw_w", "sleep_j"),
-    "PROBE": ("probe_awake_draw_w", "probe_j"),
-    "ACTIVE": ("active_draw_w", "active_j"),
-    "DEAD": None,
-}
+    def node_totals(self) -> np.ndarray:
+        """Each node's joules, summed sleep + probe + active + tx."""
+        j = self.joules
+        return ((j[SLEEP] + j[PROBE]) + j[ACTIVE]) + j[TX]
 
 
-def accrue(ledger: EnergyLedger, config: EnergyConfig, status, dt: float) -> float:
-    """Add state-draw * dt to the ledger; DEAD accrues nothing. Returns joules."""
-    if dt < 0.0:
-        raise ValueError(f"dt must be non-negative, got {dt}")
+def set_status(ledger: EnergyLedger, node_id: int, status) -> None:
+    """Accrue node ``node_id`` at ``status``'s draw from its next touch on."""
+    # an Enum's ``_name_`` is a plain attribute; its ``name`` property
+    # costs more than the rest of this function
     try:
-        slot = _STATE_DRAWS[getattr(status, "_name_", status)]
+        ledger.status[node_id] = STATUS_CODES[getattr(status, "_name_", status)]
     except KeyError:
         raise ValueError(f"unknown status {status!r}") from None
-    if slot is None:
-        return 0.0
-    draw, spent = slot
-    joules = getattr(config, draw) * dt
-    setattr(ledger, spent, getattr(ledger, spent) + joules)
-    return joules
 
 
-def add_tx(ledger: EnergyLedger, config: EnergyConfig, level_dbm: float,
+def accrue_node(ledger: EnergyLedger, node_id: int, now: float) -> None:
+    """Add one node's status draw times the time since its last touch."""
+    dt = now - ledger.accrued_until[node_id]
+    if dt < 0.0:
+        raise ValueError(f"dt must be non-negative, got {dt}")
+    if dt > 0.0:
+        code = ledger.status[node_id]
+        ledger.joules[code, node_id] += ledger.draws[code] * dt
+    ledger.accrued_until[node_id] = now
+
+
+def accrue(ledger: EnergyLedger, now: float) -> None:
+    """``accrue_node`` for every node at once.
+
+    Each node gets the same ``draw * dt`` and ``+`` as it would one at a
+    time. A node already touched at ``now`` adds ``+0.0``, which leaves its
+    non-negative joules unchanged.
+    """
+    until = ledger.accrued_until
+    if until.size and now < until.max():
+        raise ValueError(f"dt must be non-negative, got {now - until.max()}")
+    code = ledger.status
+    ledger.joules[code, ledger._ids] += ledger.draws[code] * (now - until)
+    until.fill(now)
+
+
+def add_tx(ledger: EnergyLedger, node_id: int, level_dbm: float,
            frame_duration: float) -> float:
-    joules = tx_cost(config, level_dbm, frame_duration)
-    ledger.tx_j += joules
+    """Charge node ``node_id`` for one frame; returns its joules."""
+    joules = tx_cost(ledger.config, level_dbm, frame_duration)
+    ledger.joules[TX, node_id] += joules
     return joules
 
 
-def summarize(ledgers) -> dict:
-    """Network totals over an iterable of ledgers (dead nodes included)."""
-    ledgers = list(ledgers)
-    by_state = {"sleep": 0.0, "probe": 0.0, "active": 0.0, "tx": 0.0}
-    for led in ledgers:
-        for key, val in led.as_dict().items():
-            by_state[key] += val
-    total = sum(by_state.values())
-    mean = total / len(ledgers) if ledgers else 0.0
-    return {"total_j": total, "mean_per_node_j": mean, "by_state_j": by_state}
+def summarize(ledger: EnergyLedger) -> dict:
+    """Network totals (dead nodes included).
+
+    Each state's total is a left fold over the nodes in id order
+    (``np.add.accumulate``, not the pairwise ``np.sum``), and the total is
+    the left fold ``((sleep + probe) + active) + tx``, so the bytes do not
+    depend on numpy's or Python's summation algorithm.
+    """
+    n = ledger.joules.shape[1]
+    if n:
+        sleep, probe, active, tx = np.add.accumulate(
+            ledger.joules[:DEAD], axis=1)[:, -1].tolist()
+    else:
+        sleep = probe = active = tx = 0.0
+    total = ((sleep + probe) + active) + tx
+    mean = total / n if n else 0.0
+    return {"total_j": total, "mean_per_node_j": mean,
+            "by_state_j": {"sleep": sleep, "probe": probe,
+                           "active": active, "tx": tx}}

@@ -10,8 +10,10 @@ signal only.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 
 import numpy as np
 
@@ -21,38 +23,52 @@ CSV_HEADER = ("time_s,n_sleep,n_probe,n_active,n_dead,coverage,components,"
               "isolated,msgs_probe,msgs_probe_reply,msgs_conn,msgs_conn_reply,"
               "energy_total_j,energy_mean_j")
 
-_GRID_CHUNK = 4096
-
 
 def _grid_centers(extent: float, step: float) -> np.ndarray:
     n = max(1, math.ceil(extent / step))
     return (np.arange(n, dtype=float) + 0.5) * step
 
 
+class CoverageGrid:
+    """Grid cell centers over the field, each with the number of guards
+    within sensing range of it.
+
+    A guard's cells are found once when it is added and once when it is
+    removed, so the covered fraction is one count over the cells.
+    """
+
+    def __init__(self, field_width: float, field_height: float,
+                 sensing_range: float, grid_step: float):
+        if grid_step <= 0.0:
+            raise ValueError("grid_step must be positive")
+        # a column and a row of centers: the distance test broadcasts them
+        self._cx = _grid_centers(field_width, grid_step)[:, None]
+        self._cy = _grid_centers(field_height, grid_step)[None, :]
+        self._r2 = sensing_range * sensing_range
+        self.counts = np.zeros((self._cx.size, self._cy.size), dtype=np.int32)
+
+    def _reach(self, x: float, y: float) -> np.ndarray:
+        return (self._cx - x) ** 2 + (self._cy - y) ** 2 <= self._r2
+
+    def add(self, x: float, y: float) -> None:
+        self.counts += self._reach(x, y)
+
+    def remove(self, x: float, y: float) -> None:
+        self.counts -= self._reach(x, y)
+
+    def fraction(self) -> float:
+        """Fraction of cell centers within sensing range of some guard."""
+        return np.count_nonzero(self.counts) / self.counts.size
+
+
 def coverage_fraction(xs, ys, field_width: float, field_height: float,
                       sensing_range: float, grid_step: float) -> float:
     """Fraction of grid cell centers within sensing range of a guard at
     (``xs[i]``, ``ys[i]``)."""
-    if grid_step <= 0.0:
-        raise ValueError("grid_step must be positive")
-    cx = _grid_centers(field_width, grid_step)
-    cy = _grid_centers(field_height, grid_step)
-    total = len(cx) * len(cy)
-    if len(xs) == 0:
-        return 0.0
-    ax = np.asarray(xs)
-    ay = np.asarray(ys)
-    gx, gy = np.meshgrid(cx, cy, indexing="ij")
-    gx = gx.ravel()
-    gy = gy.ravel()
-    r2 = sensing_range * sensing_range
-    covered = 0
-    for lo in range(0, total, _GRID_CHUNK):
-        hi = min(lo + _GRID_CHUNK, total)
-        d2 = ((gx[lo:hi, None] - ax[None, :]) ** 2
-              + (gy[lo:hi, None] - ay[None, :]) ** 2)
-        covered += int((d2 <= r2).any(axis=1).sum())
-    return covered / total
+    grid = CoverageGrid(field_width, field_height, sensing_range, grid_step)
+    for x, y in zip(xs, ys):
+        grid.add(x, y)
+    return grid.fraction()
 
 
 def guard_adjacency(xs, ys, tx_dbm, radio: RadioConfig) -> np.ndarray:
@@ -126,8 +142,23 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """A text file that replaces ``path`` when the block ends and is removed
+    if the block raises, so ``path`` never holds a partial document."""
+    tmp = f"{os.fspath(path)}.tmp"
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_metrics_csv(path, rows, meta: str) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(meta + "\n")
         fh.write(CSV_HEADER + "\n")
         for row in rows:
@@ -150,13 +181,13 @@ def read_metrics_csv(path) -> list[dict]:
 
 
 def write_json(path, document: dict) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(document, fh, indent=1)
         fh.write("\n")
 
 
 def write_config_echo(path, config, meta: str) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(meta + "\n")
         for key, value in config.to_flat().items():
             fh.write(f"{key}={value}\n")

@@ -16,12 +16,11 @@ on_became_active(node).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .channel import MessageKind
-from .energy import EnergyLedger
 from .engine import EventKind
 from .weibull import WeibullParams, sample_sleep_time, update_probe_rate
 
@@ -75,8 +74,6 @@ class Node:
     sleep_timer: Optional[object] = None
     wait_timer: Optional[object] = None
     conn_timer: Optional[object] = None
-    ledger: EnergyLedger = field(default_factory=EnergyLedger)
-    accrued_until: float = 0.0
     died_at: Optional[float] = None
 
     def __post_init__(self):

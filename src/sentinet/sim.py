@@ -54,7 +54,6 @@ class Simulation:
         self.rows: list[dict] = []
         self.failure_log: list[dict] = []
         self._sigma = config.radio.shadowing_sigma_db
-        self._coverage_cache: tuple = (None, 0.0)
         self._component_cache: tuple = (None, None)
 
         deploy = self.engine.rng(None, "deploy")
@@ -76,6 +75,10 @@ class Simulation:
         self._guard_ids: set[int] = set()
         self._census = {status: 0 for status in NodeStatus}
         self._census[NodeStatus.SLEEP] = config.node_count
+        self.energy = energy_mod.EnergyLedger(config.energy, config.node_count)
+        self._coverage = metrics_mod.CoverageGrid(
+            config.field_width, config.field_height, config.sensing_range,
+            config.grid_step)
         for node in self.nodes.values():
             protocol.on_deploy(node, self)
         self._schedule_sample(0)
@@ -102,14 +105,12 @@ class Simulation:
                             payload=(kind, addressee))
 
     def touch_energy(self, node: Node) -> None:
-        dt = self.now - node.accrued_until
-        if dt > 0.0:
-            energy_mod.accrue(node.ledger, self.config.energy, node.status, dt)
-        node.accrued_until = self.now
+        energy_mod.accrue_node(self.energy, node.id, self.now)
 
     def note_transition(self, node: Node, old: NodeStatus, new: NodeStatus) -> None:
         self._census[old] -= 1
         self._census[new] += 1
+        energy_mod.set_status(self.energy, node.id, new)
         if new is NodeStatus.DEAD:
             self._alive[node.id] = False
         if new in (NodeStatus.PROBE, NodeStatus.ACTIVE):
@@ -118,8 +119,10 @@ class Simulation:
             self._awake_ids.discard(node.id)
         if new is NodeStatus.ACTIVE:
             self._guard_ids.add(node.id)
-        else:
+            self._coverage.add(node.x, node.y)
+        elif old is NodeStatus.ACTIVE:
             self._guard_ids.discard(node.id)
+            self._coverage.remove(node.x, node.y)
         if self.transition_hook is not None:
             self.transition_hook(self, node, old, new)
 
@@ -167,7 +170,7 @@ class Simulation:
         msg = chan.Message(kind=kind, sender=node.id, addressee=addressee,
                            tx_power_dbm=node.tx_power, tx_time=self.now)
         self.counters[kind] += 1
-        energy_mod.add_tx(node.ledger, self.config.energy, node.tx_power,
+        energy_mod.add_tx(self.energy, node.id, node.tx_power,
                           self.config.radio.tx_duration_s)
         shadow = None
         if self._sigma > 0.0:
@@ -254,30 +257,24 @@ class Simulation:
 
     def snapshot(self) -> dict:
         """The current node states, as written to snapshot.json."""
+        spent = self.energy.node_totals().tolist()
         return {"time": self.now,
                 "nodes": [{"id": n.id, "x": n.x, "y": n.y,
                            "status": n.status.value, "tx_dbm": n.tx_power,
-                           "energy_j": n.ledger.total_j}
+                           "energy_j": spent[n.id]}
                           for n in self.nodes.values()]}
 
     def _sample_metrics(self, index: int) -> None:
-        for node in self.nodes.values():
-            self.touch_energy(node)
-        cfg = self.config
-        # guard set and powers change rarely; reuse derived metrics when
-        # the inputs they depend on are unchanged since the last sample
+        energy_mod.accrue(self.energy, self.now)
+        # guard set and powers change rarely; reuse the components when
+        # they are unchanged since the last sample
         guards = sorted(self._guard_ids)
         powers = [self.nodes[g].tx_power for g in guards]
-        if self._coverage_cache[0] != guards:
-            cov = metrics_mod.coverage_fraction(
-                self._xs[guards], self._ys[guards], cfg.field_width,
-                cfg.field_height, cfg.sensing_range, cfg.grid_step)
-            self._coverage_cache = (guards, cov)
         if self._component_cache[0] != (guards, powers):
             self._component_cache = ((guards, powers), metrics_mod.sentinel_components(
-                self._xs[guards], self._ys[guards], powers, cfg.radio))
+                self._xs[guards], self._ys[guards], powers, self.config.radio))
         comps = self._component_cache[1]
-        totals = energy_mod.summarize(n.ledger for n in self.nodes.values())
+        totals = energy_mod.summarize(self.energy)
         census = self._census
         self.rows.append({
             "time_s": self.now,
@@ -285,7 +282,7 @@ class Simulation:
             "n_probe": census[NodeStatus.PROBE],
             "n_active": census[NodeStatus.ACTIVE],
             "n_dead": census[NodeStatus.DEAD],
-            "coverage": self._coverage_cache[1],
+            "coverage": self._coverage.fraction(),
             "components": comps["component_count"],
             "isolated": comps["isolated_count"],
             "msgs_probe": self.counters[chan.MessageKind.PROBE],
@@ -302,10 +299,9 @@ class Simulation:
     def run(self) -> RunResult:
         started = _wall.perf_counter()
         engine_summary = self.engine.run_until(self.config.duration)
-        for node in self.nodes.values():
-            self.touch_energy(node)
+        energy_mod.accrue(self.energy, self.now)
         wall = _wall.perf_counter() - started
-        totals = energy_mod.summarize(n.ledger for n in self.nodes.values())
+        totals = energy_mod.summarize(self.energy)
         final_row = self.rows[-1] if self.rows else None
         summary = {
             "meta": self._meta_dict(),

@@ -104,6 +104,20 @@ def test_env_seed_overrides_flag(tmp_path, monkeypatch):
     assert summary["seed"] == 123
 
 
+def test_env_seed_is_the_base_of_sweep_rep_seeds(tmp_path, monkeypatch):
+    monkeypatch.setenv("SENTINET_SEED", "5")
+    out = tmp_path / "sw"
+    assert run_cli("sweep", *FAST, "--out", str(out),
+                   "--axis", "beta", "--values", "2", "--reps", "3") == 0
+    seeds = [json.loads((out / f"beta_2_rep{rep}" / "summary.json")
+                        .read_text())["seed"] for rep in range(3)]
+    assert seeds == [5, 6, 7]
+    lines = (out / "aggregate.csv").read_text().splitlines()
+    assert lines[0].startswith("# seed=5 ")
+    rows = [line.split(",", 2)[2] for line in lines[2:]]
+    assert len(rows) == 3 and len(set(rows)) == 3
+
+
 def test_malformed_config_file_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nodes=5\nwhat is this\n")

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sentinet.channel import RadioConfig
-from sentinet.metrics import (CSV_HEADER, components_from_adjacency,
-                              coverage_fraction, format_row, guard_components,
-                              meta_line, read_metrics_csv, sentinel_components,
-                              write_metrics_csv)
+from sentinet import metrics
+from sentinet.metrics import (CSV_HEADER, CoverageGrid,
+                              components_from_adjacency, coverage_fraction,
+                              format_row, guard_components, meta_line,
+                              read_metrics_csv, sentinel_components,
+                              write_json, write_metrics_csv)
 
 import numpy as np
 
@@ -80,6 +82,49 @@ def test_coverage_rejects_bad_grid():
 def test_coverage_equals_brute_force(points, sensing):
     assert (cover(points, sensing, 1.0, field=50.0)
             == brute_coverage(points, sensing, 1.0, field=50.0))
+
+
+def brute_counts(points, sensing_range, step, field):
+    """Guards within range of each cell, in the grid's cell order."""
+    n = max(1, math.ceil(field / step))
+    r2 = sensing_range * sensing_range
+    return [sum((cx - ax) ** 2 + (cy - ay) ** 2 <= r2 for ax, ay in points)
+            for cx in ((i + 0.5) * step for i in range(n))
+            for cy in ((j + 0.5) * step for j in range(n))]
+
+
+def test_cell_exactly_at_sensing_range_is_covered():
+    # 3-4-5: the cell centered at (10.5, 10.5) lies exactly 5 m away
+    grid = CoverageGrid(20.0, 20.0, 5.0, 1.0)
+    grid.add(13.5, 14.5)
+    assert grid.counts[10, 10] == 1
+    assert grid.counts.ravel().tolist() == brute_counts([(13.5, 14.5)], 5.0, 1.0, 20.0)
+
+
+# quarter-metre positions put cell centers exactly at 3-4-5 and 5-12-13
+# distances from a guard; arbitrary floats cover the rest
+coords = st.one_of(st.integers(0, 80).map(lambda k: k * 0.25),
+                   st.floats(0.0, 20.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(step=st.sampled_from([1.0, 2.5]),
+       sensing=st.one_of(st.sampled_from([5.0, 13.0]), st.floats(0.5, 15.0)),
+       ops=st.lists(st.one_of(st.tuples(st.just("add"), coords, coords),
+                              st.tuples(st.just("remove"), st.integers(0, 99))),
+                    max_size=12))
+def test_coverage_grid_tracks_guard_set(step, sensing, ops):
+    grid = CoverageGrid(20.0, 20.0, sensing, step)
+    present = []
+    for op in ops:
+        if op[0] == "add":
+            present.append(op[1:])
+            grid.add(*op[1:])
+        elif present:
+            grid.remove(*present.pop(op[1] % len(present)))
+        want = brute_counts(present, sensing, step, 20.0)
+        assert grid.counts.ravel().tolist() == want
+        assert grid.fraction() == brute_coverage(present, sensing, step, 20.0)
 
 
 # -- connectivity -------------------------------------------------------------
@@ -162,3 +207,29 @@ def test_csv_bytes_deterministic(tmp_path):
 def test_format_row_field_order_matches_header():
     row = format_row(sample_rows()[0])
     assert len(row.split(",")) == len(CSV_HEADER.split(","))
+
+
+def test_interrupted_writes_leave_no_file(tmp_path, monkeypatch):
+    rows = sample_rows()
+    calls = []
+
+    def failing_format_row(row):
+        calls.append(row)
+        if len(calls) == 2:
+            raise RuntimeError("interrupted mid-write")
+        return format_row(row)
+
+    monkeypatch.setattr(metrics, "format_row", failing_format_row)
+    with pytest.raises(RuntimeError):
+        write_metrics_csv(tmp_path / "metrics.csv", rows, meta_line(1, "x", "philox"))
+    with pytest.raises(TypeError):  # json gives up at the second key
+        write_json(tmp_path / "summary.json", {"a": 1, "b": object()})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rewrite_replaces_the_whole_file(tmp_path):
+    path = tmp_path / "summary.json"
+    write_json(path, {"long": "x" * 100})
+    write_json(path, {"a": 1})
+    assert path.read_text() == '{\n "a": 1\n}\n'
+    assert list(tmp_path.iterdir()) == [path]

@@ -8,6 +8,7 @@ import pytest
 from conftest import zero_shadow
 from sentinet import (LinkControlMode, RunConfig, Simulation, run_simulation)
 from sentinet.channel import MessageKind
+from sentinet.energy import TX
 from sentinet.engine import EventKind
 from sentinet.metrics import sentinel_components
 from sentinet.protocol import NodeStatus
@@ -112,7 +113,7 @@ def test_rows_strictly_increasing_in_time():
 
 def test_energy_row_matches_ledgers():
     result = run_simulation(small_config())
-    total = sum(n.ledger.total_j for n in result.nodes.values())
+    total = sum(n["energy_j"] for n in result.snapshot["nodes"])
     assert result.rows[-1]["energy_total_j"] == pytest.approx(total)
     assert result.rows[-1]["energy_mean_j"] == pytest.approx(total / 10)
 
@@ -129,7 +130,7 @@ def test_killed_node_goes_silent():
     node = result.nodes[0]
     assert node.status is NodeStatus.DEAD
     assert node.died_at == pytest.approx(kill_at)
-    assert node.ledger.total_j == pytest.approx(
+    assert result.snapshot["nodes"][0]["energy_j"] == pytest.approx(
         cfg.energy.sleep_draw_w * kill_at)
     # the far-away survivor probes alone; the dead node never answered
     assert result.summary["totals"]["messages"]["probe_reply"] == 0
@@ -211,7 +212,7 @@ def test_colliding_senders_still_pay_for_their_frames():
     assert delivered == []
     assert sim.counters[MessageKind.PROBE] == 2
     for node in sim.nodes.values():
-        assert node.ledger.tx_j == pytest.approx(
+        assert sim.energy.joules[TX, node.id] == pytest.approx(
             cfg.energy.tx_draw(-10.0) * cfg.radio.tx_duration_s)
 
 
