@@ -179,8 +179,8 @@ def _receivable(frame: Frame, node_id: int, in_flight, radio: RadioConfig) -> bo
     return True
 
 
-def deliver(frame: Frame, in_flight, awake_now, radio: RadioConfig) -> list[tuple[int, int]]:
-    """Resolve a frame at its end time; returns (receiver id, lqi) successes.
+def deliver(frame: Frame, in_flight, awake_now, radio: RadioConfig) -> list[int]:
+    """Resolve a frame at its end time; returns the receiving ids, ascending.
 
     Candidate receivers are every node awake for the whole frame (broadcast)
     or the addressee alone (unicast). A reception succeeds when the frame is
@@ -198,12 +198,13 @@ def deliver(frame: Frame, in_flight, awake_now, radio: RadioConfig) -> list[tupl
         if nid == msg.sender:
             continue
         if _receivable(frame, nid, in_flight, radio):
-            received.append((nid, compute_lqi(radio, frame.rx_dbm[nid])))
+            received.append(nid)
     return received
 
 
-def overhearers(frame: Frame, in_flight, listener_ids, radio: RadioConfig) -> list[tuple[int, int]]:
-    """Receptions of a unicast frame at awake third parties (same rules).
+def overhearers(frame: Frame, in_flight, listener_ids, radio: RadioConfig) -> list[int]:
+    """Ids of awake third parties that receive a unicast frame (same rules),
+    ascending.
 
     Only listeners in the frame's power map can receive it, so the scan
     covers the audible receivers rather than every listener.
@@ -216,5 +217,5 @@ def overhearers(frame: Frame, in_flight, listener_ids, radio: RadioConfig) -> li
         if nid not in frame.awake_at_start:
             continue
         if _receivable(frame, nid, in_flight, radio):
-            result.append((nid, compute_lqi(radio, frame.rx_dbm[nid])))
+            result.append(nid)
     return result

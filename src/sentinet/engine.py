@@ -1,7 +1,11 @@
 """Deterministic discrete-event core.
 
 A single heap-backed queue dispatches events in nondecreasing time order,
-breaking ties FIFO by insertion sequence. All randomness flows through
+breaking ties FIFO by insertion sequence. Moving a pending event to a later
+time (``reschedule``) rewrites it in place: it takes a fresh sequence number,
+as a new event would, and its old heap entry, once popped with that stale
+sequence number, is re-filed under the event's current (time, seq) instead
+of being dispatched. All randomness flows through
 counter-based Philox substreams keyed by (seed, node id, stream name), so a
 node's draws depend only on its own draw indices and adding more nodes never
 perturbs existing streams.
@@ -70,27 +74,28 @@ class Engine:
         # (time, seq, event): seq is unique, so events are never compared
         self._queue: list[tuple[float, int, Event]] = []
         self._next_seq = 0
-        self._rngs: dict[tuple[int, int], np.random.Generator] = {}
+        # keyed by the caller's (node id, stream name), so a draw costs one
+        # dict lookup
+        self._rngs: dict[tuple[Optional[int], str], np.random.Generator] = {}
         self._counts: Counter = Counter()
         self.known_nodes: set[int] = set()
 
     # -- randomness -------------------------------------------------------
 
     def rng(self, node_id: Optional[int], stream: str) -> np.random.Generator:
-        key = (_SYSTEM_NODE if node_id is None else int(node_id), _STREAMS[stream])
-        gen = self._rngs.get(key)
+        gen = self._rngs.get((node_id, stream))
         if gen is None:
+            key = (_SYSTEM_NODE if node_id is None else int(node_id), _STREAMS[stream])
             seq = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
-            gen = np.random.Generator(np.random.Philox(seq))
-            self._rngs[key] = gen
+            gen = self._rngs[node_id, stream] = np.random.Generator(np.random.Philox(seq))
         return gen
 
     def uniform(self, node_id: Optional[int], stream: str) -> float:
         """Uniform draw strictly inside (0, 1); endpoint draws are retried."""
-        gen = self.rng(node_id, stream)
-        u = float(gen.random())
+        gen = self._rngs.get((node_id, stream)) or self.rng(node_id, stream)
+        u = gen.random()
         while u == 0.0:
-            u = float(gen.random())
+            u = gen.random()
         return u
 
     # -- queue ------------------------------------------------------------
@@ -112,6 +117,22 @@ class Engine:
         event.cancelled = True
         return True
 
+    def reschedule(self, event: Event, time: float) -> Event:
+        """Move an event to ``time``; returns the handle now pending there.
+
+        A pending event moved no earlier is rewritten in place with the next
+        sequence number, so it sorts exactly where a fresh ``schedule`` would
+        put it. Otherwise (an earlier time, or a cancelled or dispatched
+        handle) it is cancelled and a new event is scheduled.
+        """
+        if event.cancelled or event.dispatched or time < event.time:
+            self.cancel(event)
+            return self.schedule(time, event.target, event.kind, event.payload)
+        event.time = time
+        event.seq = self._next_seq
+        self._next_seq += 1
+        return event
+
     def inject_failure(self, node_id: int, time: float) -> Event:
         if node_id not in self.known_nodes:
             raise ValueError(f"unknown node id {node_id}")
@@ -123,8 +144,11 @@ class Engine:
                 f"cannot run to {t_end} behind clock {self.clock}")
         queue = self._queue
         while queue and queue[0][0] <= t_end:
-            ev = heapq.heappop(queue)[2]
+            _, seq, ev = heapq.heappop(queue)
             if ev.cancelled:
+                continue
+            if seq != ev.seq:  # moved later since it was filed
+                heapq.heappush(queue, (ev.time, ev.seq, ev))
                 continue
             self.clock = ev.time
             ev.dispatched = True

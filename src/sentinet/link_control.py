@@ -4,6 +4,9 @@ Every guard runs a random connectivity timer t_c; on expiry it broadcasts a
 connectivity frame and peers answer by unicast. Each reply's LQI is judged
 against the configured threshold: a weak link bumps the guard's transmit
 power one level up (never down), and every judged reply re-arms the timer.
+Re-arming moves the pending timer through ``ctx.reschedule_event``, which
+the engine does in place when the new expiry is no earlier, so a piece of
+evidence costs one t_c draw rather than a cancelled heap event.
 In piggybacked mode the same judgement is also applied to probe replies a
 guard receives from other guards, and those resets postpone the standalone
 rounds, which is where the control-overhead saving comes from: a guard
@@ -25,10 +28,10 @@ def draw_t_c(node: Node, ctx) -> float:
 
 def escalate_power(node: Node, radio: RadioConfig) -> bool:
     """Raise tx power one configured level; saturates at the top level."""
-    idx = radio.power_levels.index(node.tx_power)
-    if idx + 1 >= len(radio.power_levels):
+    levels = radio.power_levels
+    if node.tx_power == levels[-1]:
         return False
-    node.tx_power = radio.power_levels[idx + 1]
+    node.tx_power = levels[levels.index(node.tx_power) + 1]
     return True
 
 
@@ -71,7 +74,9 @@ def on_link_evidence(node: Node, lqi: int, ctx) -> None:
     if lqi < ctx.config.radio.lqi_threshold:
         escalate_power(node, ctx.config.radio)
     if ctx.config.link_control.uses_conn_timer:
-        if node.conn_timer is not None:
-            ctx.cancel_event(node.conn_timer)
-        node.conn_timer = ctx.schedule_event(draw_t_c(node, ctx), node.id,
-                                             EventKind.CONN_TIMER_EXPIRED)
+        t_c = draw_t_c(node, ctx)
+        if node.conn_timer is None:
+            node.conn_timer = ctx.schedule_event(t_c, node.id,
+                                                 EventKind.CONN_TIMER_EXPIRED)
+        else:
+            node.conn_timer = ctx.reschedule_event(node.conn_timer, t_c)

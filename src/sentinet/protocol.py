@@ -8,10 +8,11 @@ guard until failure. ACTIVE is absorbing: there is no demotion path.
 Handlers are sans-IO: they mutate the node and talk to a context object
 (`ctx`) for time, configuration, randomness, timers, and transmissions, so
 they run identically under the real simulation or a test double. The ctx
-surface used here: now, config, draw(node_id, stream),
-schedule_event(delay, target, kind), cancel_event(handle), send(node, kind,
-addressee, delay), touch_energy(node), note_transition(node, old, new),
-on_became_active(node).
+surface used here and by link_control: now, config, draw(node_id, stream),
+schedule_event(delay, target, kind), cancel_event(handle),
+reschedule_event(handle, delay) (returns the handle now pending),
+send(node, kind, addressee, delay), touch_energy(node),
+note_transition(node, old, new), on_became_active(node).
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def on_probe_received(node: Node, msg, ctx) -> None:
     ctx.send(node, MessageKind.PROBE_REPLY, msg.sender, delay)
 
 
-def on_probe_reply_received(node: Node, msg, lqi: int, ctx) -> None:
+def on_probe_reply_received(node: Node, msg, ctx) -> None:
     """Record that a guard answered; resolution waits for t_w expiry.
 
     Replies reaching a node that is itself already a guard are link-quality

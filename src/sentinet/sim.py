@@ -99,6 +99,9 @@ class Simulation:
     def cancel_event(self, handle: Event) -> bool:
         return self.engine.cancel(handle)
 
+    def reschedule_event(self, handle: Event, delay: float) -> Event:
+        return self.engine.reschedule(handle, self.now + delay)
+
     def send(self, node: Node, kind: chan.MessageKind,
              addressee: Optional[int], delay: float) -> None:
         self.schedule_event(delay, node.id, EventKind.TX_START,
@@ -200,14 +203,14 @@ class Simulation:
         radio = self.config.radio
         awake_now = self._awake_ids
         mode = self.config.link_control
-        for rid, lqi in chan.deliver(frame, self.frames, awake_now, radio):
+        for rid in chan.deliver(frame, self.frames, awake_now, radio):
             node = self.nodes[rid]
             kind = frame.msg.kind
             if kind is chan.MessageKind.PROBE:
                 protocol.on_probe_received(node, frame.msg, self)
             elif kind is chan.MessageKind.PROBE_REPLY:
                 if node.status is NodeStatus.PROBE:
-                    protocol.on_probe_reply_received(node, frame.msg, lqi, self)
+                    protocol.on_probe_reply_received(node, frame.msg, self)
                 elif node.status is NodeStatus.ACTIVE and mode.uses_piggyback:
                     # a reply landing on a node that already stood guard is
                     # guard-to-guard link evidence, not a probe answer
@@ -220,7 +223,7 @@ class Simulation:
                     node, self._link_evidence_lqi(frame, rid), self)
         if frame.msg.kind is chan.MessageKind.PROBE_REPLY and mode.uses_piggyback:
             guards = self._guard_ids
-            for rid, _lqi in chan.overhearers(frame, self.frames, guards, radio):
+            for rid in chan.overhearers(frame, self.frames, guards, radio):
                 link_control.on_link_evidence(
                     self.nodes[rid], self._link_evidence_lqi(frame, rid), self)
         horizon = self.now - radio.tx_duration_s

@@ -38,6 +38,11 @@ class FakeCtx:
         self.cancelled.append(handle)
         return True
 
+    def reschedule_event(self, handle, delay):
+        # recorded as the cancel and the schedule it replaces
+        self.cancel_event(handle)
+        return self.schedule_event(delay, handle.target, handle.kind)
+
     def send(self, node, kind, addressee, delay):
         self.sent.append((node.id, kind, addressee, delay))
 

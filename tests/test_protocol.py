@@ -87,10 +87,10 @@ def test_non_guards_ignore_probes(ctx, status):
 def test_reply_sets_rcv_msg_only_in_probe(ctx):
     node = make_node(status=NodeStatus.PROBE)
     reply = Message(MessageKind.PROBE_REPLY, 3, 0, -10.0, 0.0)
-    on_probe_reply_received(node, reply, 8, ctx)
+    on_probe_reply_received(node, reply, ctx)
     assert node.rcv_msg is True
     guard = make_node(node_id=1, status=NodeStatus.ACTIVE)
-    on_probe_reply_received(guard, reply, 8, ctx)
+    on_probe_reply_received(guard, reply, ctx)
     assert guard.rcv_msg is False
 
 

@@ -12,6 +12,7 @@ from sentinet.energy import TX
 from sentinet.engine import EventKind
 from sentinet.metrics import sentinel_components
 from sentinet.protocol import NodeStatus
+from test_golden import GOLDEN_RUNS
 from test_metrics import brute_coverage
 
 
@@ -102,6 +103,59 @@ def test_census_and_cached_metrics_match_a_recount():
     final = Counter(n.status for n in result.nodes.values())
     assert result.summary["totals"]["census"] == {s.value: final[s]
                                                   for s in NodeStatus}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_invariants_hold_after_every_event(name):
+    # the documented invariants, checked after every event of the golden
+    # runs: census, the kept id sets, one live heap entry per guard timer,
+    # no stale frames on the air, and energy that only grows
+    flat, sentinel_failures = GOLDEN_RUNS[name]
+    cfg = RunConfig.from_flat(flat)
+    timer_driven = cfg.link_control.uses_conn_timer
+    seen = Counter()
+    last_energy = [None]
+
+    def check(sim, ev):
+        seen["events"] += 1
+        by_status = {status: set() for status in NodeStatus}
+        for node in sim.nodes.values():
+            by_status[node.status].add(node.id)
+        assert sum(sim._census.values()) == cfg.node_count
+        assert sim._census == {s: len(ids) for s, ids in by_status.items()}
+        guards = by_status[NodeStatus.ACTIVE]
+        assert sim._guard_ids == guards
+        assert sim._awake_ids == by_status[NodeStatus.PROBE] | guards
+        if timer_driven and guards:
+            keys = {}
+            for time, seq, queued in sim.engine._queue:
+                if not queued.cancelled:
+                    keys.setdefault(queued, []).append((time, seq))
+            for gid in guards:
+                timer = sim.nodes[gid].conn_timer
+                assert timer is not None
+                assert not timer.cancelled and not timer.dispatched
+                [key] = keys[timer]
+                assert key <= (timer.time, timer.seq)
+                seen["moved"] += key < (timer.time, timer.seq)
+            seen["guard_checks"] += 1
+        if ev.kind is EventKind.MSG_DELIVERY:
+            horizon = sim.now - cfg.radio.tx_duration_s
+            assert all(frame.end > horizon for frame in sim.frames)
+        elif ev.kind is EventKind.METRIC_SAMPLE:
+            spent = sim.energy.node_totals()
+            if last_energy[0] is not None:
+                assert (spent >= last_energy[0]).all()
+            last_energy[0] = spent
+
+    sim = Simulation(cfg, post_event_hook=check)
+    for at, count in sentinel_failures:
+        sim.inject_sentinel_failure(at, count)
+    result = sim.run()
+    assert seen["events"] == sum(result.summary["totals"]["events"].values())
+    if timer_driven:
+        # the checks saw guards, and timers moved in place
+        assert seen["guard_checks"] > 0 and seen["moved"] > 0
 
 
 def test_rows_strictly_increasing_in_time():
