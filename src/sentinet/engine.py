@@ -1,14 +1,14 @@
 """Deterministic discrete-event core.
 
 A single heap-backed queue dispatches events in nondecreasing time order,
-breaking ties FIFO by insertion sequence. Moving a pending event to a later
-time (``reschedule``) rewrites it in place: it takes a fresh sequence number,
-as a new event would, and its old heap entry, once popped with that stale
-sequence number, is re-filed under the event's current (time, seq) instead
-of being dispatched. All randomness flows through
-counter-based Philox substreams keyed by (seed, node id, stream name), so a
-node's draws depend only on its own draw indices and adding more nodes never
-perturbs existing streams.
+breaking ties FIFO by insertion sequence. Moving a pending event to a time
+no earlier than its own (``reschedule``) rewrites it in place: it takes a
+fresh sequence number, as a new event would, and its old heap entry, once
+popped with that stale sequence number, is re-filed under the event's
+current (time, seq) instead of being dispatched. All randomness flows
+through counter-based Philox substreams keyed by (seed, node id, stream
+name), so a node's draws depend only on its own draw indices and adding
+more nodes never perturbs existing streams.
 """
 
 from __future__ import annotations
