@@ -4,21 +4,27 @@ Frames occupy the air for a fixed duration; any time overlap between two
 audible frames at a receiver destroys both receptions there (no capture
 effect). Senders are half-duplex: a node transmitting during a frame's
 interval cannot receive it.
+
+Node positions are static, so each sender's path loss to the others is
+computed once and kept in a link row (``LinkRows``): the nodes within a
+loss cap, ascending by id. A frame reads its sender's row instead of the
+whole field; the guard graph in ``metrics`` reads the same rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from typing import AbstractSet, Optional
 
 import numpy as np
 
+from .engine import IndexedEnum
+
 MIN_DISTANCE_M = 0.01  # co-located nodes are clamped to 1 cm
 
 
-class MessageKind(Enum):
+class MessageKind(IndexedEnum):
     PROBE = "probe"
     PROBE_REPLY = "probe_reply"
     CONN = "conn"
@@ -48,6 +54,8 @@ class RadioConfig:
             raise ValueError("at least one transmit power level is required")
         if any(b <= a for a, b in zip(self.power_levels, self.power_levels[1:])):
             raise ValueError(f"power_levels must be strictly increasing: {self.power_levels}")
+        if self.path_loss_exponent <= 0.0:
+            raise ValueError("path_loss_exponent must be positive")
         if self.sensitivity_dbm < self.noise_floor_dbm:
             raise ValueError("sensitivity must be at or above the noise floor")
         if self.lqi_snr_min_db >= self.lqi_snr_max_db:
@@ -106,12 +114,11 @@ def compute_lqi(radio: RadioConfig, rx_dbm: float) -> int:
     return int(math.floor(10.0 * frac + 0.5))
 
 
-def rx_power_array(radio: RadioConfig, tx_power, distance: np.ndarray) -> np.ndarray:
-    """``rx_power_dbm`` without shadowing over an array of distances;
-    ``tx_power`` is a scalar or an array that broadcasts against them."""
+def path_loss_db(radio: RadioConfig, distance: np.ndarray) -> np.ndarray:
+    """Log-distance path loss over an array of distances; the received
+    power without shadowing is ``tx_power - path_loss_db(radio, d)``."""
     d = np.maximum(distance, MIN_DISTANCE_M)
-    return tx_power - (radio.reference_loss_db
-                       + 10.0 * radio.path_loss_exponent * np.log10(d))
+    return radio.reference_loss_db + 10.0 * radio.path_loss_exponent * np.log10(d)
 
 
 def lqi_array(radio: RadioConfig, rx_dbm: np.ndarray) -> np.ndarray:
@@ -122,12 +129,57 @@ def lqi_array(radio: RadioConfig, rx_dbm: np.ndarray) -> np.ndarray:
     return np.floor(10.0 * frac + 0.5).astype(int)
 
 
+class LinkRows:
+    """Per-sender link rows over static node positions.
+
+    A sender's row holds the other nodes whose path loss from it is at most
+    the row's cap, ascending by id, with those losses. A row is built on its
+    first use and rebuilt to a larger cap when a caller needs more; it never
+    shrinks. A build adds headroom past the cap asked for: half a shadowing
+    sigma, so that the strongest draws of a sender's later frames seldom
+    force another build, and at least 1 dB, so that a row cut for a
+    zero-sigma channel is not an ulp short of its next frame's needs.
+    """
+
+    def __init__(self, xs, ys, radio: RadioConfig):
+        self._xs = np.asarray(xs, dtype=float)
+        self._ys = np.asarray(ys, dtype=float)
+        self._radio = radio
+        self._headroom = max(0.5 * radio.shadowing_sigma_db, 1.0)
+        self._rows: list[Optional[tuple]] = [None] * self._xs.size
+
+    def row(self, sender: int, cap: float) -> tuple[np.ndarray, np.ndarray]:
+        """Ids (ascending) and path losses of ``sender``'s row, which holds
+        every other node within loss ``cap`` of it, and maybe more."""
+        row = self._rows[sender]
+        if row is None or row[0] < cap:
+            row = self._rows[sender] = self._build(sender, cap + self._headroom)
+        return row[1], row[2]
+
+    def _build(self, sender: int, cap: float) -> tuple:
+        radio = self._radio
+        dx = self._xs - self._xs[sender]
+        dy = self._ys - self._ys[sender]
+        # loss grows with distance, so every node within loss `cap` lies
+        # within `reach`; the margin covers rounding, and the exact cut is
+        # made on the loss itself
+        reach = 1.001 * 10.0 ** min(
+            (cap - radio.reference_loss_db) / (10.0 * radio.path_loss_exponent),
+            300.0)
+        near = np.flatnonzero(dx * dx + dy * dy <= reach * reach)
+        near = near[near != sender]
+        loss = path_loss_db(radio, np.hypot(dx[near], dy[near]))
+        keep = loss <= cap
+        return cap, near[keep], loss[keep]
+
+
 @dataclass
 class Frame:
     """One transmission on the air: message plus per-receiver power map.
 
-    ``awake_at_start`` holds only the audible receivers (keys of ``rx_dbm``)
-    that were awake when the frame started; nobody else can receive it.
+    ``rx_dbm`` maps the audible receivers, ascending by id, to their
+    received power; ``awake_at_start`` holds those of them that were awake
+    when the frame started. Nobody else can receive the frame.
     """
 
     msg: Message
@@ -146,23 +198,32 @@ class Frame:
         return rx is not None and rx >= radio.sensitivity_dbm
 
 
-def make_frame(msg: Message, xs, ys, alive, awake_ids,
+def make_frame(msg: Message, links: LinkRows, alive, awake_ids,
                radio: RadioConfig, shadow=None) -> Frame:
-    """Compute the frame's received power across the field.
+    """Compute the frame's received power over its sender's link row.
 
-    ``xs``/``ys`` are position arrays indexed by node id, ``alive`` a boolean
-    mask, ``shadow`` an optional per-receiver dB array (one fresh draw per
-    transmission). Receivers below sensitivity are omitted from the power
-    map; they can neither decode the frame nor disturb anyone else.
+    ``alive`` is a boolean mask and ``shadow`` an optional per-receiver dB
+    array (one fresh draw per transmission), both indexed by node id.
+    Receivers below sensitivity are omitted from the power map; they can
+    neither decode the frame nor disturb anyone else.
     """
-    d = np.hypot(xs - xs[msg.sender], ys - ys[msg.sender])
-    rx = rx_power_array(radio, msg.tx_power_dbm, d)
+    tx, sens = msg.tx_power_dbm, radio.sensitivity_dbm
+    # The row need only hold the receivers this frame could reach. With smin
+    # the frame's most negative draw, a receiver past a cut at loss `cap`
+    # gets rx = (tx - L) - s <= (tx - cap) - smin, and since rounding is
+    # monotone the computed floats obey it too. A cut where that bound is
+    # below sensitivity therefore drops no audible receiver whatever the
+    # draws, so locality needs no clip on the shadowing.
+    smin = 0.0 if shadow is None else float(shadow.min())
+    cap = tx - sens - smin
+    while (tx - cap) - smin >= sens:  # the subtractions rounded up
+        cap = math.nextafter(cap, math.inf)
+    ids, loss = links.row(msg.sender, cap)
+    rx = tx - loss
     if shadow is not None:
-        rx = rx - shadow
-    audible = (rx >= radio.sensitivity_dbm) & alive
-    audible[msg.sender] = False
-    idx = np.flatnonzero(audible)
-    rx_map = dict(zip(idx.tolist(), rx[idx].tolist()))
+        rx = rx - shadow[ids]
+    audible = (rx >= sens) & alive[ids]
+    rx_map = dict(zip(ids[audible].tolist(), rx[audible].tolist()))
     return Frame(msg=msg, start=msg.tx_time, end=msg.tx_time + radio.tx_duration_s,
                  rx_dbm=rx_map, awake_at_start=rx_map.keys() & awake_ids)
 

@@ -28,7 +28,18 @@ _STREAMS = {"sleep": 0, "jitter": 1, "conn": 2, "shadow": 3, "deploy": 4}
 _SYSTEM_NODE = 0xFFFFFFFF
 
 
-class EventKind(Enum):
+class IndexedEnum(Enum):
+    """An Enum whose members carry ``index``, their declaration position.
+
+    Hot counters are lists indexed by it rather than dicts keyed by the
+    members, whose ``Enum.__hash__`` runs as Python code on every update.
+    """
+
+    def __init__(self, *args):
+        self.index = len(type(self).__members__)
+
+
+class EventKind(IndexedEnum):
     SLEEP_EXPIRED = "sleep_expired"
     WAIT_EXPIRED = "wait_expired"
     CONN_TIMER_EXPIRED = "conn_timer_expired"
@@ -77,7 +88,7 @@ class Engine:
         # keyed by the caller's (node id, stream name), so a draw costs one
         # dict lookup
         self._rngs: dict[tuple[Optional[int], str], np.random.Generator] = {}
-        self._counts: Counter = Counter()
+        self._counts = [0] * len(EventKind)  # dispatched, by EventKind.index
         self.known_nodes: set[int] = set()
 
     # -- randomness -------------------------------------------------------
@@ -152,8 +163,9 @@ class Engine:
                 continue
             self.clock = ev.time
             ev.dispatched = True
-            self._counts[ev.kind] += 1
+            self._counts[ev.kind.index] += 1
             if self.handler is not None:
                 self.handler(ev)
         self.clock = t_end
-        return RunSummary(clock=self.clock, dispatched=Counter(self._counts))
+        return RunSummary(clock=self.clock, dispatched=Counter(
+            {kind: n for kind, n in zip(EventKind, self._counts) if n}))

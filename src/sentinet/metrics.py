@@ -5,7 +5,9 @@ transmit powers) as arrays, so a caller passes just the guards it keeps.
 The connectivity graph deliberately uses deterministic (zero-shadowing)
 received power at the nodes' current transmit levels so the metric is
 stable run to run; the stochastic per-frame LQI stays a protocol-runtime
-signal only.
+signal only. Its links are read from the channel's per-sender link rows,
+each guard's row cut where its LQI falls below the threshold, and joined
+by union-find; a simulation passes the rows its frames already built.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 
 import numpy as np
 
-from .channel import RadioConfig, lqi_array, rx_power_array
+from .channel import LinkRows, RadioConfig, lqi_array
 
 CSV_HEADER = ("time_s,n_sleep,n_probe,n_active,n_dead,coverage,components,"
               "isolated,msgs_probe,msgs_probe_reply,msgs_conn,msgs_conn_reply,"
@@ -34,7 +36,8 @@ class CoverageGrid:
     within sensing range of it.
 
     A guard's cells are found once when it is added and once when it is
-    removed, so the covered fraction is one count over the cells.
+    removed, within its bounding box, so the covered fraction is one count
+    over the cells.
     """
 
     def __init__(self, field_width: float, field_height: float,
@@ -47,14 +50,28 @@ class CoverageGrid:
         self._r2 = sensing_range * sensing_range
         self.counts = np.zeros((self._cx.size, self._cy.size), dtype=np.int32)
 
-    def _reach(self, x: float, y: float) -> np.ndarray:
-        return (self._cx - x) ** 2 + (self._cy - y) ** 2 <= self._r2
+    def _reach(self, x: float, y: float) -> tuple[tuple[slice, slice], np.ndarray]:
+        """The bounding box of the cells within range of (x, y), and which
+        cells of that box are."""
+        dx2 = (self._cx - x) ** 2
+        dy2 = (self._cy - y) ** 2
+        # a cell whose dx2 alone is past r2 is out of range: adding dy2 >= 0
+        # cannot round the sum back down
+        rows = np.flatnonzero(dx2 <= self._r2)
+        cols = np.flatnonzero(dy2 <= self._r2)
+        if not (rows.size and cols.size):
+            return (slice(0, 0), slice(0, 0)), np.zeros((0, 0), dtype=bool)
+        box_x = slice(rows[0], rows[-1] + 1)
+        box_y = slice(cols[0], cols[-1] + 1)
+        return (box_x, box_y), dx2[box_x] + dy2[:, box_y] <= self._r2
 
     def add(self, x: float, y: float) -> None:
-        self.counts += self._reach(x, y)
+        box, reach = self._reach(x, y)
+        self.counts[box] += reach
 
     def remove(self, x: float, y: float) -> None:
-        self.counts -= self._reach(x, y)
+        box, reach = self._reach(x, y)
+        self.counts[box] -= reach
 
     def fraction(self) -> float:
         """Fraction of cell centers within sensing range of some guard."""
@@ -71,51 +88,82 @@ def coverage_fraction(xs, ys, field_width: float, field_height: float,
     return grid.fraction()
 
 
-def guard_adjacency(xs, ys, tx_dbm, radio: RadioConfig) -> np.ndarray:
-    """Symmetric link matrix of the guards: i and j are linked when each
-    hears the other at LQI >= threshold (zero shadowing)."""
-    x, y, tx = np.asarray(xs), np.asarray(ys), np.asarray(tx_dbm)
-    d = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
-    # lqi[i, j]: quality of i's transmission measured at j
-    lqi = lqi_array(radio, rx_power_array(radio, tx[:, None], d))
-    adj = (lqi >= radio.lqi_threshold) & (lqi.T >= radio.lqi_threshold)
-    np.fill_diagonal(adj, False)
-    return adj
+def _lqi_cap(radio: RadioConfig, tx: float) -> float:
+    """A path loss past which a ``tx`` dBm transmission arrives below the
+    LQI threshold (for a threshold of 1 or more)."""
+    # LQI >= t exactly when rx >= noise + snr_min + span * (t - 0.5) / 10;
+    # the loop steps past any rounding at that boundary
+    span = radio.lqi_snr_max_db - radio.lqi_snr_min_db
+    boundary = (radio.noise_floor_dbm + radio.lqi_snr_min_db
+                + span * (radio.lqi_threshold - 0.5) / 10.0)
+    cap = tx - boundary
+    while lqi_array(radio, tx - cap) >= radio.lqi_threshold:
+        cap = math.nextafter(cap, math.inf)
+    return cap
 
 
-def components_from_adjacency(adj: np.ndarray) -> list[list[int]]:
-    """Connected components (index lists) by breadth-first search."""
-    n = adj.shape[0]
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for j in np.flatnonzero(adj[i]):
-                    j = int(j)
-                    if not seen[j]:
-                        seen[j] = True
-                        comp.append(j)
-                        nxt.append(j)
-            frontier = nxt
-        comps.append(sorted(comp))
-    return comps
-
-
-def guard_components(xs, ys, tx_dbm, radio: RadioConfig) -> list[list[int]]:
+def guard_components(xs, ys, tx_dbm, radio: RadioConfig, ids=None,
+                     links: LinkRows | None = None) -> list[list[int]]:
     """Connected components of the guard graph, as lists of indices into
-    the guard arrays."""
-    return components_from_adjacency(guard_adjacency(xs, ys, tx_dbm, radio))
+    the guard arrays.
+
+    Guards are linked when each hears the other at LQI >= threshold (zero
+    shadowing). ``xs``/``ys`` are node positions and the guards are the
+    nodes ``ids`` (ascending; by default every node), with powers
+    ``tx_dbm``. ``links``, link rows over the same positions, lets the rows
+    outlive the call; by default rows are built for it.
+    """
+    n_guards = len(tx_dbm)
+    if not n_guards:
+        return []
+    if radio.lqi_threshold <= 0:  # any LQI qualifies, at any distance
+        return [list(range(n_guards))]
+    if ids is None:
+        ids = range(n_guards)
+    if links is None:
+        links = LinkRows(xs, ys, radio)
+    powers = [float(p) for p in tx_dbm]
+    caps = {p: _lqi_cap(radio, p) for p in set(powers)}
+    near_ids, near_loss = [], []
+    for g, p in zip(ids, powers):
+        row_ids, row_loss = links.row(g, caps[p])
+        near = row_loss <= caps[p]  # frames may have cut the row far wider
+        near_ids.append(row_ids[near])
+        near_loss.append(row_loss[near])
+    slot = np.full(len(xs), -1)  # each node's index among the guards
+    slot[list(ids)] = np.arange(n_guards)
+    # (guard, other guard, loss) over the rows; each pair once, from its
+    # lower index, whose row holds it whenever the pair can be linked
+    src = np.repeat(np.arange(n_guards), [a.size for a in near_ids])
+    dst = slot[np.concatenate(near_ids)]
+    loss = np.concatenate(near_loss)
+    pair = dst > src
+    src, dst, loss = src[pair], dst[pair], loss[pair]
+    # LQI falls with the power, so the weaker direction decides the link
+    tx = np.array(powers)
+    weaker = np.minimum(tx[src], tx[dst])
+    linked = lqi_array(radio, weaker - loss) >= radio.lqi_threshold
+    parent = list(range(n_guards))
+
+    def root(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in zip(src[linked].tolist(), dst[linked].tolist()):
+        a, b = root(a), root(b)
+        parent[max(a, b)] = min(a, b)
+    comps: dict[int, list[int]] = {}
+    for a in range(n_guards):
+        comps.setdefault(root(a), []).append(a)
+    return list(comps.values())
 
 
-def sentinel_components(xs, ys, tx_dbm, radio: RadioConfig) -> dict[str, int]:
-    comps = guard_components(xs, ys, tx_dbm, radio)
+def sentinel_components(xs, ys, tx_dbm, radio: RadioConfig, ids=None,
+                        links: LinkRows | None = None) -> dict[str, int]:
+    """Component and isolated-guard counts of ``guard_components``."""
+    comps = guard_components(xs, ys, tx_dbm, radio, ids, links)
     return {"component_count": len(comps),
             "isolated_count": sum(1 for c in comps if len(c) == 1)}
 

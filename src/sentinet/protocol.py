@@ -18,15 +18,14 @@ note_transition(node, old, new), on_became_active(node).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 from .channel import MessageKind
-from .engine import EventKind
+from .engine import EventKind, IndexedEnum
 from .weibull import WeibullParams, sample_sleep_time, update_probe_rate
 
 
-class NodeStatus(Enum):
+class NodeStatus(IndexedEnum):
     SLEEP = "SLEEP"
     PROBE = "PROBE"
     ACTIVE = "ACTIVE"

@@ -50,7 +50,7 @@ class Simulation:
         self.transition_hook = transition_hook
         self.post_event_hook = post_event_hook
         self.frames: list[chan.Frame] = []
-        self.counters = {kind: 0 for kind in chan.MessageKind}
+        self.counters = [0] * len(chan.MessageKind)  # by MessageKind.index
         self.rows: list[dict] = []
         self.failure_log: list[dict] = []
         self._sigma = config.radio.shadowing_sigma_db
@@ -70,11 +70,12 @@ class Simulation:
         self.engine.known_nodes = set(self.nodes)
         self._xs = np.array([self.nodes[i].x for i in range(config.node_count)])
         self._ys = np.array([self.nodes[i].y for i in range(config.node_count)])
+        self._links = chan.LinkRows(self._xs, self._ys, config.radio)
         self._alive = np.ones(config.node_count, dtype=bool)
         self._awake_ids: set[int] = set()
         self._guard_ids: set[int] = set()
-        self._census = {status: 0 for status in NodeStatus}
-        self._census[NodeStatus.SLEEP] = config.node_count
+        self._census = [0] * len(NodeStatus)  # by NodeStatus.index
+        self._census[NodeStatus.SLEEP.index] = config.node_count
         self.energy = energy_mod.EnergyLedger(config.energy, config.node_count)
         self._coverage = metrics_mod.CoverageGrid(
             config.field_width, config.field_height, config.sensing_range,
@@ -111,8 +112,8 @@ class Simulation:
         energy_mod.accrue_node(self.energy, node.id, self.now)
 
     def note_transition(self, node: Node, old: NodeStatus, new: NodeStatus) -> None:
-        self._census[old] -= 1
-        self._census[new] += 1
+        self._census[old.index] -= 1
+        self._census[new.index] += 1
         energy_mod.set_status(self.energy, node.id, new)
         if new is NodeStatus.DEAD:
             self._alive[node.id] = False
@@ -172,7 +173,7 @@ class Simulation:
             return  # fail-stop: queued transmissions die with the node
         msg = chan.Message(kind=kind, sender=node.id, addressee=addressee,
                            tx_power_dbm=node.tx_power, tx_time=self.now)
-        self.counters[kind] += 1
+        self.counters[kind.index] += 1
         energy_mod.add_tx(self.energy, node.id, node.tx_power,
                           self.config.radio.tx_duration_s)
         shadow = None
@@ -181,7 +182,7 @@ class Simulation:
             # sender's substream so draw indices stay node-count stable
             gen = self.engine.rng(node.id, "shadow")
             shadow = gen.normal(0.0, self._sigma, size=len(self.nodes))
-        frame = chan.make_frame(msg, self._xs, self._ys, self._alive,
+        frame = chan.make_frame(msg, self._links, self._alive,
                                 self._awake_ids, self.config.radio, shadow)
         self.frames.append(frame)
         self.engine.schedule(frame.end, None, EventKind.MSG_DELIVERY, payload=frame)
@@ -275,23 +276,26 @@ class Simulation:
         powers = [self.nodes[g].tx_power for g in guards]
         if self._component_cache[0] != (guards, powers):
             self._component_cache = ((guards, powers), metrics_mod.sentinel_components(
-                self._xs[guards], self._ys[guards], powers, self.config.radio))
+                self._xs, self._ys, powers, self.config.radio,
+                ids=guards, links=self._links))
         comps = self._component_cache[1]
         totals = energy_mod.summarize(self.energy)
-        census = self._census
+        # both lists run in their enum's declaration order
+        n_sleep, n_probe, n_active, n_dead = self._census
+        probe, probe_reply, conn, conn_reply = self.counters
         self.rows.append({
             "time_s": self.now,
-            "n_sleep": census[NodeStatus.SLEEP],
-            "n_probe": census[NodeStatus.PROBE],
-            "n_active": census[NodeStatus.ACTIVE],
-            "n_dead": census[NodeStatus.DEAD],
+            "n_sleep": n_sleep,
+            "n_probe": n_probe,
+            "n_active": n_active,
+            "n_dead": n_dead,
             "coverage": self._coverage.fraction(),
             "components": comps["component_count"],
             "isolated": comps["isolated_count"],
-            "msgs_probe": self.counters[chan.MessageKind.PROBE],
-            "msgs_probe_reply": self.counters[chan.MessageKind.PROBE_REPLY],
-            "msgs_conn": self.counters[chan.MessageKind.CONN],
-            "msgs_conn_reply": self.counters[chan.MessageKind.CONN_REPLY],
+            "msgs_probe": probe,
+            "msgs_probe_reply": probe_reply,
+            "msgs_conn": conn,
+            "msgs_conn_reply": conn_reply,
             "energy_total_j": totals["total_j"],
             "energy_mean_j": totals["mean_per_node_j"],
         })
@@ -312,9 +316,10 @@ class Simulation:
             "config": self.config.to_flat(),
             "totals": {
                 "energy": totals,
-                "messages": {k.value: v for k, v in self.counters.items()},
+                "messages": {k.value: self.counters[k.index]
+                             for k in chan.MessageKind},
                 "events": engine_summary.as_dict()["dispatched"],
-                "census": {s.value: self._census[s] for s in NodeStatus},
+                "census": {s.value: self._census[s.index] for s in NodeStatus},
                 "coverage_final": final_row["coverage"] if final_row else None,
                 "components_final": final_row["components"] if final_row else None,
                 "isolated_final": final_row["isolated"] if final_row else None,

@@ -3,9 +3,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sentinet.channel import (UNICAST_KINDS, Frame, Message, MessageKind,
-                              RadioConfig, _receivable, compute_lqi, deliver,
-                              make_frame, overhearers, rx_power_dbm)
+from sentinet.channel import (UNICAST_KINDS, Frame, LinkRows, Message,
+                              MessageKind, RadioConfig, _receivable,
+                              compute_lqi, deliver, make_frame, overhearers,
+                              path_loss_db, rx_power_dbm)
 
 RADIO = RadioConfig()
 
@@ -17,6 +18,8 @@ def test_radio_config_validation():
         RadioConfig(sensitivity_dbm=-120.0, noise_floor_dbm=-100.0)
     with pytest.raises(ValueError):
         RadioConfig(lqi_snr_min_db=20.0, lqi_snr_max_db=20.0)
+    with pytest.raises(ValueError):
+        RadioConfig(path_loss_exponent=0.0)
 
 
 def test_message_addressing_rules():
@@ -92,7 +95,7 @@ def _mk(msg, positions, awake):
     xs = np.array([positions.get(i, (1e6, 1e6))[0] for i in range(n)])
     ys = np.array([positions.get(i, (1e6, 1e6))[1] for i in range(n)])
     alive = np.array([i in positions for i in range(n)])
-    return make_frame(msg, xs, ys, alive, awake, RADIO)
+    return make_frame(msg, LinkRows(xs, ys, RADIO), alive, awake, RADIO)
 
 
 def test_single_receiver_delivery():
@@ -192,6 +195,7 @@ def air_scenes(draw):
     node_sets = st.sets(st.integers(0, n - 1)).map(
         lambda left_out: set(range(n)) - left_out)
     alive = np.isin(np.arange(n), list(draw(node_sets)))
+    links = LinkRows(xs, ys, RADIO)
     frames, awake_at = [], []
     for _ in range(draw(st.integers(1, 3))):
         sender = draw(st.integers(0, n - 1))
@@ -205,7 +209,7 @@ def air_scenes(draw):
                                         max_size=n)))
         awake = draw(node_sets)
         msg = Message(kind, sender, addressee, power, start)
-        frames.append(make_frame(msg, xs, ys, alive, awake, RADIO, shadow))
+        frames.append(make_frame(msg, links, alive, awake, RADIO, shadow))
         awake_at.append(awake)
     return n, frames, awake_at, draw(node_sets), draw(node_sets)
 
@@ -243,3 +247,120 @@ def test_delivery_matches_brute_force_scan(scene):
             _reference_deliver(n, frame, frames, awake_start, awake_now)
         assert overhearers(frame, frames, listeners, RADIO) == \
             _reference_overhearers(n, frame, frames, awake_start, listeners)
+
+
+# -- oracle: frames over link rows against the full field ---------------------
+
+
+def reference_frame(msg, xs, ys, alive, awake_ids, radio, shadow=None):
+    """The frame computed at every node, then cut to the audible ones."""
+    d = np.hypot(xs - xs[msg.sender], ys - ys[msg.sender])
+    rx = msg.tx_power_dbm - path_loss_db(radio, d)
+    if shadow is not None:
+        rx = rx - shadow
+    audible = (rx >= radio.sensitivity_dbm) & alive
+    audible[msg.sender] = False
+    idx = np.flatnonzero(audible)
+    rx_map = dict(zip(idx.tolist(), rx[idx].tolist()))
+    return Frame(msg=msg, start=msg.tx_time, end=msg.tx_time + radio.tx_duration_s,
+                 rx_dbm=rx_map, awake_at_start=rx_map.keys() & awake_ids)
+
+
+def assert_same_frame(got, want):
+    # float bits and key order, not just equal values
+    assert [(k, v.hex()) for k, v in got.rx_dbm.items()] == \
+        [(k, v.hex()) for k, v in want.rx_dbm.items()]
+    assert set(got.awake_at_start) == set(want.awake_at_start)
+    assert (got.start, got.end) == (want.start, want.end)
+
+
+@st.composite
+def frame_sequences(draw):
+    """A field, one set of link rows, and frames sent over it in turn; some
+    draws are planted far out in the tail so that rows must be rebuilt."""
+    sigma = draw(st.sampled_from([0.0, 4.0]))
+    radio = RadioConfig(shadowing_sigma_db=sigma)
+    n = draw(st.integers(2, 40))
+    coord = st.floats(0.0, 200.0)
+    xs = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    ys = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    if draw(st.booleans()):  # co-located nodes hit the 1 cm clamp
+        xs[-1], ys[-1] = xs[0], ys[0]
+    alive = np.ones(n, dtype=bool)
+    alive[list(draw(st.sets(st.integers(0, n - 1), max_size=n // 2)))] = False
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = []
+    for _ in range(draw(st.integers(1, 6))):
+        sender = draw(st.integers(0, n - 1))
+        power = draw(st.sampled_from(radio.power_levels))
+        shadow = None
+        if sigma > 0.0:
+            shadow = rng.normal(0.0, sigma, size=n)
+            planted = draw(st.sets(st.integers(0, n - 1), max_size=3))
+            for nid in planted:
+                shadow[nid] = -draw(st.floats(3.0, 8.0)) * sigma
+        awake = draw(st.sets(st.integers(0, n - 1)))
+        frames.append((Message(MessageKind.PROBE, sender, None, power, 0.0),
+                       shadow, awake))
+    return radio, xs, ys, alive, frames
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame_sequences())
+def test_frames_over_link_rows_match_the_full_field(scene):
+    radio, xs, ys, alive, frames = scene
+    links = LinkRows(xs, ys, radio)
+    for msg, shadow, awake in frames:
+        assert_same_frame(make_frame(msg, links, alive, awake, radio, shadow),
+                          reference_frame(msg, xs, ys, alive, awake, radio, shadow))
+
+
+def test_tail_draw_past_the_row_rebuilds_it():
+    # node 2 sits 60 m out: inaudible at -10 dBm unless its draw is -8 sigma
+    radio = RadioConfig(shadowing_sigma_db=4.0)
+    xs, ys = np.array([0.0, 5.0, 60.0]), np.zeros(3)
+    alive = np.ones(3, dtype=bool)
+    links = LinkRows(xs, ys, radio)
+    msg = Message(MessageKind.PROBE, 0, None, -10.0, 0.0)
+    calm = np.zeros(3)
+    assert list(make_frame(msg, links, alive, {1, 2}, radio, calm).rx_dbm) == [1]
+    assert links.row(0, -math.inf)[0].tolist() == [1]
+    tail = np.array([0.0, 0.0, -8.0 * radio.shadowing_sigma_db])
+    frame = make_frame(msg, links, alive, {1, 2}, radio, tail)
+    assert_same_frame(frame, reference_frame(msg, xs, ys, alive, {1, 2}, radio, tail))
+    assert list(frame.rx_dbm) == [1, 2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 50.0)),
+                min_size=1, max_size=20),
+       st.floats(40.0, 110.0),
+       st.lists(st.tuples(st.floats(0.97, 1.03), st.floats(0.0, 2.0 * math.pi)),
+                max_size=10),
+       st.lists(st.floats(-3.0, 3.0), max_size=4),
+       st.booleans())
+def test_link_row_holds_every_other_node_within_its_cap(points, cap, rim, later,
+                                                         twin):
+    # rim nodes sit within a few percent of the distance at which the path
+    # loss from node 0 reaches `cap`, where the build's distance filter
+    # cuts; a twin shares node 0's position
+    x0, y0 = points[0]
+    d_cap = 10.0 ** ((cap - RADIO.reference_loss_db)
+                     / (10.0 * RADIO.path_loss_exponent))
+    points = points + [(x0 + f * d_cap * math.cos(a), y0 + f * d_cap * math.sin(a))
+                       for f, a in rim] + [(x0, y0)] * twin
+    xs = np.array([p[0] for p in points])
+    ys = np.array([p[1] for p in points])
+    full = path_loss_db(RADIO, np.hypot(xs - xs[0], ys - ys[0]))
+    links = LinkRows(xs, ys, RADIO)
+    # a build keeps exactly the nodes the full field puts within its cap
+    _, built_ids, built_loss = links._build(0, cap)
+    assert built_ids.tolist() == [j for j in range(1, len(points)) if full[j] <= cap]
+    assert built_loss.tolist() == full[built_ids].tolist()
+    for c in [cap] + [cap + dc for dc in later]:
+        ids, loss = links.row(0, c)
+        assert 0 not in ids.tolist()
+        assert ids.tolist() == sorted(set(ids.tolist()))
+        assert loss.tolist() == full[ids].tolist()
+        within = [j for j in range(1, len(points)) if full[j] <= c]
+        assert set(within) <= set(ids.tolist())

@@ -3,10 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sentinet.channel import RadioConfig
+from sentinet.channel import LinkRows, RadioConfig, lqi_array, path_loss_db
 from sentinet import metrics
-from sentinet.metrics import (CSV_HEADER, CoverageGrid,
-                              components_from_adjacency, coverage_fraction,
+from sentinet.metrics import (CSV_HEADER, CoverageGrid, coverage_fraction,
                               format_row, guard_components, meta_line,
                               read_metrics_csv, sentinel_components,
                               write_json, write_metrics_csv)
@@ -102,14 +101,17 @@ def test_cell_exactly_at_sensing_range_is_covered():
 
 
 # quarter-metre positions put cell centers exactly at 3-4-5 and 5-12-13
-# distances from a guard; arbitrary floats cover the rest
+# distances from a guard, and guards on the field's corners and edges;
+# arbitrary floats cover the rest
 coords = st.one_of(st.integers(0, 80).map(lambda k: k * 0.25),
+                   st.sampled_from([0.0, 20.0]),
                    st.floats(0.0, 20.0))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(step=st.sampled_from([1.0, 2.5]),
-       sensing=st.one_of(st.sampled_from([5.0, 13.0]), st.floats(0.5, 15.0)),
+       sensing=st.one_of(st.sampled_from([5.0, 13.0, 30.0]),
+                         st.floats(0.5, 40.0)),
        ops=st.lists(st.one_of(st.tuples(st.just("add"), coords, coords),
                               st.tuples(st.just("remove"), st.integers(0, 99))),
                     max_size=12))
@@ -156,6 +158,43 @@ def test_low_power_pair_beyond_threshold_radius_is_isolated():
 def test_edge_requires_both_directions():
     assert components((40.0, 50.0, -5.0),
                       (52.0, 50.0, -10.0))["isolated_count"] == 2
+
+
+def reference_adjacency(xs, ys, tx_dbm, radio):
+    """Symmetric link matrix of the guards: i and j are linked when each
+    hears the other at LQI >= threshold (zero shadowing)."""
+    x, y, tx = np.asarray(xs), np.asarray(ys), np.asarray(tx_dbm)
+    d = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+    # lqi[i, j]: quality of i's transmission measured at j
+    lqi = lqi_array(radio, tx[:, None] - path_loss_db(radio, d))
+    adj = (lqi >= radio.lqi_threshold) & (lqi.T >= radio.lqi_threshold)
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def components_from_adjacency(adj):
+    """Connected components (index lists) by breadth-first search."""
+    n = adj.shape[0]
+    seen = [False] * n
+    comps = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        comp = [start]
+        seen[start] = True
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for j in np.flatnonzero(adj[i]):
+                    j = int(j)
+                    if not seen[j]:
+                        seen[j] = True
+                        comp.append(j)
+                        nxt.append(j)
+            frontier = nxt
+        comps.append(sorted(comp))
+    return comps
 
 
 def test_components_from_adjacency_handles_empty_and_full():
@@ -233,3 +272,58 @@ def test_rewrite_replaces_the_whole_file(tmp_path):
     write_json(path, {"a": 1})
     assert path.read_text() == '{\n "a": 1\n}\n'
     assert list(tmp_path.iterdir()) == [path]
+
+
+# -- oracle: union-find over link rows against the dense matrix ---------------
+
+# thresholds <= 0 link every pair; a sensitivity above the LQI boundary
+# (-87 dBm at threshold 7) cuts frame rows short of the guard graph's needs
+RADIOS = [RADIO, RadioConfig(lqi_threshold=0), RadioConfig(lqi_threshold=-3),
+          RadioConfig(lqi_threshold=10), RadioConfig(lqi_threshold=11),
+          RadioConfig(sensitivity_dbm=-80.0),
+          RadioConfig(power_levels=(-10.0, -5.0, 0.0), lqi_threshold=3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(radio=st.sampled_from(RADIOS),
+       points=st.lists(st.tuples(st.floats(0.0, 60.0), st.floats(0.0, 60.0),
+                                 st.integers(0, 2)), max_size=30),
+       rim=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 2),
+                              st.floats(0.99, 1.01), st.floats(0.0, 2.0 * math.pi)),
+                    max_size=8),
+       data=st.data())
+def test_guard_components_match_dense_bfs(radio, points, rim, data):
+    # rim guards sit within 1% of the distance at which a partner's LQI at
+    # their power crosses the threshold
+    span = radio.lqi_snr_max_db - radio.lqi_snr_min_db
+    boundary = (radio.noise_floor_dbm + radio.lqi_snr_min_db
+                + span * (radio.lqi_threshold - 0.5) / 10.0)
+    for partner, level, f, angle in rim[:len(points)]:
+        x, y, _ = points[partner % len(points)]
+        tx = radio.power_levels[level % len(radio.power_levels)]
+        d = f * 10.0 ** ((tx - boundary - radio.reference_loss_db)
+                         / (10.0 * radio.path_loss_exponent))
+        points = points + [(x + d * math.cos(angle), y + d * math.sin(angle), level)]
+    xs = np.array([p[0] for p in points])
+    ys = np.array([p[1] for p in points])
+    # mixed powers make one-way links, which do not count
+    powers = [radio.power_levels[p[2] % len(radio.power_levels)] for p in points]
+    want = components_from_adjacency(reference_adjacency(xs, ys, powers, radio))
+    assert guard_components(xs, ys, powers, radio) == want
+    # the same guards inside a larger field, over rows kept between calls
+    # and first cut for frames at the sensitivity
+    extra = data.draw(st.integers(0, 10))
+    all_x = np.concatenate([xs, np.linspace(0.0, 60.0, extra)])
+    all_y = np.concatenate([ys, np.linspace(60.0, 0.0, extra)])
+    order = np.array(data.draw(st.permutations(range(len(all_x)))), dtype=int)
+    node_x, node_y = np.empty_like(all_x), np.empty_like(all_y)
+    node_x[order], node_y[order] = all_x, all_y
+    links = LinkRows(node_x, node_y, radio)
+    for nid in range(len(all_x)):
+        links.row(nid, radio.power_levels[0] - radio.sensitivity_dbm)
+    ids = order[:len(points)]
+    by_id = np.argsort(ids)
+    got = guard_components(node_x, node_y, [powers[i] for i in by_id], radio,
+                           ids=sorted(ids.tolist()), links=links)
+    relabeled = sorted(sorted(int(by_id[i]) for i in comp) for comp in got)
+    assert relabeled == sorted(want)

@@ -121,8 +121,8 @@ def test_invariants_hold_after_every_event(name):
         by_status = {status: set() for status in NodeStatus}
         for node in sim.nodes.values():
             by_status[node.status].add(node.id)
-        assert sum(sim._census.values()) == cfg.node_count
-        assert sim._census == {s: len(ids) for s, ids in by_status.items()}
+        assert sum(sim._census) == cfg.node_count
+        assert sim._census == [len(by_status[s]) for s in NodeStatus]
         guards = by_status[NodeStatus.ACTIVE]
         assert sim._guard_ids == guards
         assert sim._awake_ids == by_status[NodeStatus.PROBE] | guards
@@ -264,7 +264,7 @@ def test_colliding_senders_still_pay_for_their_frames():
     finally:
         chan_mod.deliver = original
     assert delivered == []
-    assert sim.counters[MessageKind.PROBE] == 2
+    assert sim.counters[MessageKind.PROBE.index] == 2
     for node in sim.nodes.values():
         assert sim.energy.joules[TX, node.id] == pytest.approx(
             cfg.energy.tx_draw(-10.0) * cfg.radio.tx_duration_s)
