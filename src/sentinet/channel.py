@@ -191,11 +191,9 @@ class Frame:
     def overlaps(self, other: "Frame") -> bool:
         return self.start < other.end and other.start < self.end
 
-    def audible_at(self, node_id: int, radio: RadioConfig) -> bool:
-        if self.msg.sender == node_id:
-            return True  # half-duplex: own transmission blocks reception
-        rx = self.rx_dbm.get(node_id)
-        return rx is not None and rx >= radio.sensitivity_dbm
+    def audible_at(self, node_id: int) -> bool:
+        # half-duplex: a sender's own transmission blocks its reception
+        return node_id == self.msg.sender or node_id in self.rx_dbm
 
 
 def make_frame(msg: Message, links: LinkRows, alive, awake_ids,
@@ -228,24 +226,24 @@ def make_frame(msg: Message, links: LinkRows, alive, awake_ids,
                  rx_dbm=rx_map, awake_at_start=rx_map.keys() & awake_ids)
 
 
-def _receivable(frame: Frame, node_id: int, in_flight, radio: RadioConfig) -> bool:
-    rx = frame.rx_dbm.get(node_id)
-    if rx is None or rx < radio.sensitivity_dbm:
-        return False
+def _receivable(frame: Frame, node_id: int, in_flight) -> bool:
+    """Whether ``node_id``, one of ``frame``'s audible receivers, decodes it:
+    no other frame audible there overlaps it."""
     for other in in_flight:
         if other is frame:
             continue
-        if frame.overlaps(other) and other.audible_at(node_id, radio):
+        if frame.overlaps(other) and other.audible_at(node_id):
             return False
     return True
 
 
-def deliver(frame: Frame, in_flight, awake_now, radio: RadioConfig) -> list[int]:
+def deliver(frame: Frame, in_flight, awake_now) -> list[int]:
     """Resolve a frame at its end time; returns the receiving ids, ascending.
 
-    Candidate receivers are every node awake for the whole frame (broadcast)
-    or the addressee alone (unicast). A reception succeeds when the frame is
-    above sensitivity and nothing else audible overlapped it at that node.
+    Candidate receivers are the audible ones awake for the whole frame
+    (broadcast) or the addressee alone (unicast); a link row never holds
+    its sender. A reception succeeds when nothing else audible overlapped
+    the frame at that node.
     """
     msg = frame.msg
     if msg.addressee is None:
@@ -254,29 +252,16 @@ def deliver(frame: Frame, in_flight, awake_now, radio: RadioConfig) -> list[int]
         candidates = [msg.addressee] if (
             msg.addressee in frame.awake_at_start and msg.addressee in awake_now
         ) else []
-    received = []
-    for nid in candidates:
-        if nid == msg.sender:
-            continue
-        if _receivable(frame, nid, in_flight, radio):
-            received.append(nid)
-    return received
+    return [nid for nid in candidates if _receivable(frame, nid, in_flight)]
 
 
-def overhearers(frame: Frame, in_flight, listener_ids, radio: RadioConfig) -> list[int]:
+def overhearers(frame: Frame, in_flight, listener_ids) -> list[int]:
     """Ids of awake third parties that receive a unicast frame (same rules),
     ascending.
 
-    Only listeners in the frame's power map can receive it, so the scan
-    covers the audible receivers rather than every listener.
+    Only listeners among the frame's audible receivers awake at its start
+    can receive it, so the scan covers those rather than every listener.
     """
-    msg = frame.msg
-    result = []
-    for nid in sorted(frame.rx_dbm.keys() & listener_ids):
-        if nid == msg.sender or nid == msg.addressee:
-            continue
-        if nid not in frame.awake_at_start:
-            continue
-        if _receivable(frame, nid, in_flight, radio):
-            result.append(nid)
-    return result
+    addressee = frame.msg.addressee
+    return [nid for nid in sorted(frame.awake_at_start.intersection(listener_ids))
+            if nid != addressee and _receivable(frame, nid, in_flight)]

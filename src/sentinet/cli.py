@@ -2,9 +2,11 @@
 
 Configuration resolves in layers: built-in defaults, then a flat key=value
 config file (--config), then explicit flags; SENTINET_SEED overrides the
-seed when set. A sweep's repetitions run with that seed + rep. Every output
-directory receives the fully resolved configuration, so any result can be
-reproduced from its own echo.
+seed when set. The flags set a subset of the config keys (``FLAG_KEYS``)
+and hand their text to the same parser as the file. A sweep resolves every
+point's configuration before its first run, and its repetitions run with
+the resolved seed + rep. Every output directory receives the fully resolved
+configuration, so any result can be reproduced from its own echo.
 """
 
 from __future__ import annotations
@@ -24,28 +26,26 @@ class CliError(Exception):
     pass
 
 
+# Config keys settable by flag: --link-control sets link_control, and so on.
+FLAG_KEYS = ("nodes", "field", "duration", "seed", "beta", "lambda",
+             "link_control", "lqi_threshold", "tx_levels", "sensing_range",
+             "grid_step", "tw", "tc_min", "tc_max", "shadowing_sigma",
+             "metric_interval", "hazard_feedback")
+_FLAG_OPTIONS = {
+    "field": {"metavar": "WxH"},
+    "link_control": {"choices": [m.value for m in LinkControlMode]},
+    "tx_levels": {"metavar": "DBM,DBM,...",
+                  "help": "ascending levels; use --tx-levels=-10,-5 "
+                          "(leading dash needs the = form)"},
+    "hazard_feedback": {"choices": HAZARD_FEEDBACK_MODES},
+}
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
-    """Config flags; each one's dest is its key in ``RunConfig.to_flat``."""
-    parser.add_argument("--nodes", type=int)
-    parser.add_argument("--field", metavar="WxH")
-    parser.add_argument("--duration", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--lambda", type=float)
-    parser.add_argument("--link-control",
-                        choices=[m.value for m in LinkControlMode])
-    parser.add_argument("--lqi-threshold", type=int)
-    parser.add_argument("--tx-levels", metavar="DBM,DBM,...",
-                        help="ascending levels; use --tx-levels=-10,-5 "
-                             "(leading dash needs the = form)")
-    parser.add_argument("--sensing-range", type=float)
-    parser.add_argument("--grid-step", type=float)
-    parser.add_argument("--tw", type=float)
-    parser.add_argument("--tc-min", type=float)
-    parser.add_argument("--tc-max", type=float)
-    parser.add_argument("--shadowing-sigma", type=float)
-    parser.add_argument("--metric-interval", type=float)
-    parser.add_argument("--hazard-feedback", choices=HAZARD_FEEDBACK_MODES)
+    """Config flags, whose dest is their key, and the output options."""
+    for key in FLAG_KEYS:
+        parser.add_argument("--" + key.replace("_", "-"),
+                            **_FLAG_OPTIONS.get(key, {}))
     parser.add_argument("--config", metavar="FILE")
     parser.add_argument("--out", required=True, metavar="DIR")
     parser.add_argument("--force", action="store_true")
@@ -98,10 +98,10 @@ def resolve_config(args: argparse.Namespace,
     flat: dict[str, str] = {}
     if args.config:
         flat.update(parse_config_file(args.config))
-    for key in RunConfig().to_flat():
-        value = getattr(args, key, None)
+    for key in FLAG_KEYS:
+        value = getattr(args, key)
         if value is not None:
-            flat[key] = str(value)
+            flat[key] = value
     env_seed = os.environ.get("SENTINET_SEED")
     if env_seed is not None:
         flat["seed"] = env_seed
@@ -149,43 +149,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _axis_values(axis: str, text: str) -> list[str]:
-    values = [v.strip() for v in text.split(",") if v.strip()]
-    if not values:
-        raise CliError("--values must list at least one value")
-    try:
-        if axis == "nodes":
-            [int(v) for v in values]
-        elif axis == "beta":
-            [float(v) for v in values]
-        else:
-            for v in values:
-                LinkControlMode(v)
-    except ValueError as exc:
-        raise CliError(f"bad --values for axis {axis}: {exc}") from exc
-    return values
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.reps < 1:
         raise CliError("--reps must be >= 1")
-    values = _axis_values(args.axis, args.values)
-    prepare_out_dir(args.out, args.force)
+    values = [v.strip() for v in args.values.split(",") if v.strip()]
+    if not values:
+        raise CliError("--values must list at least one value")
     base = resolve_config(args)
+    try:  # every point, so a bad value is rejected before anything runs
+        points = [(value, rep, resolve_config(
+                      args, {args.axis: value, "seed": str(base.seed + rep)}))
+                  for value in values for rep in range(args.reps)]
+    except CliError as exc:
+        raise CliError(f"bad --values for axis {args.axis}: {exc}") from exc
+    prepare_out_dir(args.out, args.force)
     aggregate = []
-    for value in values:
-        for rep in range(args.reps):
-            overrides = {args.axis: value, "seed": str(base.seed + rep)}
-            config = resolve_config(args, overrides)
-            sub = os.path.join(args.out, f"{args.axis}_{value}_rep{rep}")
-            prepare_out_dir(sub, args.force)
-            result = run_simulation(config)
-            write_outputs(result, sub)
-            totals = result.summary["totals"]
-            aggregate.append((value, rep, totals["energy"]["total_j"],
-                              totals["energy"]["mean_per_node_j"],
-                              totals["components_final"],
-                              totals["coverage_final"]))
+    for value, rep, config in points:
+        sub = os.path.join(args.out, f"{args.axis}_{value}_rep{rep}")
+        prepare_out_dir(sub, args.force)
+        result = run_simulation(config)
+        write_outputs(result, sub)
+        totals = result.summary["totals"]
+        aggregate.append((value, rep, totals["energy"]["total_j"],
+                          totals["energy"]["mean_per_node_j"],
+                          totals["components_final"],
+                          totals["coverage_final"]))
     agg_path = os.path.join(args.out, "aggregate.csv")
     with atomic_write(agg_path) as fh:
         fh.write(meta_line(base.seed, base.config_hash(), RNG_NAME) + "\n")

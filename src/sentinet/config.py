@@ -1,7 +1,9 @@
 """Run configuration: field geometry, protocol constants, and their echo format.
 
 Every run resolves to a RunConfig; the flat key=value rendering written next
-to the results is sufficient to reproduce the run byte-for-byte.
+to the results is sufficient to reproduce the run byte-for-byte. ``KEYS``
+lists each flat key once, in echo order, with the field(s) it holds; a
+key's text form and parser follow from the type of its field's default.
 """
 
 from __future__ import annotations
@@ -39,6 +41,40 @@ class LinkControlMode(Enum):
 
 
 HAZARD_FEEDBACK_MODES = ("off", "global", "cycle")
+
+# Every flat config key, in echo order, with the RunConfig field path(s) it
+# holds. A path steps through attributes and tuple indices; "field" holds
+# two, written WxH.
+KEYS: dict[str, tuple[str, ...]] = {
+    "nodes": ("node_count",),
+    "field": ("field_width", "field_height"),
+    "duration": ("duration",),
+    "seed": ("seed",),
+    "lambda": ("weibull.scale",),
+    "beta": ("weibull.shape",),
+    "link_control": ("link_control",),
+    "sensing_range": ("sensing_range",),
+    "grid_step": ("grid_step",),
+    "tw": ("t_w",),
+    "tc_min": ("t_c_range.0",),
+    "tc_max": ("t_c_range.1",),
+    "metric_interval": ("metric_interval",),
+    "hazard_feedback": ("hazard_feedback",),
+    "tx_levels": ("radio.power_levels",),
+    "path_loss_exponent": ("radio.path_loss_exponent",),
+    "reference_loss": ("radio.reference_loss_db",),
+    "shadowing_sigma": ("radio.shadowing_sigma_db",),
+    "noise_floor": ("radio.noise_floor_dbm",),
+    "sensitivity": ("radio.sensitivity_dbm",),
+    "lqi_threshold": ("radio.lqi_threshold",),
+    "lqi_snr_min": ("radio.lqi_snr_min_db",),
+    "lqi_snr_max": ("radio.lqi_snr_max_db",),
+    "tx_duration": ("radio.tx_duration_s",),
+    "sleep_draw": ("energy.sleep_draw_w",),
+    "probe_draw": ("energy.probe_awake_draw_w",),
+    "active_draw": ("energy.active_draw_w",),
+    "tx_draw": ("energy.tx_draw_w",),
+}
 
 
 @dataclass(frozen=True)
@@ -87,110 +123,83 @@ class RunConfig:
     # -- echo / hashing ----------------------------------------------------
 
     def to_flat(self) -> dict[str, str]:
-        """Flat key=value view; parseable back via from_flat."""
-        r, e = self.radio, self.energy
-        return {
-            "nodes": str(self.node_count),
-            "field": f"{_num(self.field_width)}x{_num(self.field_height)}",
-            "duration": _num(self.duration),
-            "seed": str(self.seed),
-            "lambda": _num(self.weibull.scale),
-            "beta": _num(self.weibull.shape),
-            "link_control": self.link_control.value,
-            "sensing_range": _num(self.sensing_range),
-            "grid_step": _num(self.grid_step),
-            "tw": _num(self.t_w),
-            "tc_min": _num(self.t_c_range[0]),
-            "tc_max": _num(self.t_c_range[1]),
-            "metric_interval": _num(self.metric_interval),
-            "hazard_feedback": self.hazard_feedback,
-            "tx_levels": ",".join(_num(p) for p in r.power_levels),
-            "path_loss_exponent": _num(r.path_loss_exponent),
-            "reference_loss": _num(r.reference_loss_db),
-            "shadowing_sigma": _num(r.shadowing_sigma_db),
-            "noise_floor": _num(r.noise_floor_dbm),
-            "sensitivity": _num(r.sensitivity_dbm),
-            "lqi_threshold": str(r.lqi_threshold),
-            "lqi_snr_min": _num(r.lqi_snr_min_db),
-            "lqi_snr_max": _num(r.lqi_snr_max_db),
-            "tx_duration": _num(r.tx_duration_s),
-            "sleep_draw": _num(e.sleep_draw_w),
-            "probe_draw": _num(e.probe_awake_draw_w),
-            "active_draw": _num(e.active_draw_w),
-            "tx_draw": ",".join(f"{_num(l)}:{_num(w)}" for l, w in e.tx_draw_w),
-        }
+        """Flat key=value view in ``KEYS`` order; parseable back via from_flat."""
+        return {key: _text(tuple(_get(self, p) for p in paths), _PROTOS[key])
+                for key, paths in KEYS.items()}
 
     @classmethod
     def from_flat(cls, flat: dict[str, str]) -> "RunConfig":
-        base = cls()
-        f = dict(flat)
-
-        def take(key, cast, default):
-            return cast(f.pop(key)) if key in f else default
-
-        width, height = base.field_width, base.field_height
-        if "field" in f:
-            w, _, h = f.pop("field").partition("x")
-            width, height = float(w), float(h)
-        radio = replace(
-            base.radio,
-            power_levels=take("tx_levels", _float_tuple, base.radio.power_levels),
-            path_loss_exponent=take("path_loss_exponent", float, base.radio.path_loss_exponent),
-            reference_loss_db=take("reference_loss", float, base.radio.reference_loss_db),
-            shadowing_sigma_db=take("shadowing_sigma", float, base.radio.shadowing_sigma_db),
-            noise_floor_dbm=take("noise_floor", float, base.radio.noise_floor_dbm),
-            sensitivity_dbm=take("sensitivity", float, base.radio.sensitivity_dbm),
-            lqi_threshold=take("lqi_threshold", int, base.radio.lqi_threshold),
-            lqi_snr_min_db=take("lqi_snr_min", float, base.radio.lqi_snr_min_db),
-            lqi_snr_max_db=take("lqi_snr_max", float, base.radio.lqi_snr_max_db),
-            tx_duration_s=take("tx_duration", float, base.radio.tx_duration_s),
-        )
-        energy = replace(
-            base.energy,
-            sleep_draw_w=take("sleep_draw", float, base.energy.sleep_draw_w),
-            probe_awake_draw_w=take("probe_draw", float, base.energy.probe_awake_draw_w),
-            active_draw_w=take("active_draw", float, base.energy.active_draw_w),
-            tx_draw_w=take("tx_draw", _draw_tuple, base.energy.tx_draw_w),
-        )
-        cfg = cls(
-            field_width=width,
-            field_height=height,
-            node_count=take("nodes", int, base.node_count),
-            duration=take("duration", float, base.duration),
-            seed=take("seed", int, base.seed),
-            weibull=WeibullParams(scale=take("lambda", float, base.weibull.scale),
-                                  shape=take("beta", float, base.weibull.shape)),
-            radio=radio,
-            energy=energy,
-            link_control=LinkControlMode(take("link_control", str, base.link_control.value)),
-            sensing_range=take("sensing_range", float, base.sensing_range),
-            t_w=take("tw", float, base.t_w),
-            t_c_range=(take("tc_min", float, base.t_c_range[0]),
-                       take("tc_max", float, base.t_c_range[1])),
-            grid_step=take("grid_step", float, base.grid_step),
-            metric_interval=take("metric_interval", float, base.metric_interval),
-            hazard_feedback=take("hazard_feedback", str, base.hazard_feedback),
-        )
-        if f:
-            raise ValueError(f"unknown config keys: {sorted(f)}")
-        return cfg
+        """The config a flat view describes; keys it omits keep their defaults."""
+        unknown = flat.keys() - KEYS.keys()
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        leaves = {}
+        for key, text in flat.items():
+            try:
+                leaves.update(zip(KEYS[key], _parse(_PROTOS[key], text)))
+            except ValueError as exc:
+                raise ValueError(f"{key}={text!r}: {exc}") from exc
+        return _with(_DEFAULT, leaves)
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_flat(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _num(x: float) -> str:
-    return repr(float(x))
+# Separators between a key's fields (WxH), between the items of a tuple
+# field, and between the parts of each pair in one (tx_draw's level:watts).
+_SEPS = "x,:"
 
 
-def _float_tuple(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(","))
+def _get(obj, path: str):
+    for step in path.split("."):
+        obj = obj[int(step)] if step.isdigit() else getattr(obj, step)
+    return obj
 
 
-def _draw_tuple(text: str) -> tuple[tuple[float, float], ...]:
-    pairs = []
-    for part in text.split(","):
-        level, _, watts = part.partition(":")
-        pairs.append((float(level), float(watts)))
-    return tuple(pairs)
+def _text(value, proto, depth: int = 0) -> str:
+    """``value`` written in the text form of ``proto``'s type and shape."""
+    if isinstance(proto, float):
+        return repr(float(value))
+    if isinstance(proto, tuple):
+        protos = (proto[0],) * len(value) if depth == 1 else proto
+        return _SEPS[depth].join([_text(v, p, depth + 1)
+                                  for v, p in zip(value, protos)])
+    return value.value if isinstance(proto, Enum) else str(value)
+
+
+def _parse(proto, text: str, depth: int = 0):
+    """``text`` read as a value of ``proto``'s type and shape. A tuple field
+    holds any number of items; a key's fields and a pair's parts are fixed
+    in number."""
+    if not isinstance(proto, tuple):
+        return type(proto)(text)
+    if depth == 1:
+        return tuple(_parse(proto[0], part, 2) for part in text.split(","))
+    parts = text.split(_SEPS[depth], len(proto) - 1)
+    if len(parts) != len(proto):
+        raise ValueError(
+            f"expected {len(proto)} values separated by {_SEPS[depth]!r}")
+    return tuple(_parse(p, part, depth + 1) for p, part in zip(proto, parts))
+
+
+def _with(obj, leaves: dict):
+    """``obj`` with the value at each path in ``leaves`` replaced; each
+    object on those paths is rebuilt, and so validated, once."""
+    if "" in leaves:
+        return leaves[""]
+    changes: dict = {}
+    for path, value in leaves.items():
+        step, _, rest = path.partition(".")
+        changes.setdefault(step, {})[rest] = value
+    new = {step: _with(_get(obj, step), sub) for step, sub in changes.items()}
+    if isinstance(obj, tuple):
+        return tuple(new.get(str(i), item) for i, item in enumerate(obj))
+    return replace(obj, **new)
+
+
+_DEFAULT = RunConfig()
+# each key's fields in a default RunConfig, whose types give the key's text
+# form and parser
+_PROTOS = {key: tuple(_get(_DEFAULT, p) for p in paths)
+           for key, paths in KEYS.items()}

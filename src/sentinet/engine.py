@@ -89,7 +89,6 @@ class Engine:
         # dict lookup
         self._rngs: dict[tuple[Optional[int], str], np.random.Generator] = {}
         self._counts = [0] * len(EventKind)  # dispatched, by EventKind.index
-        self.known_nodes: set[int] = set()
 
     # -- randomness -------------------------------------------------------
 
@@ -143,11 +142,6 @@ class Engine:
         event.seq = self._next_seq
         self._next_seq += 1
         return event
-
-    def inject_failure(self, node_id: int, time: float) -> Event:
-        if node_id not in self.known_nodes:
-            raise ValueError(f"unknown node id {node_id}")
-        return self.schedule(time, node_id, EventKind.NODE_FAILURE)
 
     def run_until(self, t_end: float) -> RunSummary:
         if t_end < self.clock:

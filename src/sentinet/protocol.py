@@ -11,8 +11,8 @@ they run identically under the real simulation or a test double. The ctx
 surface used here and by link_control: now, config, draw(node_id, stream),
 schedule_event(delay, target, kind), cancel_event(handle),
 reschedule_event(handle, delay) (returns the handle now pending),
-send(node, kind, addressee, delay), touch_energy(node),
-note_transition(node, old, new), on_became_active(node).
+send(node, kind, addressee, delay), note_transition(node, old, new),
+on_became_active(node).
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ def set_status(node: Node, new: NodeStatus, ctx) -> None:
     old = node.status
     if (old, new) not in ALLOWED_TRANSITIONS:
         raise ProtocolViolationError(f"node {node.id}: {old.value} -> {new.value}")
-    ctx.touch_energy(node)
     node.status = new
     ctx.note_transition(node, old, new)
 

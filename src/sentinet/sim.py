@@ -2,7 +2,7 @@
 
 One Simulation owns one run. It implements the context surface the protocol
 and link-control handlers expect (time, randomness, timers, transmissions,
-energy touches) and routes every dispatched event to the right handler, so
+transitions) and routes every dispatched event to the right handler, so
 all node behaviour is serialized through the engine's event loop.
 """
 
@@ -67,7 +67,6 @@ class Simulation:
             self.nodes[nid] = Node(id=nid, x=x, y=y,
                                    deploy_weibull=config.weibull,
                                    tx_power=initial_power)
-        self.engine.known_nodes = set(self.nodes)
         self._xs = np.array([self.nodes[i].x for i in range(config.node_count)])
         self._ys = np.array([self.nodes[i].y for i in range(config.node_count)])
         self._links = chan.LinkRows(self._xs, self._ys, config.radio)
@@ -108,12 +107,11 @@ class Simulation:
         self.schedule_event(delay, node.id, EventKind.TX_START,
                             payload=(kind, addressee))
 
-    def touch_energy(self, node: Node) -> None:
-        energy_mod.accrue_node(self.energy, node.id, self.now)
-
     def note_transition(self, node: Node, old: NodeStatus, new: NodeStatus) -> None:
         self._census[old.index] -= 1
         self._census[new.index] += 1
+        # the node accrues at its old status up to now, then at the new one
+        energy_mod.accrue_node(self.energy, node.id, self.now)
         energy_mod.set_status(self.energy, node.id, new)
         if new is NodeStatus.DEAD:
             self._alive[node.id] = False
@@ -136,7 +134,9 @@ class Simulation:
     # -- failure injection --------------------------------------------------
 
     def inject_failure(self, node_id: int, at: float) -> Event:
-        return self.engine.inject_failure(node_id, at)
+        if node_id not in self.nodes:
+            raise ValueError(f"unknown node id {node_id}")
+        return self.engine.schedule(at, node_id, EventKind.NODE_FAILURE)
 
     def inject_sentinel_failure(self, at: float, count: Optional[int] = None) -> Event:
         """Kill the `count` lowest-id guards at `at` (all guards when None)."""
@@ -202,9 +202,8 @@ class Simulation:
 
     def _resolve_frame(self, frame: chan.Frame) -> None:
         radio = self.config.radio
-        awake_now = self._awake_ids
         mode = self.config.link_control
-        for rid in chan.deliver(frame, self.frames, awake_now, radio):
+        for rid in chan.deliver(frame, self.frames, self._awake_ids):
             node = self.nodes[rid]
             kind = frame.msg.kind
             if kind is chan.MessageKind.PROBE:
@@ -223,8 +222,7 @@ class Simulation:
                 link_control.on_link_evidence(
                     node, self._link_evidence_lqi(frame, rid), self)
         if frame.msg.kind is chan.MessageKind.PROBE_REPLY and mode.uses_piggyback:
-            guards = self._guard_ids
-            for rid in chan.overhearers(frame, self.frames, guards, radio):
+            for rid in chan.overhearers(frame, self.frames, self._guard_ids):
                 link_control.on_link_evidence(
                     self.nodes[rid], self._link_evidence_lqi(frame, rid), self)
         horizon = self.now - radio.tx_duration_s

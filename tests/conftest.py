@@ -46,9 +46,6 @@ class FakeCtx:
     def send(self, node, kind, addressee, delay):
         self.sent.append((node.id, kind, addressee, delay))
 
-    def touch_energy(self, node):
-        pass
-
     def note_transition(self, node, old, new):
         self.transitions.append((node.id, old, new))
 

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sentinet.channel import (UNICAST_KINDS, Frame, LinkRows, Message,
-                              MessageKind, RadioConfig, _receivable,
-                              compute_lqi, deliver, make_frame, overhearers,
-                              path_loss_db, rx_power_dbm)
+                              MessageKind, RadioConfig, compute_lqi, deliver,
+                              make_frame, overhearers, path_loss_db,
+                              rx_power_dbm)
 
 RADIO = RadioConfig()
 
@@ -101,7 +101,7 @@ def _mk(msg, positions, awake):
 def test_single_receiver_delivery():
     positions = {0: (0.0, 0.0), 1: (5.0, 0.0)}
     frame = _mk(_broadcast(0, 0.0), positions, [0, 1])
-    assert deliver(frame, [frame], {0, 1}, RADIO) == [1]
+    assert deliver(frame, [frame], {0, 1}) == [1]
 
 
 def test_overlapping_frames_destroy_each_other():
@@ -109,8 +109,8 @@ def test_overlapping_frames_destroy_each_other():
     f1 = _mk(_broadcast(0, 0.0), positions, [0, 1, 2])
     f2 = _mk(_broadcast(1, 0.002), positions, [0, 1, 2])
     in_flight = [f1, f2]
-    assert deliver(f1, in_flight, {0, 1, 2}, RADIO) == []
-    assert deliver(f2, in_flight, {0, 1, 2}, RADIO) == []
+    assert deliver(f1, in_flight, {0, 1, 2}) == []
+    assert deliver(f2, in_flight, {0, 1, 2}) == []
 
 
 def test_back_to_back_frames_do_not_collide():
@@ -118,34 +118,34 @@ def test_back_to_back_frames_do_not_collide():
     f1 = _mk(_broadcast(0, 0.0), positions, [0, 1, 2])
     f2 = _mk(_broadcast(1, RADIO.tx_duration_s), positions, [0, 1, 2])
     in_flight = [f1, f2]
-    assert deliver(f1, in_flight, {0, 1, 2}, RADIO) == [2]
-    assert deliver(f2, in_flight, {0, 1, 2}, RADIO) == [2]
+    assert deliver(f1, in_flight, {0, 1, 2}) == [2]
+    assert deliver(f2, in_flight, {0, 1, 2}) == [2]
 
 
 def test_sleeping_nodes_receive_nothing():
     positions = {0: (0.0, 0.0), 1: (5.0, 0.0), 2: (6.0, 0.0)}
     frame = _mk(_broadcast(0, 0.0), positions, [0])  # 1 and 2 asleep
-    assert deliver(frame, [frame], {0}, RADIO) == []
+    assert deliver(frame, [frame], {0}) == []
 
 
 def test_out_of_range_receiver_misses():
     positions = {0: (0.0, 0.0), 1: (80.0, 0.0)}  # far below sensitivity
     frame = _mk(_broadcast(0, 0.0, power=-10.0), positions, [0, 1])
-    assert deliver(frame, [frame], {0, 1}, RADIO) == []
+    assert deliver(frame, [frame], {0, 1}) == []
 
 
 def test_unicast_reaches_only_addressee():
     positions = {0: (0.0, 0.0), 1: (5.0, 0.0), 2: (5.0, 5.0)}
     msg = Message(MessageKind.PROBE_REPLY, 0, 1, -5.0, 0.0)
     frame = _mk(msg, positions, [0, 1, 2])
-    assert deliver(frame, [frame], {0, 1, 2}, RADIO) == [1]
+    assert deliver(frame, [frame], {0, 1, 2}) == [1]
 
 
 def test_unicast_to_sleeping_addressee_fails():
     positions = {0: (0.0, 0.0), 1: (5.0, 0.0)}
     msg = Message(MessageKind.PROBE_REPLY, 0, 1, -5.0, 0.0)
     frame = _mk(msg, positions, [0])
-    assert deliver(frame, [frame], {0}, RADIO) == []
+    assert deliver(frame, [frame], {0}) == []
 
 
 def test_below_sensitivity_frames_do_not_interfere():
@@ -154,7 +154,7 @@ def test_below_sensitivity_frames_do_not_interfere():
     f1 = _mk(_broadcast(0, 0.0), positions, [0, 1, 2])
     f2 = _mk(_broadcast(2, 0.001, power=-10.0), positions, [0, 1, 2])
     in_flight = [f1, f2]
-    assert deliver(f1, in_flight, {0, 1}, RADIO) == [1]
+    assert deliver(f1, in_flight, {0, 1}) == [1]
 
 
 def test_half_duplex_sender_blocks_reception():
@@ -162,14 +162,14 @@ def test_half_duplex_sender_blocks_reception():
     positions = {0: (0.0, 0.0), 1: (5.0, 0.0), 2: (100.0, 100.0)}
     f1 = _mk(_broadcast(0, 0.0), positions, [0, 1])
     f2 = _mk(_broadcast(1, 0.002), positions, [0, 1])
-    assert deliver(f1, [f1, f2], {0, 1}, RADIO) == []
+    assert deliver(f1, [f1, f2], {0, 1}) == []
 
 
 def test_overhearers_excludes_sender_and_addressee():
     positions = {0: (0.0, 0.0), 1: (5.0, 0.0), 2: (5.0, 5.0), 3: (90.0, 90.0)}
     msg = Message(MessageKind.PROBE_REPLY, 0, 1, -5.0, 0.0)
     frame = _mk(msg, positions, [0, 1, 2, 3])
-    assert overhearers(frame, [frame], [0, 1, 2, 3], RADIO) == [2]
+    assert overhearers(frame, [frame], [0, 1, 2, 3]) == [2]
 
 
 def test_loss_free_three_node_line_without_collisions():
@@ -177,7 +177,7 @@ def test_loss_free_three_node_line_without_collisions():
     positions = {0: (0.0, 0.0), 1: (10.0, 0.0), 2: (20.0, 0.0)}
     for sender, expected in ((0, [1, 2]), (1, [0, 2]), (2, [0, 1])):
         frame = _mk(_broadcast(sender, 0.0), positions, [0, 1, 2])
-        assert deliver(frame, [frame], {0, 1, 2}, RADIO) == expected
+        assert deliver(frame, [frame], {0, 1, 2}) == expected
 
 
 # -- oracle: delivery against a brute-force scan of every node ----------------
@@ -214,6 +214,19 @@ def air_scenes(draw):
     return n, frames, awake_at, draw(node_sets), draw(node_sets)
 
 
+def _reference_receives(frame, nid, in_flight):
+    """The reception rule with its own sender and sensitivity checks, so it
+    does not lean on the power maps holding only audible receivers."""
+    def heard(f):  # nid hears f, or is busy sending it
+        rx = f.rx_dbm.get(nid)
+        return nid == f.msg.sender or (rx is not None
+                                       and rx >= RADIO.sensitivity_dbm)
+    if nid == frame.msg.sender or not heard(frame):
+        return False
+    return not any(other is not frame and frame.overlaps(other) and heard(other)
+                   for other in in_flight)
+
+
 def _reference_deliver(n, frame, in_flight, awake_start, awake_now):
     msg = frame.msg
     got = []
@@ -222,7 +235,7 @@ def _reference_deliver(n, frame, in_flight, awake_start, awake_now):
             continue
         if msg.addressee is not None and nid != msg.addressee:
             continue
-        if _receivable(frame, nid, in_flight, RADIO):
+        if _reference_receives(frame, nid, in_flight):
             got.append(nid)
     return got
 
@@ -233,7 +246,7 @@ def _reference_overhearers(n, frame, in_flight, awake_start, listeners):
     for nid in range(n):
         if nid in (msg.sender, msg.addressee) or nid not in listeners:
             continue
-        if nid in awake_start and _receivable(frame, nid, in_flight, RADIO):
+        if nid in awake_start and _reference_receives(frame, nid, in_flight):
             got.append(nid)
     return got
 
@@ -243,9 +256,9 @@ def _reference_overhearers(n, frame, in_flight, awake_start, listeners):
 def test_delivery_matches_brute_force_scan(scene):
     n, frames, awake_at, awake_now, listeners = scene
     for frame, awake_start in zip(frames, awake_at):
-        assert deliver(frame, frames, awake_now, RADIO) == \
+        assert deliver(frame, frames, awake_now) == \
             _reference_deliver(n, frame, frames, awake_start, awake_now)
-        assert overhearers(frame, frames, listeners, RADIO) == \
+        assert overhearers(frame, frames, listeners) == \
             _reference_overhearers(n, frame, frames, awake_start, listeners)
 
 

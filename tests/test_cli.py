@@ -2,9 +2,12 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sentinet.cli import main, parse_kill_spec
-from sentinet.config import RunConfig
+from sentinet.cli import (FLAG_KEYS, CliError, build_parser, main,
+                          parse_kill_spec, resolve_config)
+from sentinet.config import (HAZARD_FEEDBACK_MODES, KEYS, LinkControlMode,
+                             RunConfig)
 from sentinet.metrics import CSV_HEADER, read_metrics_csv
 
 FAST = ["--nodes", "8", "--duration", "30", "--field", "60x60",
@@ -160,6 +163,71 @@ def test_sweep_seed_derivation_per_rep(tmp_path):
 def test_sweep_rejects_bad_values(tmp_path, capsys):
     assert run_cli("sweep", *FAST, "--out", str(tmp_path / "x"),
                    "--axis", "link_control", "--values", "sometimes") == 2
+
+
+def test_sweep_checks_every_value_before_running(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert run_cli("sweep", "--nodes", "8", "--duration", "5", "--field",
+                   "60x60", "--grid-step", "5", "--axis", "nodes",
+                   "--values", "8,0", "--out", str(out)) == 2
+    assert "node_count" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("key,flag,line", [
+    ("field", "--field=100", None),
+    ("field", "--field=10x10x10", None),
+    ("tx_draw", None, "tx_draw=-10"),
+])
+def test_malformed_values_name_their_key(tmp_path, capsys, key, flag, line):
+    argv = ["run", *FAST, "--out", str(tmp_path / "x")]
+    if flag:
+        argv.append(flag)
+    else:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        argv += ["--config", str(cfg)]
+    assert run_cli(*argv) == 2
+    assert f"{key}=" in capsys.readouterr().err
+
+
+# number texts in the forms a flag or a config file may hold them
+NUMBER_TEXT = st.one_of(
+    st.integers(-5, 3000).map(str),
+    st.integers(0, 99).map(lambda i: f"{i:03d}"),
+    st.floats(-1e4, 1e4).map(repr),
+    st.tuples(st.integers(-9, 9), st.integers(-3, 3)).map(
+        lambda mant_exp: "%de%d" % mant_exp),
+    st.sampled_from(["1e3", "08", "-0", "1_0", "inf", "", "x"]),
+)
+FLAG_TEXT = {
+    "field": st.tuples(NUMBER_TEXT, NUMBER_TEXT).map("x".join) | NUMBER_TEXT,
+    "tx_levels": st.lists(NUMBER_TEXT, min_size=1, max_size=3).map(",".join),
+    "link_control": st.sampled_from([m.value for m in LinkControlMode]),
+    "hazard_feedback": st.sampled_from(HAZARD_FEEDBACK_MODES),
+}
+
+
+def _resolved(*argv):
+    try:
+        return resolve_config(build_parser().parse_args(["run", *argv,
+                                                         "--out", "unused"]))
+    except CliError:
+        return "rejected"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_flag_and_config_line_resolve_alike(tmp_path_factory, data):
+    # a flag hands its text to the config file's parser, so the same text
+    # resolves (or is rejected) alike either way
+    assert len(FLAG_KEYS) == 17 and set(FLAG_KEYS) <= set(KEYS)
+    key = data.draw(st.sampled_from(FLAG_KEYS))
+    text = data.draw(FLAG_TEXT.get(key, NUMBER_TEXT))
+    cfg = tmp_path_factory.getbasetemp() / "flag_or_line.cfg"
+    cfg.write_text(f"{key}={text}\n")
+    flag = f"--{key.replace('_', '-')}={text}"
+    assert _resolved(flag) == _resolved("--config", str(cfg))
 
 
 def test_inject_writes_healing_report(tmp_path):

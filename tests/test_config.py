@@ -1,11 +1,13 @@
 import dataclasses
 import re
+import typing
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sentinet.channel import RadioConfig
-from sentinet.config import LinkControlMode, RunConfig
+from sentinet.config import KEYS, LinkControlMode, RunConfig
 from sentinet.energy import EnergyConfig
 from sentinet.weibull import WeibullParams
 
@@ -26,6 +28,39 @@ def test_flat_roundtrip_customized():
                                   lqi_threshold=6),
     )
     assert RunConfig.from_flat(cfg.to_flat()) == cfg
+
+
+def test_int_valued_floats_echo_as_floats():
+    # the text form follows the field's declared type, not the value's
+    flat = RunConfig(field_width=100, field_height=80).to_flat()
+    assert flat["field"] == "100.0x80.0"
+    assert RunConfig.from_flat(flat) == RunConfig(field_width=100.0,
+                                                  field_height=80.0)
+
+
+def _leaf_paths(cls, prefix=""):
+    """Dotted paths of every leaf field under ``cls``; a fixed-size tuple
+    field (``tuple[float, float]``) has one leaf per item."""
+    for name, hint in typing.get_type_hints(cls).items():
+        path = prefix + name
+        args = typing.get_args(hint)
+        if dataclasses.is_dataclass(hint):
+            yield from _leaf_paths(hint, path + ".")
+        elif typing.get_origin(hint) is tuple and Ellipsis not in args:
+            yield from (f"{path}.{i}" for i in range(len(args)))
+        else:
+            yield path
+
+
+def test_every_leaf_field_has_exactly_one_key():
+    reached = Counter(path for paths in KEYS.values() for path in paths)
+    leaves = set(_leaf_paths(RunConfig))
+    assert {"weibull.shape", "radio.power_levels", "energy.tx_draw_w",
+            "t_c_range.1"} <= leaves
+    assert sorted(leaves - set(reached)) == [], "fields without a key"
+    assert sorted(set(reached) - leaves) == [], "keys without a field"
+    assert [p for p, n in reached.items() if n > 1] == [], "fields keyed twice"
+    assert len(KEYS) == 28
 
 
 def test_from_flat_partial_uses_defaults():

@@ -109,22 +109,6 @@ def test_summary_counts_by_kind():
     assert summary.dispatched[EventKind.WAIT_EXPIRED] == 2
 
 
-def test_inject_failure_unknown_node():
-    eng = Engine(seed=1)
-    eng.known_nodes = {0, 1}
-    with pytest.raises(ValueError):
-        eng.inject_failure(99, 10.0)
-
-
-def test_inject_failure_schedules_event():
-    eng = Engine(seed=1)
-    seen = collect(eng)
-    eng.known_nodes = {0}
-    eng.inject_failure(0, 10.0)
-    eng.run_until(20.0)
-    assert seen == [(10.0, 0, EventKind.NODE_FAILURE)]
-
-
 # -- reschedule ----------------------------------------------------------------
 
 

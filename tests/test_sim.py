@@ -190,6 +190,22 @@ def test_killed_node_goes_silent():
     assert result.summary["totals"]["messages"]["probe_reply"] == 0
 
 
+def test_inject_failure_unknown_node():
+    sim = Simulation(small_config(node_count=2))
+    with pytest.raises(ValueError):
+        sim.inject_failure(99, 10.0)
+
+
+def test_inject_failure_schedules_event():
+    seen = []
+    sim = Simulation(small_config(duration=20.0), post_event_hook=lambda s, ev:
+                     seen.append((ev.time, ev.target, ev.kind)))
+    sim.inject_failure(0, 10.0)
+    sim.run()
+    assert [e for e in seen if e[2] is EventKind.NODE_FAILURE] == \
+        [(10.0, 0, EventKind.NODE_FAILURE)]
+
+
 def test_reserve_takes_over_dead_guard():
     # two nodes in mutual range: one stands guard, the other keeps sleeping;
     # kill the guard and the reserve must take over on a later wake
@@ -248,8 +264,8 @@ def test_colliding_senders_still_pay_for_their_frames():
     import sentinet.channel as chan_mod
     original = chan_mod.deliver
 
-    def spy(frame, in_flight, awake_now, radio):
-        got = original(frame, in_flight, awake_now, radio)
+    def spy(frame, in_flight, awake_now):
+        got = original(frame, in_flight, awake_now)
         delivered.extend(got)
         return got
 
