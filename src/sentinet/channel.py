@@ -3,7 +3,9 @@
 Frames occupy the air for a fixed duration; any time overlap between two
 audible frames at a receiver destroys both receptions there (no capture
 effect). Senders are half-duplex: a node transmitting during a frame's
-interval cannot receive it.
+interval cannot receive it. Collisions are settled when a frame is made:
+it and every frame still on the air that overlaps it jam each other's
+audible receivers and senders, so a delivery only reads its own frame.
 
 Node positions are static, so each sender's path loss to the others is
 computed once and kept in a link row (``LinkRows``): the nodes within a
@@ -173,13 +175,16 @@ class LinkRows:
         return cap, near[keep], loss[keep]
 
 
-@dataclass
+@dataclass(eq=False)
 class Frame:
     """One transmission on the air: message plus per-receiver power map.
 
     ``rx_dbm`` maps the audible receivers, ascending by id, to their
-    received power; ``awake_at_start`` holds those of them that were awake
-    when the frame started. Nobody else can receive the frame.
+    received power, whatever their state; ``awake_at_start`` holds those of
+    them that were awake when the frame started. Nobody else can receive
+    the frame. ``jammed`` holds the nodes that hear, or send, another frame
+    overlapping this one: none of them can receive it. Frames compare by
+    identity, so one can be removed from a list of frames on the air.
     """
 
     msg: Message
@@ -187,23 +192,21 @@ class Frame:
     end: float
     rx_dbm: dict[int, float] = field(default_factory=dict)
     awake_at_start: AbstractSet[int] = frozenset()
-
-    def overlaps(self, other: "Frame") -> bool:
-        return self.start < other.end and other.start < self.end
-
-    def audible_at(self, node_id: int) -> bool:
-        # half-duplex: a sender's own transmission blocks its reception
-        return node_id == self.msg.sender or node_id in self.rx_dbm
+    jammed: set[int] = field(default_factory=set)
 
 
-def make_frame(msg: Message, links: LinkRows, alive, awake_ids,
-               radio: RadioConfig, shadow=None) -> Frame:
-    """Compute the frame's received power over its sender's link row.
+def make_frame(msg: Message, links: LinkRows, awake_ids, radio: RadioConfig,
+               shadow=None, on_air=()) -> Frame:
+    """Compute the frame's received power over its sender's link row, and
+    settle its collisions with the frames ``on_air``.
 
-    ``alive`` is a boolean mask and ``shadow`` an optional per-receiver dB
-    array (one fresh draw per transmission), both indexed by node id.
-    Receivers below sensitivity are omitted from the power map; they can
-    neither decode the frame nor disturb anyone else.
+    ``shadow`` is an optional per-receiver dB array (one fresh draw per
+    transmission), indexed by node id. Receivers below sensitivity are
+    omitted from the power map; they can neither decode the frame nor
+    disturb anyone else. ``on_air`` holds frames that started no later
+    than this one; each of them still on the air when this one starts adds
+    its audible receivers and its sender to this frame's ``jammed`` set,
+    and this frame's to its own.
     """
     tx, sens = msg.tx_power_dbm, radio.sensitivity_dbm
     # The row need only hold the receivers this frame could reach. With smin
@@ -220,48 +223,42 @@ def make_frame(msg: Message, links: LinkRows, alive, awake_ids,
     rx = tx - loss
     if shadow is not None:
         rx = rx - shadow[ids]
-    audible = (rx >= sens) & alive[ids]
+    audible = rx >= sens
     rx_map = dict(zip(ids[audible].tolist(), rx[audible].tolist()))
-    return Frame(msg=msg, start=msg.tx_time, end=msg.tx_time + radio.tx_duration_s,
-                 rx_dbm=rx_map, awake_at_start=rx_map.keys() & awake_ids)
+    frame = Frame(msg=msg, start=msg.tx_time, end=msg.tx_time + radio.tx_duration_s,
+                  rx_dbm=rx_map, awake_at_start=rx_map.keys() & awake_ids)
+    for other in on_air:
+        # a frame that ends as this one starts does not overlap it
+        if other.end > frame.start:
+            frame.jammed.update(other.rx_dbm)
+            frame.jammed.add(other.msg.sender)
+            other.jammed.update(rx_map)
+            other.jammed.add(msg.sender)
+    return frame
 
 
-def _receivable(frame: Frame, node_id: int, in_flight) -> bool:
-    """Whether ``node_id``, one of ``frame``'s audible receivers, decodes it:
-    no other frame audible there overlaps it."""
-    for other in in_flight:
-        if other is frame:
-            continue
-        if frame.overlaps(other) and other.audible_at(node_id):
-            return False
-    return True
-
-
-def deliver(frame: Frame, in_flight, awake_now) -> list[int]:
+def deliver(frame: Frame, awake_now) -> list[int]:
     """Resolve a frame at its end time; returns the receiving ids, ascending.
 
     Candidate receivers are the audible ones awake for the whole frame
     (broadcast) or the addressee alone (unicast); a link row never holds
-    its sender. A reception succeeds when nothing else audible overlapped
-    the frame at that node.
+    its sender. A candidate receives the frame unless it is jammed.
     """
-    msg = frame.msg
-    if msg.addressee is None:
-        candidates = sorted(frame.awake_at_start.intersection(awake_now))
-    else:
-        candidates = [msg.addressee] if (
-            msg.addressee in frame.awake_at_start and msg.addressee in awake_now
-        ) else []
-    return [nid for nid in candidates if _receivable(frame, nid, in_flight)]
+    heard = frame.awake_at_start.intersection(awake_now) - frame.jammed
+    addressee = frame.msg.addressee
+    if addressee is None:
+        return sorted(heard)
+    return [addressee] if addressee in heard else []
 
 
-def overhearers(frame: Frame, in_flight, listener_ids) -> list[int]:
-    """Ids of awake third parties that receive a unicast frame (same rules),
-    ascending.
+def overhearers(frame: Frame, listener_ids) -> list[int]:
+    """Ids of the listeners other than the addressee that receive a unicast
+    frame (same rules), ascending.
 
     Only listeners among the frame's audible receivers awake at its start
     can receive it, so the scan covers those rather than every listener.
     """
     addressee = frame.msg.addressee
-    return [nid for nid in sorted(frame.awake_at_start.intersection(listener_ids))
-            if nid != addressee and _receivable(frame, nid, in_flight)]
+    return [nid for nid in sorted(frame.awake_at_start.intersection(listener_ids)
+                                  - frame.jammed)
+            if nid != addressee]

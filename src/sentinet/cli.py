@@ -95,23 +95,24 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 def resolve_config(args: argparse.Namespace,
                    overrides: dict[str, str] | None = None) -> RunConfig:
-    flat: dict[str, str] = {}
-    if args.config:
-        flat.update(parse_config_file(args.config))
-    for key in FLAG_KEYS:
-        value = getattr(args, key)
-        if value is not None:
-            flat[key] = value
+    from_file = parse_config_file(args.config) if args.config else {}
+    later = {key: getattr(args, key) for key in FLAG_KEYS
+             if getattr(args, key) is not None}
     env_seed = os.environ.get("SENTINET_SEED")
     if env_seed is not None:
-        flat["seed"] = env_seed
+        later["seed"] = env_seed
     if overrides:
-        flat.update(overrides)
-    source = args.config if args.config else "configuration"
+        later.update(overrides)
     try:
-        return RunConfig.from_flat(flat)
+        return RunConfig.from_flat({**from_file, **later})
     except (ValueError, KeyError) as exc:
-        raise CliError(f"{source}: {exc}") from exc
+        # the file is to blame only if the values it still sets fail alone
+        kept = {k: v for k, v in from_file.items() if k not in later}
+        try:
+            RunConfig.from_flat(kept)
+        except (ValueError, KeyError) as own:
+            raise CliError(f"{args.config}: {own}") from exc
+        raise CliError(f"configuration: {exc}") from exc
 
 
 def prepare_out_dir(path: str, force: bool) -> None:
@@ -155,6 +156,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise CliError("--values must list at least one value")
+    if len(set(values)) < len(values):  # each value has one output directory
+        raise CliError(f"--values lists a value twice: {args.values}")
     base = resolve_config(args)
     try:  # every point, so a bad value is rejected before anything runs
         points = [(value, rep, resolve_config(

@@ -75,7 +75,7 @@ class CoverageGrid:
 
     def fraction(self) -> float:
         """Fraction of cell centers within sensing range of some guard."""
-        return np.count_nonzero(self.counts) / self.counts.size
+        return int(np.count_nonzero(self.counts)) / self.counts.size
 
 
 def coverage_fraction(xs, ys, field_width: float, field_height: float,

@@ -49,7 +49,7 @@ class Simulation:
         self.engine = Engine(config.seed, handler=lambda ev: me()._dispatch(ev))
         self.transition_hook = transition_hook
         self.post_event_hook = post_event_hook
-        self.frames: list[chan.Frame] = []
+        self.frames: list[chan.Frame] = []  # on the air: delivery pending
         self.counters = [0] * len(chan.MessageKind)  # by MessageKind.index
         self.rows: list[dict] = []
         self.failure_log: list[dict] = []
@@ -70,7 +70,6 @@ class Simulation:
         self._xs = np.array([self.nodes[i].x for i in range(config.node_count)])
         self._ys = np.array([self.nodes[i].y for i in range(config.node_count)])
         self._links = chan.LinkRows(self._xs, self._ys, config.radio)
-        self._alive = np.ones(config.node_count, dtype=bool)
         self._awake_ids: set[int] = set()
         self._guard_ids: set[int] = set()
         self._census = [0] * len(NodeStatus)  # by NodeStatus.index
@@ -113,8 +112,6 @@ class Simulation:
         # the node accrues at its old status up to now, then at the new one
         energy_mod.accrue_node(self.energy, node.id, self.now)
         energy_mod.set_status(self.energy, node.id, new)
-        if new is NodeStatus.DEAD:
-            self._alive[node.id] = False
         if new in (NodeStatus.PROBE, NodeStatus.ACTIVE):
             self._awake_ids.add(node.id)
         else:
@@ -182,8 +179,8 @@ class Simulation:
             # sender's substream so draw indices stay node-count stable
             gen = self.engine.rng(node.id, "shadow")
             shadow = gen.normal(0.0, self._sigma, size=len(self.nodes))
-        frame = chan.make_frame(msg, self._links, self._alive,
-                                self._awake_ids, self.config.radio, shadow)
+        frame = chan.make_frame(msg, self._links, self._awake_ids,
+                                self.config.radio, shadow, self.frames)
         self.frames.append(frame)
         self.engine.schedule(frame.end, None, EventKind.MSG_DELIVERY, payload=frame)
 
@@ -201,9 +198,9 @@ class Simulation:
         return chan.compute_lqi(radio, normalized)
 
     def _resolve_frame(self, frame: chan.Frame) -> None:
-        radio = self.config.radio
+        self.frames.remove(frame)
         mode = self.config.link_control
-        for rid in chan.deliver(frame, self.frames, self._awake_ids):
+        for rid in chan.deliver(frame, self._awake_ids):
             node = self.nodes[rid]
             kind = frame.msg.kind
             if kind is chan.MessageKind.PROBE:
@@ -222,11 +219,9 @@ class Simulation:
                 link_control.on_link_evidence(
                     node, self._link_evidence_lqi(frame, rid), self)
         if frame.msg.kind is chan.MessageKind.PROBE_REPLY and mode.uses_piggyback:
-            for rid in chan.overhearers(frame, self.frames, self._guard_ids):
+            for rid in chan.overhearers(frame, self._guard_ids):
                 link_control.on_link_evidence(
                     self.nodes[rid], self._link_evidence_lqi(frame, rid), self)
-        horizon = self.now - radio.tx_duration_s
-        self.frames = [f for f in self.frames if f.end > horizon]
 
     # -- failures -----------------------------------------------------------
 

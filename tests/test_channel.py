@@ -90,86 +90,100 @@ def _broadcast(sender, t, power=-5.0):
     return Message(MessageKind.PROBE, sender, None, power, t)
 
 
-def _mk(msg, positions, awake):
+def _mk(msg, positions, awake, on_air=()):
     n = max(positions) + 1
     xs = np.array([positions.get(i, (1e6, 1e6))[0] for i in range(n)])
     ys = np.array([positions.get(i, (1e6, 1e6))[1] for i in range(n)])
-    alive = np.array([i in positions for i in range(n)])
-    return make_frame(msg, LinkRows(xs, ys, RADIO), alive, awake, RADIO)
+    return make_frame(msg, LinkRows(xs, ys, RADIO), awake, RADIO, on_air=on_air)
 
 
 def test_single_receiver_delivery():
     positions = {0: (0.0, 0.0), 1: (5.0, 0.0)}
     frame = _mk(_broadcast(0, 0.0), positions, [0, 1])
-    assert deliver(frame, [frame], {0, 1}) == [1]
+    assert deliver(frame, {0, 1}) == [1]
 
 
 def test_overlapping_frames_destroy_each_other():
     positions = {0: (0.0, 0.0), 1: (30.0, 0.0), 2: (15.0, 0.0)}
     f1 = _mk(_broadcast(0, 0.0), positions, [0, 1, 2])
-    f2 = _mk(_broadcast(1, 0.002), positions, [0, 1, 2])
-    in_flight = [f1, f2]
-    assert deliver(f1, in_flight, {0, 1, 2}) == []
-    assert deliver(f2, in_flight, {0, 1, 2}) == []
+    f2 = _mk(_broadcast(1, 0.002), positions, [0, 1, 2], on_air=[f1])
+    assert deliver(f1, {0, 1, 2}) == []
+    assert deliver(f2, {0, 1, 2}) == []
 
 
 def test_back_to_back_frames_do_not_collide():
+    # f1 ends as f2 starts; it is still on the air, its delivery pending
     positions = {0: (0.0, 0.0), 1: (30.0, 0.0), 2: (15.0, 0.0)}
     f1 = _mk(_broadcast(0, 0.0), positions, [0, 1, 2])
-    f2 = _mk(_broadcast(1, RADIO.tx_duration_s), positions, [0, 1, 2])
-    in_flight = [f1, f2]
-    assert deliver(f1, in_flight, {0, 1, 2}) == [2]
-    assert deliver(f2, in_flight, {0, 1, 2}) == [2]
+    f2 = _mk(_broadcast(1, RADIO.tx_duration_s), positions, [0, 1, 2],
+             on_air=[f1])
+    assert f1.end == f2.start
+    assert f1.jammed == f2.jammed == set()
+    assert deliver(f1, {0, 1, 2}) == [2]
+    assert deliver(f2, {0, 1, 2}) == [2]
+
+
+def test_collisions_do_not_chain():
+    # A overlaps B and B overlaps C, but A and C do not overlap; node 1
+    # hears A and C but not B's far sender, so it receives both
+    positions = {0: (0.0, 0.0), 1: (10.0, 0.0), 2: (20.0, 0.0),
+                 3: (10.0, 100.0)}
+    a = _mk(_broadcast(0, 0.0), positions, [1])
+    b = _mk(_broadcast(3, 0.003), positions, [1], on_air=[a])
+    c = _mk(_broadcast(2, 0.005), positions, [1], on_air=[b])
+    assert 1 in a.rx_dbm and 1 in c.rx_dbm and 1 not in b.rx_dbm
+    assert a.jammed and b.jammed and c.jammed
+    assert deliver(a, {1}) == [1]
+    assert deliver(c, {1}) == [1]
 
 
 def test_sleeping_nodes_receive_nothing():
     positions = {0: (0.0, 0.0), 1: (5.0, 0.0), 2: (6.0, 0.0)}
     frame = _mk(_broadcast(0, 0.0), positions, [0])  # 1 and 2 asleep
-    assert deliver(frame, [frame], {0}) == []
+    assert deliver(frame, {0}) == []
 
 
 def test_out_of_range_receiver_misses():
     positions = {0: (0.0, 0.0), 1: (80.0, 0.0)}  # far below sensitivity
     frame = _mk(_broadcast(0, 0.0, power=-10.0), positions, [0, 1])
-    assert deliver(frame, [frame], {0, 1}) == []
+    assert deliver(frame, {0, 1}) == []
 
 
 def test_unicast_reaches_only_addressee():
     positions = {0: (0.0, 0.0), 1: (5.0, 0.0), 2: (5.0, 5.0)}
     msg = Message(MessageKind.PROBE_REPLY, 0, 1, -5.0, 0.0)
     frame = _mk(msg, positions, [0, 1, 2])
-    assert deliver(frame, [frame], {0, 1, 2}) == [1]
+    assert deliver(frame, {0, 1, 2}) == [1]
 
 
 def test_unicast_to_sleeping_addressee_fails():
     positions = {0: (0.0, 0.0), 1: (5.0, 0.0)}
     msg = Message(MessageKind.PROBE_REPLY, 0, 1, -5.0, 0.0)
     frame = _mk(msg, positions, [0])
-    assert deliver(frame, [frame], {0}) == []
+    assert deliver(frame, {0}) == []
 
 
 def test_below_sensitivity_frames_do_not_interfere():
     # an inaudible distant frame must not destroy a local reception
     positions = {0: (0.0, 0.0), 1: (5.0, 0.0), 2: (95.0, 0.0)}
     f1 = _mk(_broadcast(0, 0.0), positions, [0, 1, 2])
-    f2 = _mk(_broadcast(2, 0.001, power=-10.0), positions, [0, 1, 2])
-    in_flight = [f1, f2]
-    assert deliver(f1, in_flight, {0, 1}) == [1]
+    _mk(_broadcast(2, 0.001, power=-10.0), positions, [0, 1, 2], on_air=[f1])
+    assert deliver(f1, {0, 1}) == [1]
 
 
 def test_half_duplex_sender_blocks_reception():
     # node 1 transmits during node 0's frame: 1 cannot receive 0's frame
     positions = {0: (0.0, 0.0), 1: (5.0, 0.0), 2: (100.0, 100.0)}
     f1 = _mk(_broadcast(0, 0.0), positions, [0, 1])
-    f2 = _mk(_broadcast(1, 0.002), positions, [0, 1])
-    assert deliver(f1, [f1, f2], {0, 1}) == []
+    _mk(_broadcast(1, 0.002), positions, [0, 1], on_air=[f1])
+    assert deliver(f1, {0, 1}) == []
 
 
 def test_overhearers_excludes_sender_and_addressee():
     positions = {0: (0.0, 0.0), 1: (5.0, 0.0), 2: (5.0, 5.0), 3: (90.0, 90.0)}
     msg = Message(MessageKind.PROBE_REPLY, 0, 1, -5.0, 0.0)
     frame = _mk(msg, positions, [0, 1, 2, 3])
-    assert overhearers(frame, [frame], [0, 1, 2, 3]) == [2]
+    assert overhearers(frame, [0, 1, 2, 3]) == [2]
 
 
 def test_loss_free_three_node_line_without_collisions():
@@ -177,26 +191,27 @@ def test_loss_free_three_node_line_without_collisions():
     positions = {0: (0.0, 0.0), 1: (10.0, 0.0), 2: (20.0, 0.0)}
     for sender, expected in ((0, [1, 2]), (1, [0, 2]), (2, [0, 1])):
         frame = _mk(_broadcast(sender, 0.0), positions, [0, 1, 2])
-        assert deliver(frame, [frame], {0, 1, 2}) == expected
+        assert deliver(frame, {0, 1, 2}) == expected
 
 
 # -- oracle: delivery against a brute-force scan of every node ----------------
 
 @st.composite
 def air_scenes(draw):
-    """A small field with 1-3 frames on the air, some overlapping in time,
-    plus the awake sets at each frame's start and at resolution time."""
+    """A small field with 1-3 frames, some overlapping in time, plus the
+    awake sets at each frame's start and at resolution time. The frames
+    are made in start order, ties in drawn order, each with the frames
+    made before it on the air."""
     n = draw(st.integers(2, 10))
     coord = st.floats(0.0, 30.0)
     xs = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
     ys = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
     # drawn as complements: hypothesis favours small sets, and most nodes
-    # alive and awake keep the receptions and collisions frequent
+    # awake keep the receptions and collisions frequent
     node_sets = st.sets(st.integers(0, n - 1)).map(
         lambda left_out: set(range(n)) - left_out)
-    alive = np.isin(np.arange(n), list(draw(node_sets)))
     links = LinkRows(xs, ys, RADIO)
-    frames, awake_at = [], []
+    drawn = []
     for _ in range(draw(st.integers(1, 3))):
         sender = draw(st.integers(0, n - 1))
         kind = draw(st.sampled_from(MessageKind))
@@ -207,27 +222,33 @@ def air_scenes(draw):
         start = draw(st.sampled_from([0.0, 0.001, 0.002, 0.004, 0.006]))
         shadow = np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=n,
                                         max_size=n)))
-        awake = draw(node_sets)
-        msg = Message(kind, sender, addressee, power, start)
-        frames.append(make_frame(msg, links, alive, awake, RADIO, shadow))
-        awake_at.append(awake)
+        drawn.append((Message(kind, sender, addressee, power, start), shadow,
+                      draw(node_sets)))
+    drawn.sort(key=lambda item: item[0].tx_time)
+    frames = []
+    for msg, shadow, awake in drawn:
+        frames.append(make_frame(msg, links, awake, RADIO, shadow,
+                                 on_air=list(frames)))
+    awake_at = [awake for _, _, awake in drawn]
     return n, frames, awake_at, draw(node_sets), draw(node_sets)
 
 
-def _reference_receives(frame, nid, in_flight):
-    """The reception rule with its own sender and sensitivity checks, so it
-    does not lean on the power maps holding only audible receivers."""
+def _reference_receives(frame, nid, frames):
+    """The reception rule with its own overlap, sender and sensitivity
+    checks, so it leans neither on the power maps holding only audible
+    receivers nor on the jam sets."""
     def heard(f):  # nid hears f, or is busy sending it
         rx = f.rx_dbm.get(nid)
         return nid == f.msg.sender or (rx is not None
                                        and rx >= RADIO.sensitivity_dbm)
     if nid == frame.msg.sender or not heard(frame):
         return False
-    return not any(other is not frame and frame.overlaps(other) and heard(other)
-                   for other in in_flight)
+    return not any(other is not frame and frame.start < other.end
+                   and other.start < frame.end and heard(other)
+                   for other in frames)
 
 
-def _reference_deliver(n, frame, in_flight, awake_start, awake_now):
+def _reference_deliver(n, frame, frames, awake_start, awake_now):
     msg = frame.msg
     got = []
     for nid in range(n):
@@ -235,18 +256,18 @@ def _reference_deliver(n, frame, in_flight, awake_start, awake_now):
             continue
         if msg.addressee is not None and nid != msg.addressee:
             continue
-        if _reference_receives(frame, nid, in_flight):
+        if _reference_receives(frame, nid, frames):
             got.append(nid)
     return got
 
 
-def _reference_overhearers(n, frame, in_flight, awake_start, listeners):
+def _reference_overhearers(n, frame, frames, awake_start, listeners):
     msg = frame.msg
     got = []
     for nid in range(n):
         if nid in (msg.sender, msg.addressee) or nid not in listeners:
             continue
-        if nid in awake_start and _reference_receives(frame, nid, in_flight):
+        if nid in awake_start and _reference_receives(frame, nid, frames):
             got.append(nid)
     return got
 
@@ -256,22 +277,22 @@ def _reference_overhearers(n, frame, in_flight, awake_start, listeners):
 def test_delivery_matches_brute_force_scan(scene):
     n, frames, awake_at, awake_now, listeners = scene
     for frame, awake_start in zip(frames, awake_at):
-        assert deliver(frame, frames, awake_now) == \
+        assert deliver(frame, awake_now) == \
             _reference_deliver(n, frame, frames, awake_start, awake_now)
-        assert overhearers(frame, frames, listeners) == \
+        assert overhearers(frame, listeners) == \
             _reference_overhearers(n, frame, frames, awake_start, listeners)
 
 
 # -- oracle: frames over link rows against the full field ---------------------
 
 
-def reference_frame(msg, xs, ys, alive, awake_ids, radio, shadow=None):
+def reference_frame(msg, xs, ys, awake_ids, radio, shadow=None):
     """The frame computed at every node, then cut to the audible ones."""
     d = np.hypot(xs - xs[msg.sender], ys - ys[msg.sender])
     rx = msg.tx_power_dbm - path_loss_db(radio, d)
     if shadow is not None:
         rx = rx - shadow
-    audible = (rx >= radio.sensitivity_dbm) & alive
+    audible = rx >= radio.sensitivity_dbm
     audible[msg.sender] = False
     idx = np.flatnonzero(audible)
     rx_map = dict(zip(idx.tolist(), rx[idx].tolist()))
@@ -299,8 +320,6 @@ def frame_sequences(draw):
     ys = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
     if draw(st.booleans()):  # co-located nodes hit the 1 cm clamp
         xs[-1], ys[-1] = xs[0], ys[0]
-    alive = np.ones(n, dtype=bool)
-    alive[list(draw(st.sets(st.integers(0, n - 1), max_size=n // 2)))] = False
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     frames = []
     for _ in range(draw(st.integers(1, 6))):
@@ -315,32 +334,31 @@ def frame_sequences(draw):
         awake = draw(st.sets(st.integers(0, n - 1)))
         frames.append((Message(MessageKind.PROBE, sender, None, power, 0.0),
                        shadow, awake))
-    return radio, xs, ys, alive, frames
+    return radio, xs, ys, frames
 
 
 @settings(max_examples=300, deadline=None)
 @given(frame_sequences())
 def test_frames_over_link_rows_match_the_full_field(scene):
-    radio, xs, ys, alive, frames = scene
+    radio, xs, ys, frames = scene
     links = LinkRows(xs, ys, radio)
     for msg, shadow, awake in frames:
-        assert_same_frame(make_frame(msg, links, alive, awake, radio, shadow),
-                          reference_frame(msg, xs, ys, alive, awake, radio, shadow))
+        assert_same_frame(make_frame(msg, links, awake, radio, shadow),
+                          reference_frame(msg, xs, ys, awake, radio, shadow))
 
 
 def test_tail_draw_past_the_row_rebuilds_it():
     # node 2 sits 60 m out: inaudible at -10 dBm unless its draw is -8 sigma
     radio = RadioConfig(shadowing_sigma_db=4.0)
     xs, ys = np.array([0.0, 5.0, 60.0]), np.zeros(3)
-    alive = np.ones(3, dtype=bool)
     links = LinkRows(xs, ys, radio)
     msg = Message(MessageKind.PROBE, 0, None, -10.0, 0.0)
     calm = np.zeros(3)
-    assert list(make_frame(msg, links, alive, {1, 2}, radio, calm).rx_dbm) == [1]
+    assert list(make_frame(msg, links, {1, 2}, radio, calm).rx_dbm) == [1]
     assert links.row(0, -math.inf)[0].tolist() == [1]
     tail = np.array([0.0, 0.0, -8.0 * radio.shadowing_sigma_db])
-    frame = make_frame(msg, links, alive, {1, 2}, radio, tail)
-    assert_same_frame(frame, reference_frame(msg, xs, ys, alive, {1, 2}, radio, tail))
+    frame = make_frame(msg, links, {1, 2}, radio, tail)
+    assert_same_frame(frame, reference_frame(msg, xs, ys, {1, 2}, radio, tail))
     assert list(frame.rx_dbm) == [1, 2]
 
 

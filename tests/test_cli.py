@@ -149,6 +149,11 @@ def test_sweep_layout_and_aggregate(tmp_path):
     assert lines[1] == ("axis_value,rep,energy_total_j,energy_mean_j,"
                         "components,coverage_final")
     assert len(lines) == 2 + 4
+    for line in lines[2:]:
+        fields = line.split(",")
+        assert len(fields) == 6
+        for text in fields:
+            float(text)  # a number, not a repr such as np.float64(...)
 
 
 def test_sweep_seed_derivation_per_rep(tmp_path):
@@ -172,6 +177,31 @@ def test_sweep_checks_every_value_before_running(tmp_path, capsys):
                    "--values", "8,0", "--out", str(out)) == 2
     assert "node_count" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+    # a value listed twice would run twice into one directory
+    assert run_cli("sweep", "--nodes", "8", "--duration", "5", "--field",
+                   "60x60", "--grid-step", "5", "--axis", "beta",
+                   "--values", "1,2,1", "--out", str(out)) == 2
+    assert "twice" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_config_file_is_named_only_for_its_own_values(tmp_path, capsys):
+    ok = tmp_path / "ok.cfg"
+    ok.write_text("nodes=8\n")
+    assert run_cli("run", "--config", str(ok), "--duration", "0",
+                   "--out", str(tmp_path / "x")) == 2
+    err = capsys.readouterr().err
+    assert "duration" in err and str(ok) not in err
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("nodes=8\nduration=0\n")
+    assert run_cli("run", "--config", str(bad), "--out", str(tmp_path / "y")) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: " in err and "duration" in err
+    # a flag that overrides the file's bad value clears the file
+    assert run_cli("run", "--config", str(bad), "--duration", "1",
+                   "--nodes", "0", "--out", str(tmp_path / "z")) == 2
+    err = capsys.readouterr().err
+    assert "node_count" in err and str(bad) not in err
 
 
 @pytest.mark.parametrize("key,flag,line", [

@@ -109,7 +109,8 @@ def test_census_and_cached_metrics_match_a_recount():
 def test_invariants_hold_after_every_event(name):
     # the documented invariants, checked after every event of the golden
     # runs: census, the kept id sets, one live heap entry per guard timer,
-    # no stale frames on the air, and energy that only grows
+    # exactly the frames with a pending delivery on the air, and energy
+    # that only grows
     flat, sentinel_failures = GOLDEN_RUNS[name]
     cfg = RunConfig.from_flat(flat)
     timer_driven = cfg.link_control.uses_conn_timer
@@ -126,11 +127,16 @@ def test_invariants_hold_after_every_event(name):
         guards = by_status[NodeStatus.ACTIVE]
         assert sim._guard_ids == guards
         assert sim._awake_ids == by_status[NodeStatus.PROBE] | guards
+        keys = {}
+        for time, seq, queued in sim.engine._queue:
+            if not queued.cancelled:
+                keys.setdefault(queued, []).append((time, seq))
+        pending = [queued.payload for queued in keys
+                   if queued.kind is EventKind.MSG_DELIVERY]
+        assert len(sim.frames) == len(set(sim.frames)) == len(pending)
+        assert set(sim.frames) == set(pending)
+        assert all(frame.end >= sim.now for frame in sim.frames)
         if timer_driven and guards:
-            keys = {}
-            for time, seq, queued in sim.engine._queue:
-                if not queued.cancelled:
-                    keys.setdefault(queued, []).append((time, seq))
             for gid in guards:
                 timer = sim.nodes[gid].conn_timer
                 assert timer is not None
@@ -139,10 +145,7 @@ def test_invariants_hold_after_every_event(name):
                 assert key <= (timer.time, timer.seq)
                 seen["moved"] += key < (timer.time, timer.seq)
             seen["guard_checks"] += 1
-        if ev.kind is EventKind.MSG_DELIVERY:
-            horizon = sim.now - cfg.radio.tx_duration_s
-            assert all(frame.end > horizon for frame in sim.frames)
-        elif ev.kind is EventKind.METRIC_SAMPLE:
+        if ev.kind is EventKind.METRIC_SAMPLE:
             spent = sim.energy.node_totals()
             if last_energy[0] is not None:
                 assert (spent >= last_energy[0]).all()
@@ -264,8 +267,8 @@ def test_colliding_senders_still_pay_for_their_frames():
     import sentinet.channel as chan_mod
     original = chan_mod.deliver
 
-    def spy(frame, in_flight, awake_now):
-        got = original(frame, in_flight, awake_now)
+    def spy(frame, awake_now):
+        got = original(frame, awake_now)
         delivered.extend(got)
         return got
 
@@ -284,6 +287,42 @@ def test_colliding_senders_still_pay_for_their_frames():
     for node in sim.nodes.values():
         assert sim.energy.joules[TX, node.id] == pytest.approx(
             cfg.energy.tx_draw(-10.0) * cfg.radio.tx_duration_s)
+
+
+def test_frame_starting_as_another_ends_does_not_collide(monkeypatch):
+    # node 1's transmission starts at the instant node 0's frame ends, and
+    # runs before that frame's delivery: both frames are on the air then,
+    # yet neither jams the other, and each reaches the two other nodes
+    cfg = zero_shadow(RunConfig(node_count=3, duration=10.0, seed=1,
+                                grid_step=5.0))
+    sim = Simulation(cfg, positions={0: (50.0, 50.0), 1: (55.0, 50.0),
+                                     2: (52.0, 50.0)})
+    delivered, on_air = {}, []
+    import sentinet.channel as chan_mod
+    original = chan_mod.deliver
+
+    def spy(frame, awake_now):
+        got = original(frame, awake_now)
+        if frame.msg.kind is MessageKind.PROBE:
+            delivered[frame.msg.sender] = got
+        return got
+
+    def note_on_air(sim, ev):
+        if ev.kind is EventKind.TX_START and not on_air:
+            on_air.extend(sim.frames)
+
+    monkeypatch.setattr(chan_mod, "deliver", spy)
+    for node in sim.nodes.values():
+        node.status = NodeStatus.ACTIVE  # bypass protocol: stay awake
+        sim.note_transition(node, NodeStatus.SLEEP, NodeStatus.ACTIVE)
+    sim.post_event_hook = note_on_air
+    sim.send(sim.nodes[1], MessageKind.PROBE, None, cfg.radio.tx_duration_s)
+    sim._transmit(sim.nodes[0], MessageKind.PROBE, None)
+    sim.engine.run_until(0.01)
+    first, second = on_air
+    assert first.end == second.start
+    assert first.jammed == second.jammed == set()
+    assert delivered == {0: [1, 2], 1: [0, 2]}
 
 
 def test_summary_carries_run_metadata():
