@@ -116,6 +116,30 @@ def compute_lqi(radio: RadioConfig, rx_dbm: float) -> int:
     return int(math.floor(10.0 * frac + 0.5))
 
 
+def weak_link_floor(radio: RadioConfig) -> float:
+    """The least received power whose LQI reaches the threshold.
+
+    LQI never falls as the power grows, so a reception is weak (LQI below
+    the threshold) exactly when its power is below this floor: -inf when
+    every LQI qualifies (threshold <= 0), +inf when none does (above 10).
+    """
+    threshold = radio.lqi_threshold
+    if threshold <= 0:
+        return -math.inf
+    if threshold > 10:
+        return math.inf
+    # LQI >= t exactly when rx >= noise + snr_min + span * (t - 0.5) / 10;
+    # the steps settle the rounding at that boundary
+    span = radio.lqi_snr_max_db - radio.lqi_snr_min_db
+    floor = (radio.noise_floor_dbm + radio.lqi_snr_min_db
+             + span * (math.ceil(threshold) - 0.5) / 10.0)
+    while compute_lqi(radio, floor) < threshold:
+        floor = math.nextafter(floor, math.inf)
+    while compute_lqi(radio, math.nextafter(floor, -math.inf)) >= threshold:
+        floor = math.nextafter(floor, -math.inf)
+    return floor
+
+
 def path_loss_db(radio: RadioConfig, distance: np.ndarray) -> np.ndarray:
     """Log-distance path loss over an array of distances; the received
     power without shadowing is ``tx_power - path_loss_db(radio, d)``."""

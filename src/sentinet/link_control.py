@@ -1,12 +1,14 @@
 """Guard-to-guard link control: connectivity rounds and power escalation.
 
 Every guard runs a random connectivity timer t_c; on expiry it broadcasts a
-connectivity frame and peers answer by unicast. Each reply's LQI is judged
-against the configured threshold: a weak link bumps the guard's transmit
-power one level up (never down), and every judged reply re-arms the timer.
-Re-arming moves the pending timer through ``ctx.reschedule_event``, which
-the engine does in place when the new expiry is no earlier, so a piece of
-evidence costs one t_c draw rather than a cancelled heap event.
+connectivity frame and peers answer by unicast. The simulation judges each
+reply's LQI against the configured threshold, by comparing its power with
+the weak-link floor (``channel.weak_link_floor``), and passes the verdict
+on: a weak link bumps the guard's transmit power one level up (never down),
+and every judged reply re-arms the timer. Re-arming moves the pending timer
+through ``ctx.reschedule_event``, which the engine does in place whether
+the new expiry is earlier or later, so a piece of evidence costs one t_c
+draw and no new heap event.
 In piggybacked mode the same judgement is also applied to probe replies a
 guard receives from other guards, and those resets postpone the standalone
 rounds, which is where the control-overhead saving comes from: a guard
@@ -67,11 +69,11 @@ def on_conn_received(node: Node, msg, ctx) -> None:
     ctx.send(node, MessageKind.CONN_REPLY, msg.sender, delay)
 
 
-def on_link_evidence(node: Node, lqi: int, ctx) -> None:
-    """Judge one measured reply: weak links escalate power; timer resets."""
+def on_link_evidence(node: Node, weak: bool, ctx) -> None:
+    """Act on one judged reply: a weak link escalates power; timer resets."""
     if node.status is not NodeStatus.ACTIVE:
         return
-    if lqi < ctx.config.radio.lqi_threshold:
+    if weak:
         escalate_power(node, ctx.config.radio)
     if ctx.config.link_control.uses_conn_timer:
         t_c = draw_t_c(node, ctx)

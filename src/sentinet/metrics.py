@@ -19,7 +19,7 @@ import os
 
 import numpy as np
 
-from .channel import LinkRows, RadioConfig, lqi_array
+from .channel import LinkRows, RadioConfig, lqi_array, weak_link_floor
 
 CSV_HEADER = ("time_s,n_sleep,n_probe,n_active,n_dead,coverage,components,"
               "isolated,msgs_probe,msgs_probe_reply,msgs_conn,msgs_conn_reply,"
@@ -91,13 +91,9 @@ def coverage_fraction(xs, ys, field_width: float, field_height: float,
 def _lqi_cap(radio: RadioConfig, tx: float) -> float:
     """A path loss past which a ``tx`` dBm transmission arrives below the
     LQI threshold (for a threshold of 1 or more)."""
-    # LQI >= t exactly when rx >= noise + snr_min + span * (t - 0.5) / 10;
-    # the loop steps past any rounding at that boundary
-    span = radio.lqi_snr_max_db - radio.lqi_snr_min_db
-    boundary = (radio.noise_floor_dbm + radio.lqi_snr_min_db
-                + span * (radio.lqi_threshold - 0.5) / 10.0)
-    cap = tx - boundary
-    while lqi_array(radio, tx - cap) >= radio.lqi_threshold:
+    floor = weak_link_floor(radio)
+    cap = tx - floor
+    while tx - cap >= floor:  # the subtraction rounded down
         cap = math.nextafter(cap, math.inf)
     return cap
 

@@ -54,6 +54,8 @@ class Simulation:
         self.rows: list[dict] = []
         self.failure_log: list[dict] = []
         self._sigma = config.radio.shadowing_sigma_db
+        self._base_power = config.radio.power_levels[0]
+        self._weak_floor = chan.weak_link_floor(config.radio)
         self._component_cache: tuple = (None, None)
 
         deploy = self.engine.rng(None, "deploy")
@@ -184,18 +186,19 @@ class Simulation:
         self.frames.append(frame)
         self.engine.schedule(frame.end, None, EventKind.MSG_DELIVERY, payload=frame)
 
-    def _link_evidence_lqi(self, frame: chan.Frame, rid: int) -> int:
-        """Link quality normalized to the base power level.
+    def _weak_link(self, frame: chan.Frame, rid: int) -> bool:
+        """Whether the link quality, normalized to the base power level, is
+        below the LQI threshold.
 
         Replies carry their transmit power, so the receiver can judge the
         path itself rather than the momentary reception; otherwise a guard
         that escalated first would mask the weak link from its peer and the
-        pair would never converge to a working power pair.
+        pair would never converge to a working power pair. LQI never falls
+        as the power grows, so the normalized power is compared with the
+        run's weak-link floor instead of being mapped to an LQI.
         """
-        radio = self.config.radio
-        normalized = (frame.rx_dbm[rid] - frame.msg.tx_power_dbm
-                      + radio.power_levels[0])
-        return chan.compute_lqi(radio, normalized)
+        return ((frame.rx_dbm[rid] - frame.msg.tx_power_dbm) + self._base_power
+                < self._weak_floor)
 
     def _resolve_frame(self, frame: chan.Frame) -> None:
         self.frames.remove(frame)
@@ -212,16 +215,16 @@ class Simulation:
                     # a reply landing on a node that already stood guard is
                     # guard-to-guard link evidence, not a probe answer
                     link_control.on_link_evidence(
-                        node, self._link_evidence_lqi(frame, rid), self)
+                        node, self._weak_link(frame, rid), self)
             elif kind is chan.MessageKind.CONN:
                 link_control.on_conn_received(node, frame.msg, self)
             elif kind is chan.MessageKind.CONN_REPLY:
                 link_control.on_link_evidence(
-                    node, self._link_evidence_lqi(frame, rid), self)
+                    node, self._weak_link(frame, rid), self)
         if frame.msg.kind is chan.MessageKind.PROBE_REPLY and mode.uses_piggyback:
             for rid in chan.overhearers(frame, self._guard_ids):
                 link_control.on_link_evidence(
-                    self.nodes[rid], self._link_evidence_lqi(frame, rid), self)
+                    self.nodes[rid], self._weak_link(frame, rid), self)
 
     # -- failures -----------------------------------------------------------
 

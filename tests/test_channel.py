@@ -1,12 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sentinet.channel import (UNICAST_KINDS, Frame, LinkRows, Message,
                               MessageKind, RadioConfig, compute_lqi, deliver,
                               make_frame, overhearers, path_loss_db,
-                              rx_power_dbm)
+                              rx_power_dbm, weak_link_floor)
 
 RADIO = RadioConfig()
 
@@ -51,10 +51,13 @@ def test_rx_power_clamps_colocated_nodes():
 
 @given(st.floats(0.01, 1000.0), st.floats(0.011, 1000.0))
 def test_rx_power_strictly_decreasing_in_distance(d1, d2):
-    if d1 == d2:
-        return
     lo, hi = sorted((d1, d2))
-    assert rx_power_dbm(RADIO, -5.0, lo) > rx_power_dbm(RADIO, -5.0, hi)
+    near, far = rx_power_dbm(RADIO, -5.0, lo), rx_power_dbm(RADIO, -5.0, hi)
+    assert near >= far
+    # distances an ulp or so apart can round to the same loss; any real
+    # gap in distance shows in the power
+    if hi > lo * (1 + 1e-9):
+        assert near > far
 
 
 def test_lqi_saturation():
@@ -78,6 +81,35 @@ def test_lqi_monotone_in_rx_power(a, b):
 def test_lqi_range():
     for rx in (-150.0, -101.0, -95.0, -88.0, -80.0, -50.0):
         assert 0 <= compute_lqi(RADIO, rx) <= 10
+
+
+@settings(max_examples=300, deadline=None)
+@given(noise=st.floats(-120.0, -60.0), snr_min=st.floats(-10.0, 10.0),
+       span=st.floats(0.1, 40.0), threshold=st.integers(-3, 13),
+       offsets=st.lists(st.floats(-30.0, 30.0), max_size=5))
+# radios whose analytic boundary rounds below the floor and above it
+@example(noise=-120.0, snr_min=-10.0, span=0.5, threshold=2, offsets=[])
+@example(noise=-79.0, snr_min=10.0, span=39.0, threshold=10, offsets=[])
+def test_weak_link_floor_matches_lqi(noise, snr_min, span, threshold, offsets):
+    # the floor oracle: a power is below the floor exactly when its LQI is
+    # below the threshold, checked at the floor, an ulp either side and
+    # powers around it (around the boundary, for an infinite floor)
+    radio = RadioConfig(noise_floor_dbm=noise, sensitivity_dbm=noise,
+                        lqi_snr_min_db=snr_min, lqi_snr_max_db=snr_min + span,
+                        lqi_threshold=threshold)
+    floor = weak_link_floor(radio)
+    if threshold <= 0:
+        assert floor == -math.inf
+    elif threshold > 10:
+        assert floor == math.inf
+    else:
+        assert math.isfinite(floor)
+    centre = floor if math.isfinite(floor) else noise + snr_min + span / 2
+    powers = [centre, math.nextafter(centre, -math.inf),
+              math.nextafter(centre, math.inf), noise - 500.0, noise + 500.0]
+    powers += [centre + d for d in offsets]
+    for rx in powers:
+        assert (rx < floor) == (compute_lqi(radio, rx) < threshold), rx
 
 
 # -- frame delivery ----------------------------------------------------------

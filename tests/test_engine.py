@@ -1,9 +1,10 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sentinet.engine import ClockViolationError, Engine, EventKind
+from sentinet.engine import _BLOCK, ClockViolationError, Engine, EventKind
 
 
 def collect(engine):
@@ -126,17 +127,45 @@ def test_reschedule_later_moves_the_event_in_place():
 
 
 def test_reschedule_earlier_or_spent_handle_schedules_anew():
+    # an earlier move is made in place too; only a spent handle is replaced
     eng = Engine(seed=1)
     seen = collect(eng)
     handle = eng.schedule(5.0, 1, EventKind.CONN_TIMER_EXPIRED)
     moved = eng.reschedule(handle, 4.0)
-    assert moved is not handle and handle.cancelled
+    assert moved is handle and not handle.cancelled
+    assert len(eng._queue) == 2  # filed anew at 4.0; the 5.0 entry is stale
     eng.run_until(4.5)
     again = eng.reschedule(moved, 6.0)  # dispatched: a new event
     assert again is not moved
     eng.run_until(10.0)
     assert seen == [(4.0, 1, EventKind.CONN_TIMER_EXPIRED),
                     (6.0, 1, EventKind.CONN_TIMER_EXPIRED)]
+    assert eng._queue == []
+
+
+def test_reschedule_earlier_behind_the_clock_rejected():
+    eng = Engine(seed=1)
+    handle = eng.schedule(8.0, 1, EventKind.CONN_TIMER_EXPIRED)
+    eng.run_until(7.0)
+    with pytest.raises(ClockViolationError):
+        eng.reschedule(handle, 6.5)
+    assert (handle.time, handle.seq) == (8.0, 0)
+
+
+class CancelAndSchedule(Engine):
+    """The engine with every earlier move made as a cancel and a schedule,
+    so each event has one heap entry: the heap work moves in place must
+    match."""
+
+    def reschedule(self, event, time):
+        if not (event.cancelled or event.dispatched) and time < event.time:
+            self.cancel(event)
+            return self.schedule(time, event.target, event.kind, event.payload)
+        return super().reschedule(event, time)
+
+
+def heap_keys(engine):
+    return sorted((time, seq) for time, seq, _ in engine._queue)
 
 
 class ReferenceQueue:
@@ -179,11 +208,14 @@ STEPS = st.integers(0, 6).map(lambda k: 0.5 * k)
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_reschedule_dispatches_like_cancel_and_schedule(data):
-    eng, ref = Engine(seed=1), ReferenceQueue()
+    # against a reference that only cancels and schedules, and against the
+    # engine that makes earlier moves that way, whose heap must hold the
+    # same keys after every step
+    eng, ref, base = Engine(seed=1), ReferenceQueue(), CancelAndSchedule(seed=1)
     seen, last_key, fired = [], [(-1.0, -1)], set()  # fired keeps events alive
 
     def handler(ev):
-        # a re-filed entry must never get here: each event fires once, at
+        # a stale entry must never get here: each event fires once, at
         # its current key, in key order
         assert not ev.cancelled and ev not in fired
         assert ev.time == eng.clock and (ev.time, ev.seq) > last_key[0]
@@ -192,39 +224,60 @@ def test_reschedule_dispatches_like_cancel_and_schedule(data):
         seen.append((ev.time, ev.target, ev.kind))
 
     eng.handler = handler
-    handles = []  # [engine handle, reference seq]; spent handles stay
+
+    def run(t_end):
+        summary = eng.run_until(t_end)
+        ref.run_until(t_end)
+        base.run_until(t_end)
+        assert summary.dispatched == ref.counts
+
+    def move(handles):
+        handle = handles[0]
+        # later, equal or earlier than the handle's time, never behind the
+        # clock; spent handles included
+        time = max(eng.clock, handle.time + data.draw(STEPS) - 1.5)
+        ref.cancel(handles[1])
+        handles[:] = [eng.reschedule(handle, time),
+                      ref.schedule(time, handle.target, handle.kind),
+                      base.reschedule(handles[2], time)]
+
+    handles = []  # [engine handle, reference seq, base handle]; spent stay
     for _ in range(data.draw(st.integers(1, 40))):
         op = data.draw(st.sampled_from(
-            ["schedule", "schedule", "cancel", "reschedule", "reschedule", "run"]))
+            ["schedule", "schedule", "cancel", "reschedule", "reschedule",
+             "chain", "run"]))
         if op == "schedule" or not handles and op != "run":
             time = eng.clock + data.draw(STEPS)
             target = data.draw(st.integers(0, 3))
             kind = data.draw(st.sampled_from(KINDS))
             handles.append([eng.schedule(time, target, kind),
-                            ref.schedule(time, target, kind)])
+                            ref.schedule(time, target, kind),
+                            base.schedule(time, target, kind)])
         elif op == "cancel":
             pair = data.draw(st.sampled_from(handles))
             eng.cancel(pair[0])
             ref.cancel(pair[1])
+            base.cancel(pair[2])
         elif op == "reschedule":
-            pair = data.draw(st.sampled_from(handles))
-            handle = pair[0]
-            # later, equal or earlier than the handle's time, never behind
-            # the clock; spent handles included
-            time = max(eng.clock, handle.time + data.draw(STEPS) - 1.5)
-            ref.cancel(pair[1])
-            pair[:] = [eng.reschedule(handle, time),
-                       ref.schedule(time, handle.target, handle.kind)]
+            move(data.draw(st.sampled_from(handles)))
+        elif op == "chain":
+            # 2-4 moves of one handle, earlier and later mixed, the queue
+            # run between some of them
+            chained = data.draw(st.sampled_from(handles))
+            for _ in range(data.draw(st.integers(2, 4))):
+                if data.draw(st.booleans()):
+                    run(eng.clock + data.draw(STEPS))
+                move(chained)
         else:
-            t_end = eng.clock + data.draw(STEPS)
-            summary = eng.run_until(t_end)
-            ref.run_until(t_end)
-            assert summary.dispatched == ref.counts
+            run(eng.clock + data.draw(STEPS))
+        assert heap_keys(eng) == heap_keys(base)
     summary = eng.run_until(eng.clock + 10.0)
     ref.run_until(ref.clock + 10.0)
+    base.run_until(base.clock + 10.0)
     assert seen == ref.seen
     assert summary.dispatched == ref.counts and summary.clock == ref.clock
     assert eng._next_seq == ref.next_seq  # sequence numbers used up alike
+    assert heap_keys(eng) == heap_keys(base)
 
 
 # -- randomness ---------------------------------------------------------------
@@ -273,3 +326,73 @@ def test_identical_runs_identical_traces():
 
     assert trace(42) == trace(42)
     assert trace(42) != trace(43)
+
+
+class PlantedZeros:
+    """A generator whose draws at the given positions read 0.0."""
+
+    def __init__(self, gen, zeros):
+        self.gen, self.zeros, self.drawn = gen, zeros, 0
+
+    def random(self, size=None):
+        first = self.drawn
+        if size is None:
+            self.drawn += 1
+            value = self.gen.random()
+            return 0.0 if first in self.zeros else value
+        self.drawn += size
+        values = self.gen.random(size)
+        values[[i - first for i in self.zeros if first <= i < self.drawn]] = 0.0
+        return values
+
+
+class PlantedEngine(Engine):
+    def __init__(self, seed, zeros):
+        super().__init__(seed)
+        self.zeros = zeros  # (node, stream) -> positions planted with 0.0
+
+    def rng(self, node_id, stream):
+        gen = self._rngs.get((node_id, stream))
+        if gen is None:
+            gen = self._rngs[node_id, stream] = PlantedZeros(
+                super().rng(node_id, stream), self.zeros.get((node_id, stream), ()))
+        return gen
+
+
+def scalar_draws(seed, node, stream, zeros=()):
+    """The scalar reference: a fresh generator, one ``random()`` a draw,
+    zeros retried."""
+    index = {"sleep": 0, "conn": 2}[stream]
+    key = (0xFFFFFFFF if node is None else node, index)
+    gen = PlantedZeros(np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=key))), zeros)
+    while True:
+        u = gen.random()
+        if u != 0.0:
+            yield u
+
+
+SUBSTREAMS = [(node, stream) for node in (None, 0, 1, 7)
+              for stream in ("sleep", "conn")]
+# planted zeros: a few anywhere in the first blocks, or a whole block
+ZEROS = st.one_of(
+    st.sets(st.integers(0, 3 * _BLOCK + 1), max_size=6),
+    st.integers(0, 2).map(lambda b: set(range(1 + b * _BLOCK, 1 + (b + 1) * _BLOCK))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       order=st.lists(st.sampled_from(SUBSTREAMS), max_size=200),
+       zeros=st.dictionaries(st.sampled_from(SUBSTREAMS), ZEROS, max_size=3))
+def test_block_draws_match_scalar_draws(seed, order, zeros):
+    # the uniform oracle: block-served draws under any interleaving of
+    # nodes and streams equal scalar draws from fresh generators, zeros
+    # (planted ones included) skipped alike; a first draw makes no block
+    eng = PlantedEngine(seed, zeros)
+    refs = {key: scalar_draws(seed, *key, zeros.get(key, ())) for key in SUBSTREAMS}
+    drawn = set()
+    for key in order:
+        assert eng.uniform(*key) == next(refs[key])
+        if key not in drawn:
+            assert key not in eng._blocks
+            drawn.add(key)

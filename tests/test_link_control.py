@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
 from conftest import FakeCtx
-from sentinet.channel import Message, MessageKind
+from sentinet.channel import Message, MessageKind, compute_lqi, weak_link_floor
 from sentinet.config import LinkControlMode, RunConfig
 from sentinet.engine import EventKind
 from sentinet.link_control import (draw_t_c, escalate_power,
@@ -74,7 +76,7 @@ def test_reserves_ignore_conn_frames(ctx):
 def test_strong_evidence_keeps_power_and_resets_timer(ctx):
     node = guard()
     node.conn_timer = ctx.schedule_event(9.0, 0, EventKind.CONN_TIMER_EXPIRED)
-    on_link_evidence(node, 8, ctx)
+    on_link_evidence(node, False, ctx)
     assert node.tx_power == -10.0
     assert ctx.cancelled  # the old timer was replaced
     assert node.conn_timer is not ctx.cancelled[0]
@@ -82,27 +84,33 @@ def test_strong_evidence_keeps_power_and_resets_timer(ctx):
 
 def test_weak_evidence_escalates_one_level(ctx):
     node = guard()
-    on_link_evidence(node, 5, ctx)
+    on_link_evidence(node, True, ctx)
     assert node.tx_power == -5.0
 
 
 def test_weak_evidence_at_top_level_saturates(ctx):
     node = guard(power=-5.0)
-    on_link_evidence(node, 5, ctx)
+    on_link_evidence(node, True, ctx)
     assert node.tx_power == -5.0
     assert ctx.of_kind(EventKind.CONN_TIMER_EXPIRED)  # timer still reset
 
 
 def test_threshold_boundary_is_strong(ctx):
+    # a reply at the weak-link floor has the threshold LQI: it is not weak,
+    # and a reply an ulp below the floor is
+    radio = ctx.config.radio
+    floor = weak_link_floor(radio)
+    assert compute_lqi(radio, floor) == radio.lqi_threshold
+    assert compute_lqi(radio, math.nextafter(floor, -math.inf)) < radio.lqi_threshold
     node = guard()
-    on_link_evidence(node, ctx.config.radio.lqi_threshold, ctx)
+    on_link_evidence(node, False, ctx)
     assert node.tx_power == -10.0
 
 
 def test_evidence_ignored_for_non_guards(ctx):
     node = make_node(status=NodeStatus.PROBE)
     node.tx_power = -10.0
-    on_link_evidence(node, 1, ctx)
+    on_link_evidence(node, True, ctx)
     assert node.tx_power == -10.0
     assert ctx.scheduled == []
 
@@ -110,7 +118,7 @@ def test_evidence_ignored_for_non_guards(ctx):
 def test_power_stays_in_configured_domain(ctx):
     node = guard()
     for _ in range(5):
-        on_link_evidence(node, 0, ctx)
+        on_link_evidence(node, True, ctx)
         assert node.tx_power in ctx.config.radio.power_levels
     assert node.tx_power == max(ctx.config.radio.power_levels)
 
@@ -118,8 +126,8 @@ def test_power_stays_in_configured_domain(ctx):
 def test_power_never_decreases(ctx):
     node = guard()
     seen = [node.tx_power]
-    for lqi in (9, 3, 10, 0, 7):
-        on_link_evidence(node, lqi, ctx)
+    for weak in (False, True, False, True, False):
+        on_link_evidence(node, weak, ctx)
         seen.append(node.tx_power)
     assert seen == sorted(seen)
 

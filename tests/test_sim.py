@@ -1,13 +1,16 @@
 import dataclasses
 import gc
+import math
 import weakref
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import zero_shadow
 from sentinet import (LinkControlMode, RunConfig, Simulation, run_simulation)
-from sentinet.channel import MessageKind
+from sentinet.channel import (Frame, Message, MessageKind, compute_lqi,
+                              weak_link_floor)
 from sentinet.energy import TX
 from sentinet.engine import EventKind
 from sentinet.metrics import sentinel_components
@@ -108,7 +111,7 @@ def test_census_and_cached_metrics_match_a_recount():
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_invariants_hold_after_every_event(name):
     # the documented invariants, checked after every event of the golden
-    # runs: census, the kept id sets, one live heap entry per guard timer,
+    # runs: census, the kept id sets, a guard timer's heap entries,
     # exactly the frames with a pending delivery on the air, and energy
     # that only grows
     flat, sentinel_failures = GOLDEN_RUNS[name]
@@ -141,9 +144,17 @@ def test_invariants_hold_after_every_event(name):
                 timer = sim.nodes[gid].conn_timer
                 assert timer is not None
                 assert not timer.cancelled and not timer.dispatched
-                [key] = keys[timer]
-                assert key <= (timer.time, timer.seq)
-                seen["moved"] += key < (timer.time, timer.seq)
+                # exactly one entry at its current key, or its newest filed
+                # entry keyed below that key (moved later since); any other
+                # entries are stale ones left by earlier moves
+                current = (timer.time, timer.seq)
+                [newest] = [key for key in keys[timer] if key[1] == timer.filed]
+                assert keys[timer].count(current) == (newest == current)
+                assert newest <= current
+                assert all(key[1] < timer.filed for key in keys[timer]
+                           if key != newest)
+                seen["moved"] += newest < current
+                seen["earlier"] += len(keys[timer]) > 1
             seen["guard_checks"] += 1
         if ev.kind is EventKind.METRIC_SAMPLE:
             spent = sim.energy.node_totals()
@@ -157,8 +168,9 @@ def test_invariants_hold_after_every_event(name):
     result = sim.run()
     assert seen["events"] == sum(result.summary["totals"]["events"].values())
     if timer_driven:
-        # the checks saw guards, and timers moved in place
-        assert seen["guard_checks"] > 0 and seen["moved"] > 0
+        # the checks saw guards, and timers moved in place both ways
+        assert seen["guard_checks"] > 0
+        assert seen["moved"] > 0 and seen["earlier"] > 0
 
 
 def test_rows_strictly_increasing_in_time():
@@ -255,6 +267,25 @@ def test_piggybacked_reduces_conn_traffic_vs_standalone():
     alone = results[LinkControlMode.STANDALONE]
     assert piggy["conn"] < alone["conn"]
     assert sum(piggy.values()) <= sum(alone.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(threshold=st.integers(1, 10), tx=st.sampled_from((-10.0, -5.0)),
+       offset=st.floats(-2.0, 2.0), ulps=st.integers(-3, 3))
+def test_weak_link_verdict_matches_the_normalized_lqi(threshold, tx, offset, ulps):
+    # the verdict a guard acts on is the LQI of the reply's power,
+    # normalized to the base level, against the threshold; powers land
+    # around the floor, down to single ulps
+    radio = dataclasses.replace(RunConfig().radio, lqi_threshold=threshold)
+    sim = Simulation(small_config(radio=radio))
+    base = radio.power_levels[0]
+    rx = weak_link_floor(radio) - base + tx + offset
+    for _ in range(abs(ulps)):
+        rx = math.nextafter(rx, math.copysign(math.inf, ulps))
+    frame = Frame(msg=Message(MessageKind.CONN_REPLY, 1, 0, tx, 0.0),
+                  start=0.0, end=radio.tx_duration_s, rx_dbm={0: rx})
+    lqi = compute_lqi(radio, rx - tx + base)
+    assert sim._weak_link(frame, 0) == (lqi < threshold)
 
 
 def test_colliding_senders_still_pay_for_their_frames():
