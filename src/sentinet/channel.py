@@ -147,12 +147,17 @@ def path_loss_db(radio: RadioConfig, distance: np.ndarray) -> np.ndarray:
     return radio.reference_loss_db + 10.0 * radio.path_loss_exponent * np.log10(d)
 
 
-def lqi_array(radio: RadioConfig, rx_dbm: np.ndarray) -> np.ndarray:
-    """``compute_lqi`` over an array of received powers."""
-    span = radio.lqi_snr_max_db - radio.lqi_snr_min_db
-    frac = np.clip((rx_dbm - radio.noise_floor_dbm - radio.lqi_snr_min_db) / span,
-                   0.0, 1.0)
-    return np.floor(10.0 * frac + 0.5).astype(int)
+def loss_cap(tx: float, bound: float, smin: float = 0.0) -> float:
+    """A path loss past which a ``tx`` dBm transmission arrives below
+    ``bound`` dBm under any shadowing draw of at least ``smin`` dB.
+
+    Past a cut at loss ``cap``, rx = (tx - L) - s <= (tx - cap) - smin, in
+    floats too since rounding is monotone; the steps settle the rounding.
+    """
+    cap = tx - bound - smin
+    while (tx - cap) - smin >= bound:
+        cap = math.nextafter(cap, math.inf)
+    return cap
 
 
 class LinkRows:
@@ -233,17 +238,11 @@ def make_frame(msg: Message, links: LinkRows, awake_ids, radio: RadioConfig,
     and this frame's to its own.
     """
     tx, sens = msg.tx_power_dbm, radio.sensitivity_dbm
-    # The row need only hold the receivers this frame could reach. With smin
-    # the frame's most negative draw, a receiver past a cut at loss `cap`
-    # gets rx = (tx - L) - s <= (tx - cap) - smin, and since rounding is
-    # monotone the computed floats obey it too. A cut where that bound is
-    # below sensitivity therefore drops no audible receiver whatever the
-    # draws, so locality needs no clip on the shadowing.
+    # The row need only hold the receivers this frame could reach: cut past
+    # the loss at which even the frame's most negative draw leaves a
+    # receiver below sensitivity, so locality needs no clip on the shadowing.
     smin = 0.0 if shadow is None else float(shadow.min())
-    cap = tx - sens - smin
-    while (tx - cap) - smin >= sens:  # the subtractions rounded up
-        cap = math.nextafter(cap, math.inf)
-    ids, loss = links.row(msg.sender, cap)
+    ids, loss = links.row(msg.sender, loss_cap(tx, sens, smin))
     rx = tx - loss
     if shadow is not None:
         rx = rx - shadow[ids]

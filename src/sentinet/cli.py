@@ -12,6 +12,7 @@ configuration, so any result can be reproduced from its own echo.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -131,14 +132,18 @@ def parse_kill_spec(spec: str) -> dict:
     try:
         if "sentinels-at" in fields:
             count = int(fields["count"]) if "count" in fields else None
-            return {"kind": "sentinels", "time": float(fields["sentinels-at"]),
-                    "count": count}
-        if "node" in fields:
-            return {"kind": "node", "node": int(fields["node"]),
-                    "time": float(fields["at"])}
+            parsed = {"kind": "sentinels", "time": float(fields["sentinels-at"]),
+                      "count": count}
+        elif "node" in fields:
+            parsed = {"kind": "node", "node": int(fields["node"]),
+                      "time": float(fields["at"])}
+        else:
+            raise CliError(f"bad --kill spec {spec!r}: need sentinels-at=T or node=ID:at=T")
     except (KeyError, ValueError) as exc:
         raise CliError(f"bad --kill spec {spec!r}: {exc}") from exc
-    raise CliError(f"bad --kill spec {spec!r}: need sentinels-at=T or node=ID:at=T")
+    if not math.isfinite(parsed["time"]) or (parsed.get("count") or 0) < 0:
+        raise CliError(f"bad --kill spec {spec!r}: need a finite time and a count >= 0")
+    return parsed
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -60,7 +60,8 @@ class EventKind(IndexedEnum):
 
 
 class ClockViolationError(ValueError):
-    """Raised when an event is scheduled before the current clock."""
+    """Raised when an event is scheduled before the current clock, or at a
+    NaN time, which would break the heap order."""
 
 
 @dataclass(eq=False, slots=True)
@@ -145,7 +146,7 @@ class Engine:
 
     def schedule(self, time: float, target: Optional[int], kind: EventKind,
                  payload: Any = None) -> Event:
-        if time < self.clock:
+        if not time >= self.clock:  # NaN too
             raise ClockViolationError(
                 f"cannot schedule {kind.value} at {time} behind clock {self.clock}")
         seq = self._next_seq

@@ -5,10 +5,12 @@ connectivity frame and peers answer by unicast. The simulation judges each
 reply's LQI against the configured threshold, by comparing its power with
 the weak-link floor (``channel.weak_link_floor``), and passes the verdict
 on: a weak link bumps the guard's transmit power one level up (never down),
-and every judged reply re-arms the timer. Re-arming moves the pending timer
-through ``ctx.reschedule_event``, which the engine does in place whether
-the new expiry is earlier or later, so a piece of evidence costs one t_c
-draw and no new heap event.
+and every judged reply re-arms the timer. The timer is the guard's
+``Node.timer``, pending in every ACTIVE node in the timer-driven modes and
+None with link control off. Re-arming moves it to an absolute time
+(``ctx.now + t_c``) through ``ctx.reschedule_event``, which the engine
+does in place whether the new expiry is earlier or later, so a piece of
+evidence costs one t_c draw and no new heap event.
 In piggybacked mode the same judgement is also applied to probe replies a
 guard receives from other guards, and those resets postpone the standalone
 rounds, which is where the control-overhead saving comes from: a guard
@@ -40,25 +42,25 @@ def escalate_power(node: Node, radio: RadioConfig) -> bool:
 def on_active_entered(node: Node, ctx) -> None:
     """New guard: arm the first connectivity timer (timer-driven modes only)."""
     if ctx.config.link_control.uses_conn_timer:
-        node.conn_timer = ctx.schedule_event(draw_t_c(node, ctx), node.id,
-                                             EventKind.CONN_TIMER_EXPIRED)
+        node.timer = ctx.schedule_event(ctx.now + draw_t_c(node, ctx), node.id,
+                                        EventKind.CONN_TIMER_EXPIRED)
 
 
 def on_conn_timer_expired(node: Node, ctx) -> None:
     """Broadcast a connectivity frame and arm a fallback timer.
 
     The fallback (t_w plus a fresh t_c) keeps a guard with no reachable
-    peers cycling; any reply that does arrive replaces it via
-    on_link_evidence.
+    peers cycling; any reply that does arrive moves it via
+    on_link_evidence. Only the timer-driven modes arm the timer that runs
+    this handler.
     """
     if node.status is not NodeStatus.ACTIVE:
         return
-    node.conn_timer = None
-    if not ctx.config.link_control.uses_conn_timer:
-        return
     ctx.send(node, MessageKind.CONN, None, 0.0)
-    node.conn_timer = ctx.schedule_event(ctx.config.t_w + draw_t_c(node, ctx),
-                                         node.id, EventKind.CONN_TIMER_EXPIRED)
+    # t_w + t_c is summed before now is added: the output bytes pin that rounding
+    node.timer = ctx.schedule_event(
+        ctx.now + (ctx.config.t_w + draw_t_c(node, ctx)), node.id,
+        EventKind.CONN_TIMER_EXPIRED)
 
 
 def on_conn_received(node: Node, msg, ctx) -> None:
@@ -76,9 +78,5 @@ def on_link_evidence(node: Node, weak: bool, ctx) -> None:
     if weak:
         escalate_power(node, ctx.config.radio)
     if ctx.config.link_control.uses_conn_timer:
-        t_c = draw_t_c(node, ctx)
-        if node.conn_timer is None:
-            node.conn_timer = ctx.schedule_event(t_c, node.id,
-                                                 EventKind.CONN_TIMER_EXPIRED)
-        else:
-            node.conn_timer = ctx.reschedule_event(node.conn_timer, t_c)
+        node.timer = ctx.reschedule_event(node.timer,
+                                          ctx.now + draw_t_c(node, ctx))

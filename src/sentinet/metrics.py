@@ -6,8 +6,9 @@ The connectivity graph deliberately uses deterministic (zero-shadowing)
 received power at the nodes' current transmit levels so the metric is
 stable run to run; the stochastic per-frame LQI stays a protocol-runtime
 signal only. Its links are read from the channel's per-sender link rows,
-each guard's row cut where its LQI falls below the threshold, and joined
-by union-find; a simulation passes the rows its frames already built.
+each guard's row cut where its power falls below the weak-link floor, the
+same LQI decision the link control makes, and joined by union-find; a
+simulation passes the rows its frames already built.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 
 import numpy as np
 
-from .channel import LinkRows, RadioConfig, lqi_array, weak_link_floor
+from .channel import LinkRows, RadioConfig, loss_cap, weak_link_floor
 
 CSV_HEADER = ("time_s,n_sleep,n_probe,n_active,n_dead,coverage,components,"
               "isolated,msgs_probe,msgs_probe_reply,msgs_conn,msgs_conn_reply,"
@@ -88,16 +89,6 @@ def coverage_fraction(xs, ys, field_width: float, field_height: float,
     return grid.fraction()
 
 
-def _lqi_cap(radio: RadioConfig, tx: float) -> float:
-    """A path loss past which a ``tx`` dBm transmission arrives below the
-    LQI threshold (for a threshold of 1 or more)."""
-    floor = weak_link_floor(radio)
-    cap = tx - floor
-    while tx - cap >= floor:  # the subtraction rounded down
-        cap = math.nextafter(cap, math.inf)
-    return cap
-
-
 def guard_components(xs, ys, tx_dbm, radio: RadioConfig, ids=None,
                      links: LinkRows | None = None) -> list[list[int]]:
     """Connected components of the guard graph, as lists of indices into
@@ -112,14 +103,15 @@ def guard_components(xs, ys, tx_dbm, radio: RadioConfig, ids=None,
     n_guards = len(tx_dbm)
     if not n_guards:
         return []
-    if radio.lqi_threshold <= 0:  # any LQI qualifies, at any distance
+    floor = weak_link_floor(radio)
+    if floor == -math.inf:  # any LQI qualifies, at any distance
         return [list(range(n_guards))]
     if ids is None:
         ids = range(n_guards)
     if links is None:
         links = LinkRows(xs, ys, radio)
     powers = [float(p) for p in tx_dbm]
-    caps = {p: _lqi_cap(radio, p) for p in set(powers)}
+    caps = {p: loss_cap(p, floor) for p in set(powers)}
     near_ids, near_loss = [], []
     for g, p in zip(ids, powers):
         row_ids, row_loss = links.row(g, caps[p])
@@ -137,8 +129,7 @@ def guard_components(xs, ys, tx_dbm, radio: RadioConfig, ids=None,
     src, dst, loss = src[pair], dst[pair], loss[pair]
     # LQI falls with the power, so the weaker direction decides the link
     tx = np.array(powers)
-    weaker = np.minimum(tx[src], tx[dst])
-    linked = lqi_array(radio, weaker - loss) >= radio.lqi_threshold
+    linked = np.minimum(tx[src], tx[dst]) - loss >= floor
     parent = list(range(n_guards))
 
     def root(a: int) -> int:

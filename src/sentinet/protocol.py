@@ -9,10 +9,16 @@ Handlers are sans-IO: they mutate the node and talk to a context object
 (`ctx`) for time, configuration, randomness, timers, and transmissions, so
 they run identically under the real simulation or a test double. The ctx
 surface used here and by link_control: now, config, draw(node_id, stream),
-schedule_event(delay, target, kind), cancel_event(handle),
-reschedule_event(handle, delay) (returns the handle now pending),
+schedule_event(time, target, kind), cancel_event(handle),
+reschedule_event(handle, time) (returns the handle now pending),
 send(node, kind, addressee, delay), note_transition(node, old, new),
-on_became_active(node).
+on_became_active(node). Timer times are absolute engine times, each
+computed as ``ctx.now + delay`` at the call; ``send`` takes its slot delay.
+
+A node holds at most one pending timer, ``Node.timer``, the one its status
+owns: the sleep expiry in SLEEP, the wait expiry in PROBE, the
+connectivity timer in ACTIVE (None when link control is off), and None
+once DEAD.
 """
 
 from __future__ import annotations
@@ -71,9 +77,7 @@ class Node:
     rcv_msg: bool = False
     deployed_at: float = 0.0
     sleep_cycle_start: float = 0.0
-    sleep_timer: Optional[object] = None
-    wait_timer: Optional[object] = None
-    conn_timer: Optional[object] = None
+    timer: Optional[object] = None  # the pending timer its status owns
     died_at: Optional[float] = None
 
     def __post_init__(self):
@@ -95,12 +99,13 @@ def set_status(node: Node, new: NodeStatus, ctx) -> None:
 
 def on_deploy(node: Node, ctx) -> None:
     """Freshly created node: sleep for a Weibull time, then wake to probe."""
-    if node.status is not NodeStatus.SLEEP or node.sleep_timer is not None:
+    if node.status is not NodeStatus.SLEEP or node.timer is not None:
         raise ProtocolViolationError(f"node {node.id} already deployed")
     node.deployed_at = ctx.now
     node.sleep_cycle_start = ctx.now
     t_s = sample_sleep_time(node.weibull, ctx.draw(node.id, "sleep"))
-    node.sleep_timer = ctx.schedule_event(t_s, node.id, EventKind.SLEEP_EXPIRED)
+    node.timer = ctx.schedule_event(ctx.now + t_s, node.id,
+                                    EventKind.SLEEP_EXPIRED)
 
 
 def on_sleep_expired(node: Node, ctx) -> None:
@@ -110,12 +115,11 @@ def on_sleep_expired(node: Node, ctx) -> None:
     if node.status is not NodeStatus.SLEEP:
         raise ProtocolViolationError(
             f"sleep timer fired for node {node.id} in {node.status.value}")
-    node.sleep_timer = None
     set_status(node, NodeStatus.PROBE, ctx)
     node.rcv_msg = False
     ctx.send(node, MessageKind.PROBE, None, 0.0)
-    node.wait_timer = ctx.schedule_event(ctx.config.t_w, node.id,
-                                         EventKind.WAIT_EXPIRED)
+    node.timer = ctx.schedule_event(ctx.now + ctx.config.t_w, node.id,
+                                    EventKind.WAIT_EXPIRED)
 
 
 def on_probe_received(node: Node, msg, ctx) -> None:
@@ -143,7 +147,7 @@ def on_wait_expired(node: Node, ctx) -> None:
     if node.status is not NodeStatus.PROBE:
         raise ProtocolViolationError(
             f"wait timer fired for node {node.id} in {node.status.value}")
-    node.wait_timer = None
+    node.timer = None
     if node.rcv_msg:
         feedback = ctx.config.hazard_feedback
         if feedback == "global":
@@ -155,21 +159,19 @@ def on_wait_expired(node: Node, ctx) -> None:
         set_status(node, NodeStatus.SLEEP, ctx)
         node.sleep_cycle_start = ctx.now
         t_s = sample_sleep_time(node.weibull, ctx.draw(node.id, "sleep"))
-        node.sleep_timer = ctx.schedule_event(t_s, node.id,
-                                              EventKind.SLEEP_EXPIRED)
+        node.timer = ctx.schedule_event(ctx.now + t_s, node.id,
+                                        EventKind.SLEEP_EXPIRED)
     else:
         set_status(node, NodeStatus.ACTIVE, ctx)
         ctx.on_became_active(node)
 
 
 def mark_dead(node: Node, ctx) -> None:
-    """Fail-stop: cancel pending timers and leave the protocol permanently."""
+    """Fail-stop: cancel the pending timer and leave the protocol permanently."""
     if node.status is NodeStatus.DEAD:
         return
     set_status(node, NodeStatus.DEAD, ctx)
     node.died_at = ctx.now
-    for attr in ("sleep_timer", "wait_timer", "conn_timer"):
-        handle = getattr(node, attr)
-        if handle is not None:
-            ctx.cancel_event(handle)
-            setattr(node, attr, None)
+    if node.timer is not None:
+        ctx.cancel_event(node.timer)
+        node.timer = None

@@ -3,7 +3,8 @@
 One Simulation owns one run. It implements the context surface the protocol
 and link-control handlers expect (time, randomness, timers, transmissions,
 transitions) and routes every dispatched event to the right handler, so
-all node behaviour is serialized through the engine's event loop.
+all node behaviour is serialized through the engine's event loop. The
+draws and timers of that surface are the engine's own methods, bound once.
 """
 
 from __future__ import annotations
@@ -47,6 +48,13 @@ class Simulation:
         # the next full collection
         me = weakref.ref(self)
         self.engine = Engine(config.seed, handler=lambda ev: me()._dispatch(ev))
+        # the handlers pass absolute times, so their draws and timers are
+        # the engine's methods, bound through the Engine class (a method
+        # wrapped on the class is the one called)
+        self.draw = self.engine.uniform
+        self.schedule_event = self.engine.schedule
+        self.cancel_event = self.engine.cancel
+        self.reschedule_event = self.engine.reschedule
         self.transition_hook = transition_hook
         self.post_event_hook = post_event_hook
         self.frames: list[chan.Frame] = []  # on the air: delivery pending
@@ -90,22 +98,9 @@ class Simulation:
     def now(self) -> float:
         return self.engine.clock
 
-    def draw(self, node_id: int, stream: str) -> float:
-        return self.engine.uniform(node_id, stream)
-
-    def schedule_event(self, delay: float, target: Optional[int],
-                       kind: EventKind, payload=None) -> Event:
-        return self.engine.schedule(self.now + delay, target, kind, payload)
-
-    def cancel_event(self, handle: Event) -> bool:
-        return self.engine.cancel(handle)
-
-    def reschedule_event(self, handle: Event, delay: float) -> Event:
-        return self.engine.reschedule(handle, self.now + delay)
-
     def send(self, node: Node, kind: chan.MessageKind,
              addressee: Optional[int], delay: float) -> None:
-        self.schedule_event(delay, node.id, EventKind.TX_START,
+        self.schedule_event(self.now + delay, node.id, EventKind.TX_START,
                             payload=(kind, addressee))
 
     def note_transition(self, node: Node, old: NodeStatus, new: NodeStatus) -> None:
@@ -139,6 +134,8 @@ class Simulation:
 
     def inject_sentinel_failure(self, at: float, count: Optional[int] = None) -> Event:
         """Kill the `count` lowest-id guards at `at` (all guards when None)."""
+        if count is not None and count < 0:
+            raise ValueError(f"sentinel kill count must be >= 0, got {count}")
         return self.engine.schedule(at, None, EventKind.NODE_FAILURE,
                                     payload={"count": count})
 

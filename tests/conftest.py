@@ -7,10 +7,11 @@ from sentinet.engine import EventKind
 
 
 class FakeHandle:
-    def __init__(self, delay, target, kind):
-        self.delay = delay
+    def __init__(self, time, target, kind):
+        self.time = time  # absolute, as the engine takes it
         self.target = target
         self.kind = kind
+        self.cancelled = False
 
 
 class FakeCtx:
@@ -22,6 +23,7 @@ class FakeCtx:
         self.u = u
         self.scheduled = []
         self.cancelled = []
+        self.moved = []
         self.sent = []
         self.transitions = []
         self.activated = []
@@ -29,19 +31,25 @@ class FakeCtx:
     def draw(self, node_id, stream):
         return self.u
 
-    def schedule_event(self, delay, target, kind, payload=None):
-        handle = FakeHandle(delay, target, kind)
+    def schedule_event(self, time, target, kind, payload=None):
+        assert time >= self.now
+        handle = FakeHandle(time, target, kind)
         self.scheduled.append(handle)
         return handle
 
     def cancel_event(self, handle):
+        handle.cancelled = True
         self.cancelled.append(handle)
         return True
 
-    def reschedule_event(self, handle, delay):
-        # recorded as the cancel and the schedule it replaces
-        self.cancel_event(handle)
-        return self.schedule_event(delay, handle.target, handle.kind)
+    def reschedule_event(self, handle, time):
+        # moved in place, as the engine moves a pending event; the handlers
+        # only ever move a pending timer
+        assert isinstance(handle, FakeHandle) and not handle.cancelled
+        assert time >= self.now
+        handle.time = time
+        self.moved.append(handle)
+        return handle
 
     def send(self, node, kind, addressee, delay):
         self.sent.append((node.id, kind, addressee, delay))

@@ -13,6 +13,7 @@ from scipy import stats
 from sentinet import (LinkControlMode, RunConfig, Simulation, WeibullParams,
                       run_simulation, write_outputs)
 from sentinet.channel import compute_lqi, rx_power_dbm
+from sentinet.engine import EventKind
 from sentinet.metrics import guard_components
 from sentinet.protocol import ALLOWED_TRANSITIONS, NodeStatus
 from sentinet.weibull import hazard_rate, sample_sleep_time
@@ -119,6 +120,12 @@ def test_criterion_03_state_machine_fuzz():
         )
         if rng.random() < 0.5:
             cfg = zero_shadow(cfg)
+        owned = {NodeStatus.SLEEP: EventKind.SLEEP_EXPIRED,
+                 NodeStatus.PROBE: EventKind.WAIT_EXPIRED,
+                 NodeStatus.ACTIVE: (EventKind.CONN_TIMER_EXPIRED
+                                     if cfg.link_control.uses_conn_timer
+                                     else None),
+                 NodeStatus.DEAD: None}
 
         seen_transitions = set()
         power_high = {}
@@ -134,11 +141,14 @@ def test_criterion_03_state_machine_fuzz():
                 prev = power_high.get(node.id, node.tx_power)
                 assert node.tx_power >= prev  # escalation never reverses
                 power_high[node.id] = max(prev, node.tx_power)
-                if node.status is not NodeStatus.DEAD:
-                    pending = [node.sleep_timer, node.wait_timer]
-                    assert sum(1 for h in pending
-                               if h is not None and not h.dispatched
-                               and not h.cancelled) <= 1
+                # the one pending timer the node's status owns, if any
+                kind = owned[node.status]
+                if kind is None:
+                    assert node.timer is None
+                else:
+                    timer = node.timer
+                    assert timer.kind is kind and timer.target == node.id
+                    assert not timer.dispatched and not timer.cancelled
             assert sum(census.values()) == sim.config.node_count
 
         sim = Simulation(cfg, transition_hook=on_transition,

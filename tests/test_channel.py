@@ -83,6 +83,7 @@ def test_lqi_range():
         assert 0 <= compute_lqi(RADIO, rx) <= 10
 
 
+@pytest.mark.oracle
 @settings(max_examples=300, deadline=None)
 @given(noise=st.floats(-120.0, -60.0), snr_min=st.floats(-10.0, 10.0),
        span=st.floats(0.1, 40.0), threshold=st.integers(-3, 13),
@@ -304,6 +305,7 @@ def _reference_overhearers(n, frame, frames, awake_start, listeners):
     return got
 
 
+@pytest.mark.oracle
 @settings(max_examples=300, deadline=None)
 @given(air_scenes())
 def test_delivery_matches_brute_force_scan(scene):
@@ -369,6 +371,7 @@ def frame_sequences(draw):
     return radio, xs, ys, frames
 
 
+@pytest.mark.oracle
 @settings(max_examples=300, deadline=None)
 @given(frame_sequences())
 def test_frames_over_link_rows_match_the_full_field(scene):

@@ -312,6 +312,28 @@ def test_kill_spec_rejects_nonsense():
             parse_kill_spec(bad)
 
 
+@pytest.mark.parametrize("spec", ["sentinels-at=nan", "sentinels-at=inf:count=1",
+                                  "sentinels-at=-inf", "node=3:at=nan",
+                                  "node=3:at=inf"])
+def test_kill_spec_rejects_non_finite_time(spec):
+    from sentinet.cli import CliError
+    with pytest.raises(CliError, match="finite"):
+        parse_kill_spec(spec)
+
+
+def test_kill_spec_rejects_negative_count(tmp_path, capsys):
+    from sentinet.cli import CliError
+    with pytest.raises(CliError, match="count"):
+        parse_kill_spec("sentinels-at=50:count=-1")
+    assert parse_kill_spec("sentinels-at=50:count=0")["count"] == 0
+    # rejected before anything runs or is written
+    out = tmp_path / "inj"
+    assert run_cli("inject", *FAST, "--out", str(out),
+                   "--kill", "sentinels-at=nan") == 2
+    assert "bad --kill spec" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tx_levels_flag_equals_form(tmp_path):
     out = tmp_path / "r1"
     assert run_cli("run", *FAST, "--tx-levels=-10,-5", "--out", str(out)) == 0

@@ -52,6 +52,7 @@ def _leaf_paths(cls, prefix=""):
             yield path
 
 
+@pytest.mark.oracle
 def test_every_leaf_field_has_exactly_one_key():
     reached = Counter(path for paths in KEYS.values() for path in paths)
     leaves = set(_leaf_paths(RunConfig))

@@ -14,6 +14,8 @@ import pytest
 from sentinet.config import RunConfig
 from sentinet.sim import run_simulation, write_outputs
 
+pytestmark = pytest.mark.oracle
+
 # name -> (flat config, sentinel failures as (time, count-or-None))
 GOLDEN_RUNS = {
     "table1_piggybacked": (

@@ -19,6 +19,13 @@ def guard(node_id=0, power=-10.0):
     return node
 
 
+def armed_guard(ctx, node_id=0, power=-10.0):
+    """A guard holding the connectivity timer it armed on standing guard."""
+    node = guard(node_id, power)
+    on_active_entered(node, ctx)
+    return node
+
+
 def ctx_with(mode, **kw):
     return FakeCtx(config=RunConfig(link_control=mode, **kw))
 
@@ -31,25 +38,31 @@ def test_t_c_drawn_inside_configured_range(ctx):
 def test_new_guard_arms_timer_in_every_link_mode():
     for mode in (LinkControlMode.STANDALONE, LinkControlMode.PIGGYBACKED):
         ctx = ctx_with(mode)
+        ctx.now = 20.0
         node = guard()
         on_active_entered(node, ctx)
-        assert node.conn_timer is not None, mode
+        [timer] = ctx.of_kind(EventKind.CONN_TIMER_EXPIRED)
+        assert node.timer is timer, mode
+        assert timer.time == 20.0 + draw_t_c(node, ctx)
 
 
 def test_new_guard_has_no_timer_when_off():
     ctx = ctx_with(LinkControlMode.OFF)
     node = guard()
     on_active_entered(node, ctx)
-    assert node.conn_timer is None
+    assert node.timer is None
 
 
 def test_timer_expiry_broadcasts_and_rearms(ctx):
-    node = guard(3)
+    node = armed_guard(ctx, 3)
+    ctx.now = node.timer.time  # the timer fires
     on_conn_timer_expired(node, ctx)
     assert ctx.sent == [(3, MessageKind.CONN, None, 0.0)]
-    [fallback] = ctx.of_kind(EventKind.CONN_TIMER_EXPIRED)
+    [_, fallback] = ctx.of_kind(EventKind.CONN_TIMER_EXPIRED)
+    assert node.timer is fallback
     lo, hi = ctx.config.t_c_range
-    assert ctx.config.t_w + lo <= fallback.delay <= ctx.config.t_w + hi
+    assert ctx.now + ctx.config.t_w + lo <= fallback.time
+    assert fallback.time <= ctx.now + ctx.config.t_w + hi
 
 
 def test_timer_expiry_on_dead_guard_is_inert(ctx):
@@ -74,25 +87,28 @@ def test_reserves_ignore_conn_frames(ctx):
 
 
 def test_strong_evidence_keeps_power_and_resets_timer(ctx):
-    node = guard()
-    node.conn_timer = ctx.schedule_event(9.0, 0, EventKind.CONN_TIMER_EXPIRED)
+    node = armed_guard(ctx)
+    timer = node.timer
+    ctx.now = 9.0
     on_link_evidence(node, False, ctx)
     assert node.tx_power == -10.0
-    assert ctx.cancelled  # the old timer was replaced
-    assert node.conn_timer is not ctx.cancelled[0]
+    # the pending timer moved in place to a fresh t_c from now
+    assert node.timer is timer and ctx.moved == [timer]
+    assert timer.time == 9.0 + draw_t_c(node, ctx)
+    assert ctx.cancelled == [] and ctx.scheduled == [timer]
 
 
 def test_weak_evidence_escalates_one_level(ctx):
-    node = guard()
+    node = armed_guard(ctx)
     on_link_evidence(node, True, ctx)
     assert node.tx_power == -5.0
 
 
 def test_weak_evidence_at_top_level_saturates(ctx):
-    node = guard(power=-5.0)
+    node = armed_guard(ctx, power=-5.0)
     on_link_evidence(node, True, ctx)
     assert node.tx_power == -5.0
-    assert ctx.of_kind(EventKind.CONN_TIMER_EXPIRED)  # timer still reset
+    assert ctx.moved == [node.timer]  # timer still reset
 
 
 def test_threshold_boundary_is_strong(ctx):
@@ -102,7 +118,7 @@ def test_threshold_boundary_is_strong(ctx):
     floor = weak_link_floor(radio)
     assert compute_lqi(radio, floor) == radio.lqi_threshold
     assert compute_lqi(radio, math.nextafter(floor, -math.inf)) < radio.lqi_threshold
-    node = guard()
+    node = armed_guard(ctx)
     on_link_evidence(node, False, ctx)
     assert node.tx_power == -10.0
 
@@ -112,11 +128,11 @@ def test_evidence_ignored_for_non_guards(ctx):
     node.tx_power = -10.0
     on_link_evidence(node, True, ctx)
     assert node.tx_power == -10.0
-    assert ctx.scheduled == []
+    assert ctx.scheduled == [] and ctx.moved == []
 
 
 def test_power_stays_in_configured_domain(ctx):
-    node = guard()
+    node = armed_guard(ctx)
     for _ in range(5):
         on_link_evidence(node, True, ctx)
         assert node.tx_power in ctx.config.radio.power_levels
@@ -124,7 +140,7 @@ def test_power_stays_in_configured_domain(ctx):
 
 
 def test_power_never_decreases(ctx):
-    node = guard()
+    node = armed_guard(ctx)
     seen = [node.tx_power]
     for weak in (False, True, False, True, False):
         on_link_evidence(node, weak, ctx)

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sentinet.channel import LinkRows, RadioConfig, lqi_array, path_loss_db
+from sentinet.channel import LinkRows, RadioConfig, path_loss_db
 from sentinet import metrics
 from sentinet.metrics import (CSV_HEADER, CoverageGrid, coverage_fraction,
                               format_row, guard_components, meta_line,
@@ -160,6 +160,14 @@ def test_edge_requires_both_directions():
                       (52.0, 50.0, -10.0))["isolated_count"] == 2
 
 
+def lqi_array(radio, rx_dbm):
+    """``compute_lqi`` over an array of received powers."""
+    span = radio.lqi_snr_max_db - radio.lqi_snr_min_db
+    frac = np.clip((rx_dbm - radio.noise_floor_dbm - radio.lqi_snr_min_db) / span,
+                   0.0, 1.0)
+    return np.floor(10.0 * frac + 0.5).astype(int)
+
+
 def reference_adjacency(xs, ys, tx_dbm, radio):
     """Symmetric link matrix of the guards: i and j are linked when each
     hears the other at LQI >= threshold (zero shadowing)."""
@@ -284,6 +292,7 @@ RADIOS = [RADIO, RadioConfig(lqi_threshold=0), RadioConfig(lqi_threshold=-3),
           RadioConfig(power_levels=(-10.0, -5.0, 0.0), lqi_threshold=3)]
 
 
+@pytest.mark.oracle
 @settings(max_examples=300, deadline=None)
 @given(radio=st.sampled_from(RADIOS),
        points=st.lists(st.tuples(st.floats(0.0, 60.0), st.floats(0.0, 60.0),

@@ -26,14 +26,14 @@ def probe_from(sender):
     return Message(MessageKind.PROBE, sender, None, -10.0, 0.0)
 
 
-def test_deploy_sleeps_and_arms_timer(ctx):
+def test_deploy_sleeps_and_arms_timer():
+    ctx = FakeCtx(now=3.0)
     node = make_node()
     on_deploy(node, ctx)
     assert node.status is NodeStatus.SLEEP
-    assert node.sleep_timer is not None
     [timer] = ctx.of_kind(EventKind.SLEEP_EXPIRED)
-    assert timer.delay == pytest.approx(
-        sample_sleep_time(node.weibull, ctx.u))
+    assert node.timer is timer
+    assert timer.time == 3.0 + sample_sleep_time(node.weibull, ctx.u)
 
 
 def test_deploy_twice_rejected(ctx):
@@ -46,13 +46,14 @@ def test_deploy_twice_rejected(ctx):
 def test_sleep_expiry_probes_and_waits(ctx):
     node = make_node()
     on_deploy(node, ctx)
-    node.sleep_timer = None
+    ctx.now = node.timer.time  # the sleep timer fires
     on_sleep_expired(node, ctx)
     assert node.status is NodeStatus.PROBE
     assert node.rcv_msg is False
     assert ctx.sent == [(0, MessageKind.PROBE, None, 0.0)]
     [wait] = ctx.of_kind(EventKind.WAIT_EXPIRED)
-    assert wait.delay == ctx.config.t_w
+    assert node.timer is wait
+    assert wait.time == ctx.now + ctx.config.t_w
 
 
 def test_sleep_expiry_in_wrong_status_raises(ctx):
@@ -102,7 +103,8 @@ def test_wait_expiry_with_reply_returns_to_sleep(ctx):
     assert node.status is NodeStatus.SLEEP
     assert node.sleep_cycle_start == 40.0
     [timer] = ctx.of_kind(EventKind.SLEEP_EXPIRED)
-    assert timer.delay > 0.0
+    assert node.timer is timer
+    assert timer.time == 40.0 + sample_sleep_time(node.weibull, ctx.u)
     assert node.weibull == node.deploy_weibull  # feedback off by default
 
 
@@ -113,8 +115,7 @@ def test_wait_expiry_updates_rate_under_global_feedback():
     on_wait_expired(node, ctx)
     assert node.weibull == update_probe_rate(node.deploy_weibull, 100.0)
     [timer] = ctx.of_kind(EventKind.SLEEP_EXPIRED)
-    assert timer.delay == pytest.approx(
-        sample_sleep_time(node.weibull, ctx.u))
+    assert timer.time == 100.0 + sample_sleep_time(node.weibull, ctx.u)
 
 
 def test_wait_expiry_updates_rate_under_cycle_feedback():
@@ -131,15 +132,20 @@ def test_wait_expiry_without_reply_stands_guard(ctx):
     on_wait_expired(node, ctx)
     assert node.status is NodeStatus.ACTIVE
     assert ctx.activated == [0]
-    assert ctx.of_kind(EventKind.CONN_TIMER_EXPIRED)  # default mode arms t_c
+    # the default mode arms t_c, which replaces the spent wait timer
+    [conn] = ctx.of_kind(EventKind.CONN_TIMER_EXPIRED)
+    assert node.timer is conn
 
 
 def test_wait_expiry_without_reply_no_timer_when_off():
     ctx = FakeCtx(config=RunConfig(link_control=LinkControlMode.OFF))
-    node = make_node(status=NodeStatus.PROBE)
+    node = make_node()
+    on_sleep_expired(node, ctx)
+    assert node.timer.kind is EventKind.WAIT_EXPIRED
     on_wait_expired(node, ctx)
     assert node.status is NodeStatus.ACTIVE
     assert ctx.of_kind(EventKind.CONN_TIMER_EXPIRED) == []
+    assert node.timer is None
 
 
 def test_wait_expiry_in_wrong_status_raises(ctx):
@@ -150,11 +156,12 @@ def test_wait_expiry_in_wrong_status_raises(ctx):
 
 def test_mark_dead_cancels_timers(ctx):
     node = make_node(status=NodeStatus.ACTIVE)
-    node.conn_timer = ctx.schedule_event(5.0, 0, EventKind.CONN_TIMER_EXPIRED)
+    timer = node.timer = ctx.schedule_event(5.0, 0, EventKind.CONN_TIMER_EXPIRED)
     mark_dead(node, ctx)
     assert node.status is NodeStatus.DEAD
-    assert ctx.cancelled and node.conn_timer is None
+    assert ctx.cancelled == [timer] and node.timer is None
     mark_dead(node, ctx)  # idempotent
+    assert ctx.cancelled == [timer]
 
 
 def test_transition_table_is_enforced(ctx):

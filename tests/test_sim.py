@@ -29,7 +29,8 @@ def small_config(**kw):
 def test_everyone_deploys_asleep():
     sim = Simulation(small_config())
     assert all(n.status is NodeStatus.SLEEP for n in sim.nodes.values())
-    assert all(n.sleep_timer is not None for n in sim.nodes.values())
+    assert all(n.timer.kind is EventKind.SLEEP_EXPIRED and n.timer.target == n.id
+               for n in sim.nodes.values())
 
 
 def test_isolated_node_stands_guard_on_first_wake():
@@ -48,7 +49,7 @@ def test_positions_and_first_wakes_unchanged_when_nodes_added():
     b = Simulation(cfg_big)
     for nid in a.nodes:
         assert (a.nodes[nid].x, a.nodes[nid].y) == (b.nodes[nid].x, b.nodes[nid].y)
-        assert a.nodes[nid].sleep_timer.time == b.nodes[nid].sleep_timer.time
+        assert a.nodes[nid].timer.time == b.nodes[nid].timer.time
 
 
 def test_same_seed_same_outcome():
@@ -111,12 +112,17 @@ def test_census_and_cached_metrics_match_a_recount():
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_invariants_hold_after_every_event(name):
     # the documented invariants, checked after every event of the golden
-    # runs: census, the kept id sets, a guard timer's heap entries,
-    # exactly the frames with a pending delivery on the air, and energy
-    # that only grows
+    # runs: census, the kept id sets, each node's one timer and its heap
+    # entries, exactly the frames with a pending delivery on the air, and
+    # energy that only grows
     flat, sentinel_failures = GOLDEN_RUNS[name]
     cfg = RunConfig.from_flat(flat)
     timer_driven = cfg.link_control.uses_conn_timer
+    owned = {NodeStatus.SLEEP: EventKind.SLEEP_EXPIRED,
+             NodeStatus.PROBE: EventKind.WAIT_EXPIRED,
+             NodeStatus.ACTIVE: (EventKind.CONN_TIMER_EXPIRED if timer_driven
+                                 else None),
+             NodeStatus.DEAD: None}
     seen = Counter()
     last_energy = [None]
 
@@ -139,11 +145,25 @@ def test_invariants_hold_after_every_event(name):
         assert len(sim.frames) == len(set(sim.frames)) == len(pending)
         assert set(sim.frames) == set(pending)
         assert all(frame.end >= sim.now for frame in sim.frames)
+        # every node holds the one pending timer its status owns, and the
+        # pending timers in the queue are exactly the nodes' timers
+        timers = set()
+        for node in sim.nodes.values():
+            timer = node.timer
+            if owned[node.status] is None:
+                assert timer is None
+                continue
+            assert timer.kind is owned[node.status] and timer.target == node.id
+            assert not timer.cancelled and not timer.dispatched
+            timers.add(timer)
+            if timer.kind is not EventKind.CONN_TIMER_EXPIRED:
+                # sleep and wait timers never move
+                assert keys[timer] == [(timer.time, timer.seq)]
+        assert timers == {queued for queued in keys if not queued.dispatched
+                          and queued.kind in owned.values()}
         if timer_driven and guards:
             for gid in guards:
-                timer = sim.nodes[gid].conn_timer
-                assert timer is not None
-                assert not timer.cancelled and not timer.dispatched
+                timer = sim.nodes[gid].timer
                 # exactly one entry at its current key, or its newest filed
                 # entry keyed below that key (moved later since); any other
                 # entries are stale ones left by earlier moves
@@ -192,7 +212,7 @@ def test_killed_node_goes_silent():
     cfg = zero_shadow(RunConfig(node_count=2, duration=100.0, seed=5,
                                 grid_step=5.0))
     sim = Simulation(cfg, positions={0: (30.0, 30.0), 1: (80.0, 80.0)})
-    first_wake = sim.nodes[0].sleep_timer.time
+    first_wake = sim.nodes[0].timer.time
     kill_at = first_wake / 2
     sim.inject_failure(0, kill_at)
     result = sim.run()
@@ -246,6 +266,16 @@ def test_mass_kill_clamps_to_live_guards():
     assert failure["clamped"] is True
     assert all(result.nodes[nid].status is NodeStatus.DEAD
                for nid in failure["killed"])
+
+
+def test_negative_sentinel_kill_count_rejected():
+    # a negative count would slice off the highest-id guards and kill the rest
+    sim = Simulation(small_config())
+    with pytest.raises(ValueError, match="count"):
+        sim.inject_sentinel_failure(50.0, count=-1)
+    sim.inject_sentinel_failure(50.0, count=0)
+    result = sim.run()
+    assert [f["killed"] for f in result.failure_log] == [[]]
 
 
 def test_link_control_off_sends_no_conn_traffic():
