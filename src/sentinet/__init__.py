@@ -1,7 +1,7 @@
 """sentinet: discrete-event simulator of a self-healing, sleep-scheduled
 wireless sensor network with guard-to-guard link adaptation."""
 
-from .channel import Message, MessageKind, RadioConfig, compute_lqi, rx_power_dbm
+from .channel import Frame, MessageKind, RadioConfig, compute_lqi, rx_power_dbm
 from .config import LinkControlMode, RunConfig
 from .energy import EnergyConfig, EnergyLedger, summarize, tx_cost
 from .engine import ClockViolationError, Engine, Event, EventKind
@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClockViolationError", "Engine", "EnergyConfig", "EnergyLedger", "Event",
-    "EventKind", "LinkControlMode", "Message", "MessageKind", "Node",
+    "EventKind", "Frame", "LinkControlMode", "MessageKind", "Node",
     "NodeStatus", "ProtocolViolationError", "RadioConfig", "RunConfig",
     "RunResult", "Simulation", "WeibullParams", "compute_lqi",
     "coverage_fraction", "hazard_rate", "healing_report", "run_simulation",

@@ -1,5 +1,8 @@
 """Radio channel: log-distance path loss, LQI mapping, collision-aware delivery.
 
+A transmission is one ``Frame`` record, made by ``make_frame`` and handed
+as it is to the handlers that receive it: who sent which kind to whom at
+what power, when it is on the air, and where it arrives at what power.
 Frames occupy the air for a fixed duration; any time overlap between two
 audible frames at a receiver destroys both receptions there (no capture
 effect). Senders are half-duplex: a node transmitting during a frame's
@@ -31,10 +34,6 @@ class MessageKind(IndexedEnum):
     PROBE_REPLY = "probe_reply"
     CONN = "conn"
     CONN_REPLY = "conn_reply"
-
-
-# Replies are unicast, everything else is broadcast.
-UNICAST_KINDS = frozenset({MessageKind.PROBE_REPLY, MessageKind.CONN_REPLY})
 
 
 @dataclass(frozen=True)
@@ -81,21 +80,6 @@ def _floats(value):
             yield from _floats(item)
     elif isinstance(value, float):
         yield value
-
-
-@dataclass(frozen=True)
-class Message:
-    kind: MessageKind
-    sender: int
-    addressee: Optional[int]  # None = broadcast
-    tx_power_dbm: float
-    tx_time: float
-
-    def __post_init__(self):
-        if self.kind in UNICAST_KINDS and self.addressee is None:
-            raise ValueError(f"{self.kind.value} frames must be unicast")
-        if self.kind not in UNICAST_KINDS and self.addressee is not None:
-            raise ValueError(f"{self.kind.value} frames must be broadcast")
 
 
 def rx_power_dbm(radio: RadioConfig, tx_power: float, distance: float,
@@ -204,19 +188,27 @@ class LinkRows:
         return cap, near[keep], loss[keep]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Frame:
-    """One transmission on the air: message plus per-receiver power map.
+    """One transmission: what was sent, when it is on the air, and where
+    it arrives at what power.
 
-    ``rx_dbm`` maps the audible receivers, ascending by id, to their
-    received power, whatever their state; ``awake_at_start`` holds those of
-    them that were awake when the frame started. Nobody else can receive
-    the frame. ``jammed`` holds the nodes that hear, or send, another frame
+    Replies (``PROBE_REPLY``, ``CONN_REPLY``) are unicast to ``addressee``;
+    probes and connectivity frames are broadcast, with no addressee. The
+    handlers pass each kind's addressing as a constant, and the tests check
+    it over whole runs, so a frame does not check it again. ``rx_dbm`` maps
+    the audible receivers, ascending by id, to their received power,
+    whatever their state; ``awake_at_start`` holds those of them that were
+    awake when the frame started. Nobody else can receive the frame.
+    ``jammed`` holds the nodes that hear, or send, another frame
     overlapping this one: none of them can receive it. Frames compare by
     identity, so one can be removed from a list of frames on the air.
     """
 
-    msg: Message
+    kind: MessageKind
+    sender: int
+    addressee: Optional[int]  # None = broadcast
+    tx_power_dbm: float
     start: float
     end: float
     rx_dbm: dict[int, float] = field(default_factory=dict)
@@ -224,10 +216,12 @@ class Frame:
     jammed: set[int] = field(default_factory=set)
 
 
-def make_frame(msg: Message, links: LinkRows, awake_ids, radio: RadioConfig,
-               shadow=None, on_air=()) -> Frame:
-    """Compute the frame's received power over its sender's link row, and
-    settle its collisions with the frames ``on_air``.
+def make_frame(kind: MessageKind, sender: int, addressee: Optional[int],
+               tx_power_dbm: float, start: float, links: LinkRows, awake_ids,
+               radio: RadioConfig, shadow=None, on_air=()) -> Frame:
+    """Make the frame ``sender`` starts at ``start``: compute its received
+    power over the sender's link row, and settle its collisions with the
+    frames ``on_air``.
 
     ``shadow`` is an optional per-receiver dB array (one fresh draw per
     transmission), indexed by node id. Receivers below sensitivity are
@@ -237,27 +231,27 @@ def make_frame(msg: Message, links: LinkRows, awake_ids, radio: RadioConfig,
     its audible receivers and its sender to this frame's ``jammed`` set,
     and this frame's to its own.
     """
-    tx, sens = msg.tx_power_dbm, radio.sensitivity_dbm
+    tx, sens = tx_power_dbm, radio.sensitivity_dbm
     # The row need only hold the receivers this frame could reach: cut past
     # the loss at which even the frame's most negative draw leaves a
     # receiver below sensitivity, so locality needs no clip on the shadowing.
     smin = 0.0 if shadow is None else float(shadow.min())
-    ids, loss = links.row(msg.sender, loss_cap(tx, sens, smin))
+    ids, loss = links.row(sender, loss_cap(tx, sens, smin))
     rx = tx - loss
     if shadow is not None:
         rx = rx - shadow[ids]
     audible = rx >= sens
     rx_map = dict(zip(ids[audible].tolist(), rx[audible].tolist()))
-    frame = Frame(msg=msg, start=msg.tx_time, end=msg.tx_time + radio.tx_duration_s,
-                  rx_dbm=rx_map, awake_at_start=rx_map.keys() & awake_ids)
+    jammed = set()
     for other in on_air:
         # a frame that ends as this one starts does not overlap it
-        if other.end > frame.start:
-            frame.jammed.update(other.rx_dbm)
-            frame.jammed.add(other.msg.sender)
+        if other.end > start:
+            jammed.update(other.rx_dbm)
+            jammed.add(other.sender)
             other.jammed.update(rx_map)
-            other.jammed.add(msg.sender)
-    return frame
+            other.jammed.add(sender)
+    return Frame(kind, sender, addressee, tx, start, start + radio.tx_duration_s,
+                 rx_map, rx_map.keys() & awake_ids, jammed)
 
 
 def deliver(frame: Frame, awake_now) -> list[int]:
@@ -268,7 +262,7 @@ def deliver(frame: Frame, awake_now) -> list[int]:
     its sender. A candidate receives the frame unless it is jammed.
     """
     heard = frame.awake_at_start.intersection(awake_now) - frame.jammed
-    addressee = frame.msg.addressee
+    addressee = frame.addressee
     if addressee is None:
         return sorted(heard)
     return [addressee] if addressee in heard else []
@@ -281,7 +275,7 @@ def overhearers(frame: Frame, listener_ids) -> list[int]:
     Only listeners among the frame's audible receivers awake at its start
     can receive it, so the scan covers those rather than every listener.
     """
-    addressee = frame.msg.addressee
+    addressee = frame.addressee
     return [nid for nid in sorted(frame.awake_at_start.intersection(listener_ids)
                                   - frame.jammed)
             if nid != addressee]

@@ -31,13 +31,10 @@ class LinkControlMode(Enum):
     STANDALONE = "standalone"
     PIGGYBACKED = "piggybacked"
 
-    @property
-    def uses_conn_timer(self) -> bool:
-        return self is not LinkControlMode.OFF
-
-    @property
-    def uses_piggyback(self) -> bool:
-        return self is LinkControlMode.PIGGYBACKED
+    def __init__(self, value: str):
+        # plain attributes, not properties: link evidence reads them
+        self.uses_conn_timer = value != "off"
+        self.uses_piggyback = value == "piggybacked"
 
 
 HAZARD_FEEDBACK_MODES = ("off", "global", "cycle")

@@ -61,6 +61,7 @@ class EnergyLedger:
         self.draws = np.array([config.sleep_draw_w, config.probe_awake_draw_w,
                                config.active_draw_w, 0.0, 0.0])  # W by code
         self._ids = np.arange(n)
+        self._tx_joules: dict[tuple[float, float], float] = {}  # add_tx's costs
 
     def node_totals(self) -> np.ndarray:
         """Each node's joules, summed sleep + probe + active + tx."""
@@ -107,7 +108,11 @@ def accrue(ledger: EnergyLedger, now: float) -> None:
 def add_tx(ledger: EnergyLedger, node_id: int, level_dbm: float,
            frame_duration: float) -> float:
     """Charge node ``node_id`` for one frame; returns its joules."""
-    joules = tx_cost(ledger.config, level_dbm, frame_duration)
+    key = (level_dbm, frame_duration)
+    joules = ledger._tx_joules.get(key)
+    if joules is None:
+        joules = ledger._tx_joules[key] = tx_cost(ledger.config, level_dbm,
+                                                 frame_duration)
     ledger.joules[TX, node_id] += joules
     return joules
 

@@ -172,8 +172,8 @@ class Engine:
         if event.cancelled or event.dispatched:
             return self.schedule(time, event.target, event.kind, event.payload)
         seq = self._next_seq
-        if time < event.time:
-            if time < self.clock:
+        if not time >= event.time:  # earlier, or NaN
+            if not time >= self.clock:
                 raise ClockViolationError(
                     f"cannot move {event.kind.value} to {time} behind clock {self.clock}")
             event.filed = seq
@@ -184,7 +184,7 @@ class Engine:
         return event
 
     def run_until(self, t_end: float) -> RunSummary:
-        if t_end < self.clock:
+        if not t_end >= self.clock:  # NaN too
             raise ClockViolationError(
                 f"cannot run to {t_end} behind clock {self.clock}")
         queue = self._queue

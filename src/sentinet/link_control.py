@@ -63,20 +63,23 @@ def on_conn_timer_expired(node: Node, ctx) -> None:
         EventKind.CONN_TIMER_EXPIRED)
 
 
-def on_conn_received(node: Node, msg, ctx) -> None:
+def on_conn_received(node: Node, frame, ctx) -> None:
     """Guards answer connectivity frames by slot-staggered unicast; others ignore."""
     if node.status is not NodeStatus.ACTIVE:
         return
     delay = reply_slot_delay(node.id, ctx.config)
-    ctx.send(node, MessageKind.CONN_REPLY, msg.sender, delay)
+    ctx.send(node, MessageKind.CONN_REPLY, frame.sender, delay)
 
 
 def on_link_evidence(node: Node, weak: bool, ctx) -> None:
-    """Act on one judged reply: a weak link escalates power; timer resets."""
+    """Act on one judged reply: a weak link escalates power below the top
+    level; the timer resets to a fresh t_c, drawn as ``draw_t_c`` does."""
     if node.status is not NodeStatus.ACTIVE:
         return
-    if weak:
-        escalate_power(node, ctx.config.radio)
-    if ctx.config.link_control.uses_conn_timer:
-        node.timer = ctx.reschedule_event(node.timer,
-                                          ctx.now + draw_t_c(node, ctx))
+    config = ctx.config
+    if weak and node.tx_power != config.radio.power_levels[-1]:
+        escalate_power(node, config.radio)
+    if config.link_control.uses_conn_timer:
+        lo, hi = config.t_c_range
+        node.timer = ctx.reschedule_event(
+            node.timer, ctx.now + (lo + ctx.draw(node.id, "conn") * (hi - lo)))

@@ -7,7 +7,9 @@ guard until failure. ACTIVE is absorbing: there is no demotion path.
 
 Handlers are sans-IO: they mutate the node and talk to a context object
 (`ctx`) for time, configuration, randomness, timers, and transmissions, so
-they run identically under the real simulation or a test double. The ctx
+they run identically under the real simulation or a test double. A handler
+for a received frame takes the ``channel.Frame`` record itself and reads
+its fields (``frame.sender``). The ctx
 surface used here and by link_control: now, config, draw(node_id, stream),
 schedule_event(time, target, kind), cancel_event(handle),
 reschedule_event(handle, time) (returns the handle now pending),
@@ -122,15 +124,15 @@ def on_sleep_expired(node: Node, ctx) -> None:
                                     EventKind.WAIT_EXPIRED)
 
 
-def on_probe_received(node: Node, msg, ctx) -> None:
+def on_probe_received(node: Node, frame, ctx) -> None:
     """Guards answer probes with a slot-staggered unicast reply; others ignore."""
     if node.status is not NodeStatus.ACTIVE:
         return
     delay = reply_slot_delay(node.id, ctx.config)
-    ctx.send(node, MessageKind.PROBE_REPLY, msg.sender, delay)
+    ctx.send(node, MessageKind.PROBE_REPLY, frame.sender, delay)
 
 
-def on_probe_reply_received(node: Node, msg, ctx) -> None:
+def on_probe_reply_received(node: Node, frame, ctx) -> None:
     """Record that a guard answered; resolution waits for t_w expiry.
 
     Replies reaching a node that is itself already a guard are link-quality

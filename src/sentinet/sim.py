@@ -62,8 +62,10 @@ class Simulation:
         self.rows: list[dict] = []
         self.failure_log: list[dict] = []
         self._sigma = config.radio.shadowing_sigma_db
+        self._shadow_gens = [None] * config.node_count  # by sender, on first use
         self._base_power = config.radio.power_levels[0]
         self._weak_floor = chan.weak_link_floor(config.radio)
+        self._piggyback = config.link_control.uses_piggyback
         self._component_cache: tuple = (None, None)
 
         deploy = self.engine.rng(None, "deploy")
@@ -165,63 +167,58 @@ class Simulation:
 
     def _transmit(self, node: Node, kind: chan.MessageKind,
                   addressee: Optional[int]) -> None:
-        if not node.alive:
+        if node.status is NodeStatus.DEAD:
             return  # fail-stop: queued transmissions die with the node
-        msg = chan.Message(kind=kind, sender=node.id, addressee=addressee,
-                           tx_power_dbm=node.tx_power, tx_time=self.now)
+        nid, tx, radio = node.id, node.tx_power, self.config.radio
         self.counters[kind.index] += 1
-        energy_mod.add_tx(self.energy, node.id, node.tx_power,
-                          self.config.radio.tx_duration_s)
+        energy_mod.add_tx(self.energy, nid, tx, radio.tx_duration_s)
         shadow = None
         if self._sigma > 0.0:
             # one fresh per-receiver draw per transmission, from the
             # sender's substream so draw indices stay node-count stable
-            gen = self.engine.rng(node.id, "shadow")
+            gen = self._shadow_gens[nid]
+            if gen is None:
+                gen = self._shadow_gens[nid] = self.engine.rng(nid, "shadow")
             shadow = gen.normal(0.0, self._sigma, size=len(self.nodes))
-        frame = chan.make_frame(msg, self._links, self._awake_ids,
-                                self.config.radio, shadow, self.frames)
+        frame = chan.make_frame(kind, nid, addressee, tx, self.engine.clock,
+                                self._links, self._awake_ids, radio, shadow,
+                                self.frames)
         self.frames.append(frame)
         self.engine.schedule(frame.end, None, EventKind.MSG_DELIVERY, payload=frame)
 
-    def _weak_link(self, frame: chan.Frame, rid: int) -> bool:
-        """Whether the link quality, normalized to the base power level, is
-        below the LQI threshold.
-
-        Replies carry their transmit power, so the receiver can judge the
-        path itself rather than the momentary reception; otherwise a guard
-        that escalated first would mask the weak link from its peer and the
-        pair would never converge to a working power pair. LQI never falls
-        as the power grows, so the normalized power is compared with the
-        run's weak-link floor instead of being mapped to an LQI.
-        """
-        return ((frame.rx_dbm[rid] - frame.msg.tx_power_dbm) + self._base_power
-                < self._weak_floor)
-
     def _resolve_frame(self, frame: chan.Frame) -> None:
         self.frames.remove(frame)
-        mode = self.config.link_control
-        for rid in chan.deliver(frame, self._awake_ids):
-            node = self.nodes[rid]
-            kind = frame.msg.kind
-            if kind is chan.MessageKind.PROBE:
-                protocol.on_probe_received(node, frame.msg, self)
-            elif kind is chan.MessageKind.PROBE_REPLY:
-                if node.status is NodeStatus.PROBE:
-                    protocol.on_probe_reply_received(node, frame.msg, self)
-                elif node.status is NodeStatus.ACTIVE and mode.uses_piggyback:
-                    # a reply landing on a node that already stood guard is
-                    # guard-to-guard link evidence, not a probe answer
-                    link_control.on_link_evidence(
-                        node, self._weak_link(frame, rid), self)
-            elif kind is chan.MessageKind.CONN:
-                link_control.on_conn_received(node, frame.msg, self)
-            elif kind is chan.MessageKind.CONN_REPLY:
-                link_control.on_link_evidence(
-                    node, self._weak_link(frame, rid), self)
-        if frame.msg.kind is chan.MessageKind.PROBE_REPLY and mode.uses_piggyback:
-            for rid in chan.overhearers(frame, self._guard_ids):
-                link_control.on_link_evidence(
-                    self.nodes[rid], self._weak_link(frame, rid), self)
+        kind, nodes = frame.kind, self.nodes
+        received = chan.deliver(frame, self._awake_ids)
+        if kind is chan.MessageKind.PROBE:
+            for rid in received:
+                protocol.on_probe_received(nodes[rid], frame, self)
+            return
+        if kind is chan.MessageKind.CONN:
+            for rid in received:
+                link_control.on_conn_received(nodes[rid], frame, self)
+            return
+        # A reply reaches its addressee at most: a probe answer to a prober,
+        # else link evidence for the addressed guard, and for a probe reply
+        # that evidence only in piggybacked mode, then for its overhearers.
+        if kind is chan.MessageKind.PROBE_REPLY:
+            if received and nodes[received[0]].status is NodeStatus.PROBE:
+                protocol.on_probe_reply_received(nodes[received[0]], frame, self)
+                received = []
+            if not self._piggyback:
+                return
+            received = received + chan.overhearers(frame, self._guard_ids)
+        # A reply carries its transmit power, so a guard judges the path
+        # itself, normalized to the base power, not the momentary reception:
+        # a guard that escalated first would otherwise mask the weak link
+        # from its peer. LQI never falls as the power grows, so the link is
+        # weak exactly when the normalized power is below the weak-link
+        # floor. The order of these float operations is part of the bytes.
+        rx, tx = frame.rx_dbm, frame.tx_power_dbm
+        base, floor = self._base_power, self._weak_floor
+        for rid in received:
+            link_control.on_link_evidence(nodes[rid], (rx[rid] - tx) + base < floor,
+                                          self)
 
     # -- failures -----------------------------------------------------------
 

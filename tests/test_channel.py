@@ -3,12 +3,13 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sentinet.channel import (UNICAST_KINDS, Frame, LinkRows, Message,
-                              MessageKind, RadioConfig, compute_lqi, deliver,
-                              make_frame, overhearers, path_loss_db,
-                              rx_power_dbm, weak_link_floor)
+from sentinet.channel import (Frame, LinkRows, MessageKind, RadioConfig,
+                              compute_lqi, deliver, make_frame, overhearers,
+                              path_loss_db, rx_power_dbm, weak_link_floor)
 
 RADIO = RadioConfig()
+# Replies are unicast, everything else is broadcast.
+UNICAST_KINDS = frozenset({MessageKind.PROBE_REPLY, MessageKind.CONN_REPLY})
 
 
 def test_radio_config_validation():
@@ -20,13 +21,6 @@ def test_radio_config_validation():
         RadioConfig(lqi_snr_min_db=20.0, lqi_snr_max_db=20.0)
     with pytest.raises(ValueError):
         RadioConfig(path_loss_exponent=0.0)
-
-
-def test_message_addressing_rules():
-    with pytest.raises(ValueError):
-        Message(MessageKind.PROBE_REPLY, 1, None, -10.0, 0.0)
-    with pytest.raises(ValueError):
-        Message(MessageKind.PROBE, 1, 2, -10.0, 0.0)
 
 
 def test_rx_power_reference_distance():
@@ -119,15 +113,17 @@ def test_weak_link_floor_matches_lqi(noise, snr_min, span, threshold, offsets):
 import numpy as np
 
 
+# what a transmission is: (kind, sender, addressee, tx power, start), the
+# leading arguments of make_frame
 def _broadcast(sender, t, power=-5.0):
-    return Message(MessageKind.PROBE, sender, None, power, t)
+    return (MessageKind.PROBE, sender, None, power, t)
 
 
-def _mk(msg, positions, awake, on_air=()):
+def _mk(sent, positions, awake, on_air=()):
     n = max(positions) + 1
     xs = np.array([positions.get(i, (1e6, 1e6))[0] for i in range(n)])
     ys = np.array([positions.get(i, (1e6, 1e6))[1] for i in range(n)])
-    return make_frame(msg, LinkRows(xs, ys, RADIO), awake, RADIO, on_air=on_air)
+    return make_frame(*sent, LinkRows(xs, ys, RADIO), awake, RADIO, on_air=on_air)
 
 
 def test_single_receiver_delivery():
@@ -184,15 +180,15 @@ def test_out_of_range_receiver_misses():
 
 def test_unicast_reaches_only_addressee():
     positions = {0: (0.0, 0.0), 1: (5.0, 0.0), 2: (5.0, 5.0)}
-    msg = Message(MessageKind.PROBE_REPLY, 0, 1, -5.0, 0.0)
-    frame = _mk(msg, positions, [0, 1, 2])
+    sent = (MessageKind.PROBE_REPLY, 0, 1, -5.0, 0.0)
+    frame = _mk(sent, positions, [0, 1, 2])
     assert deliver(frame, {0, 1, 2}) == [1]
 
 
 def test_unicast_to_sleeping_addressee_fails():
     positions = {0: (0.0, 0.0), 1: (5.0, 0.0)}
-    msg = Message(MessageKind.PROBE_REPLY, 0, 1, -5.0, 0.0)
-    frame = _mk(msg, positions, [0])
+    sent = (MessageKind.PROBE_REPLY, 0, 1, -5.0, 0.0)
+    frame = _mk(sent, positions, [0])
     assert deliver(frame, {0}) == []
 
 
@@ -214,8 +210,8 @@ def test_half_duplex_sender_blocks_reception():
 
 def test_overhearers_excludes_sender_and_addressee():
     positions = {0: (0.0, 0.0), 1: (5.0, 0.0), 2: (5.0, 5.0), 3: (90.0, 90.0)}
-    msg = Message(MessageKind.PROBE_REPLY, 0, 1, -5.0, 0.0)
-    frame = _mk(msg, positions, [0, 1, 2, 3])
+    sent = (MessageKind.PROBE_REPLY, 0, 1, -5.0, 0.0)
+    frame = _mk(sent, positions, [0, 1, 2, 3])
     assert overhearers(frame, [0, 1, 2, 3]) == [2]
 
 
@@ -255,12 +251,12 @@ def air_scenes(draw):
         start = draw(st.sampled_from([0.0, 0.001, 0.002, 0.004, 0.006]))
         shadow = np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=n,
                                         max_size=n)))
-        drawn.append((Message(kind, sender, addressee, power, start), shadow,
+        drawn.append(((kind, sender, addressee, power, start), shadow,
                       draw(node_sets)))
-    drawn.sort(key=lambda item: item[0].tx_time)
+    drawn.sort(key=lambda item: item[0][4])
     frames = []
-    for msg, shadow, awake in drawn:
-        frames.append(make_frame(msg, links, awake, RADIO, shadow,
+    for sent, shadow, awake in drawn:
+        frames.append(make_frame(*sent, links, awake, RADIO, shadow,
                                  on_air=list(frames)))
     awake_at = [awake for _, _, awake in drawn]
     return n, frames, awake_at, draw(node_sets), draw(node_sets)
@@ -272,9 +268,9 @@ def _reference_receives(frame, nid, frames):
     receivers nor on the jam sets."""
     def heard(f):  # nid hears f, or is busy sending it
         rx = f.rx_dbm.get(nid)
-        return nid == f.msg.sender or (rx is not None
-                                       and rx >= RADIO.sensitivity_dbm)
-    if nid == frame.msg.sender or not heard(frame):
+        return nid == f.sender or (rx is not None
+                                   and rx >= RADIO.sensitivity_dbm)
+    if nid == frame.sender or not heard(frame):
         return False
     return not any(other is not frame and frame.start < other.end
                    and other.start < frame.end and heard(other)
@@ -282,12 +278,11 @@ def _reference_receives(frame, nid, frames):
 
 
 def _reference_deliver(n, frame, frames, awake_start, awake_now):
-    msg = frame.msg
     got = []
     for nid in range(n):
-        if nid == msg.sender or nid not in awake_start or nid not in awake_now:
+        if nid == frame.sender or nid not in awake_start or nid not in awake_now:
             continue
-        if msg.addressee is not None and nid != msg.addressee:
+        if frame.addressee is not None and nid != frame.addressee:
             continue
         if _reference_receives(frame, nid, frames):
             got.append(nid)
@@ -295,10 +290,9 @@ def _reference_deliver(n, frame, frames, awake_start, awake_now):
 
 
 def _reference_overhearers(n, frame, frames, awake_start, listeners):
-    msg = frame.msg
     got = []
     for nid in range(n):
-        if nid in (msg.sender, msg.addressee) or nid not in listeners:
+        if nid in (frame.sender, frame.addressee) or nid not in listeners:
             continue
         if nid in awake_start and _reference_receives(frame, nid, frames):
             got.append(nid)
@@ -320,17 +314,18 @@ def test_delivery_matches_brute_force_scan(scene):
 # -- oracle: frames over link rows against the full field ---------------------
 
 
-def reference_frame(msg, xs, ys, awake_ids, radio, shadow=None):
+def reference_frame(sent, xs, ys, awake_ids, radio, shadow=None):
     """The frame computed at every node, then cut to the audible ones."""
-    d = np.hypot(xs - xs[msg.sender], ys - ys[msg.sender])
-    rx = msg.tx_power_dbm - path_loss_db(radio, d)
+    kind, sender, addressee, tx, start = sent
+    d = np.hypot(xs - xs[sender], ys - ys[sender])
+    rx = tx - path_loss_db(radio, d)
     if shadow is not None:
         rx = rx - shadow
     audible = rx >= radio.sensitivity_dbm
-    audible[msg.sender] = False
+    audible[sender] = False
     idx = np.flatnonzero(audible)
     rx_map = dict(zip(idx.tolist(), rx[idx].tolist()))
-    return Frame(msg=msg, start=msg.tx_time, end=msg.tx_time + radio.tx_duration_s,
+    return Frame(kind, sender, addressee, tx, start, start + radio.tx_duration_s,
                  rx_dbm=rx_map, awake_at_start=rx_map.keys() & awake_ids)
 
 
@@ -339,6 +334,8 @@ def assert_same_frame(got, want):
     assert [(k, v.hex()) for k, v in got.rx_dbm.items()] == \
         [(k, v.hex()) for k, v in want.rx_dbm.items()]
     assert set(got.awake_at_start) == set(want.awake_at_start)
+    assert (got.kind, got.sender, got.addressee, got.tx_power_dbm) == \
+        (want.kind, want.sender, want.addressee, want.tx_power_dbm)
     assert (got.start, got.end) == (want.start, want.end)
 
 
@@ -366,7 +363,7 @@ def frame_sequences(draw):
             for nid in planted:
                 shadow[nid] = -draw(st.floats(3.0, 8.0)) * sigma
         awake = draw(st.sets(st.integers(0, n - 1)))
-        frames.append((Message(MessageKind.PROBE, sender, None, power, 0.0),
+        frames.append(((MessageKind.PROBE, sender, None, power, 0.0),
                        shadow, awake))
     return radio, xs, ys, frames
 
@@ -377,9 +374,9 @@ def frame_sequences(draw):
 def test_frames_over_link_rows_match_the_full_field(scene):
     radio, xs, ys, frames = scene
     links = LinkRows(xs, ys, radio)
-    for msg, shadow, awake in frames:
-        assert_same_frame(make_frame(msg, links, awake, radio, shadow),
-                          reference_frame(msg, xs, ys, awake, radio, shadow))
+    for sent, shadow, awake in frames:
+        assert_same_frame(make_frame(*sent, links, awake, radio, shadow),
+                          reference_frame(sent, xs, ys, awake, radio, shadow))
 
 
 def test_tail_draw_past_the_row_rebuilds_it():
@@ -387,13 +384,13 @@ def test_tail_draw_past_the_row_rebuilds_it():
     radio = RadioConfig(shadowing_sigma_db=4.0)
     xs, ys = np.array([0.0, 5.0, 60.0]), np.zeros(3)
     links = LinkRows(xs, ys, radio)
-    msg = Message(MessageKind.PROBE, 0, None, -10.0, 0.0)
+    sent = (MessageKind.PROBE, 0, None, -10.0, 0.0)
     calm = np.zeros(3)
-    assert list(make_frame(msg, links, {1, 2}, radio, calm).rx_dbm) == [1]
+    assert list(make_frame(*sent, links, {1, 2}, radio, calm).rx_dbm) == [1]
     assert links.row(0, -math.inf)[0].tolist() == [1]
     tail = np.array([0.0, 0.0, -8.0 * radio.shadowing_sigma_db])
-    frame = make_frame(msg, links, {1, 2}, radio, tail)
-    assert_same_frame(frame, reference_frame(msg, xs, ys, {1, 2}, radio, tail))
+    frame = make_frame(*sent, links, {1, 2}, radio, tail)
+    assert_same_frame(frame, reference_frame(sent, xs, ys, {1, 2}, radio, tail))
     assert list(frame.rx_dbm) == [1, 2]
 
 

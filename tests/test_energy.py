@@ -110,6 +110,23 @@ def test_extra_frame_strictly_increases_total():
     assert summarize(led)["total_j"] > before
 
 
+def test_add_tx_charges_the_cost_of_each_frame():
+    # a frame's joules are worked out once per (level, duration) and then
+    # reused; a level with no configured draw is refused every time
+    led = EnergyLedger(CFG, 2)
+    charged = [add_tx(led, nid, level, duration)
+               for nid, level, duration in ((0, -10.0, 0.004), (1, -5.0, 0.004),
+                                            (0, -10.0, 0.004), (0, -10.0, 0.002))]
+    assert charged == [tx_cost(CFG, -10.0, 0.004), tx_cost(CFG, -5.0, 0.004),
+                       tx_cost(CFG, -10.0, 0.004), tx_cost(CFG, -10.0, 0.002)]
+    assert led.joules[TX].tolist() == [
+        (charged[0] + charged[2]) + charged[3], charged[1]]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            add_tx(led, 1, -7.0, 0.004)
+    assert led.joules[TX, 1] == charged[1]
+
+
 def test_config_rejects_negative_draws():
     with pytest.raises(ValueError):
         EnergyConfig(sleep_draw_w=-1e-9)

@@ -90,6 +90,15 @@ def test_run_until_rejects_rewinding_the_clock():
         eng.run_until(5.0)
 
 
+def test_run_until_nan_rejected():
+    # a NaN clock would compare false with every later time
+    eng = Engine(seed=1)
+    eng.run_until(3.0)
+    with pytest.raises(ClockViolationError):
+        eng.run_until(float("nan"))
+    assert eng.clock == 3.0
+
+
 def test_run_until_on_empty_queue_advances_clock():
     eng = Engine(seed=1)
     summary = eng.run_until(1000.0)
@@ -158,6 +167,23 @@ def test_reschedule_earlier_behind_the_clock_rejected():
     with pytest.raises(ClockViolationError):
         eng.reschedule(handle, 6.5)
     assert (handle.time, handle.seq) == (8.0, 0)
+
+
+def test_reschedule_to_nan_rejected():
+    # a NaN key would leave the event undispatched for good; the move is
+    # refused and the event stays pending at its old key
+    eng = Engine(seed=1)
+    seen = collect(eng)
+    handle = eng.schedule(5.0, 1, EventKind.CONN_TIMER_EXPIRED)
+    eng.schedule(7.0, 2, EventKind.SLEEP_EXPIRED)
+    with pytest.raises(ClockViolationError):
+        eng.reschedule(handle, float("nan"))
+    assert (handle.time, handle.seq, handle.filed) == (5.0, 0, 0)
+    assert not handle.cancelled and not handle.dispatched
+    assert sorted(key[:2] for key in eng._queue) == [(5.0, 0), (7.0, 1)]
+    eng.run_until(10.0)
+    assert seen == [(5.0, 1, EventKind.CONN_TIMER_EXPIRED),
+                    (7.0, 2, EventKind.SLEEP_EXPIRED)]
 
 
 class CancelAndSchedule(Engine):

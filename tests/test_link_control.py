@@ -3,7 +3,7 @@ import math
 import pytest
 
 from conftest import FakeCtx
-from sentinet.channel import Message, MessageKind, compute_lqi, weak_link_floor
+from sentinet.channel import Frame, MessageKind, compute_lqi, weak_link_floor
 from sentinet.config import LinkControlMode, RunConfig
 from sentinet.engine import EventKind
 from sentinet.link_control import (draw_t_c, escalate_power,
@@ -74,15 +74,16 @@ def test_timer_expiry_on_dead_guard_is_inert(ctx):
 
 def test_guard_answers_conn_with_slot_delay(ctx):
     node = guard(7)
-    msg = Message(MessageKind.CONN, 2, None, -10.0, 0.0)
-    on_conn_received(node, msg, ctx)
+    frame = Frame(MessageKind.CONN, 2, None, -10.0, 0.0, 0.004)
+    on_conn_received(node, frame, ctx)
     assert ctx.sent == [(7, MessageKind.CONN_REPLY, 2,
                          reply_slot_delay(7, ctx.config))]
 
 
 def test_reserves_ignore_conn_frames(ctx):
     node = make_node(status=NodeStatus.SLEEP)
-    on_conn_received(node, Message(MessageKind.CONN, 2, None, -10.0, 0.0), ctx)
+    on_conn_received(node, Frame(MessageKind.CONN, 2, None, -10.0, 0.0, 0.004),
+                     ctx)
     assert ctx.sent == []
 
 
@@ -96,6 +97,17 @@ def test_strong_evidence_keeps_power_and_resets_timer(ctx):
     assert node.timer is timer and ctx.moved == [timer]
     assert timer.time == 9.0 + draw_t_c(node, ctx)
     assert ctx.cancelled == [] and ctx.scheduled == [timer]
+
+
+def test_evidence_draws_t_c_as_draw_t_c_does():
+    # the reset time is now + (lo + u * (hi - lo)), bit for bit
+    for u in (1e-12, 0.1, 0.3, 0.7, 1.0 - 2.0 ** -53):
+        ctx = ctx_with(LinkControlMode.PIGGYBACKED, t_c_range=(0.3, 7.1))
+        ctx.u = u
+        node = armed_guard(ctx)
+        ctx.now = 9.7
+        on_link_evidence(node, False, ctx)
+        assert node.timer.time == 9.7 + draw_t_c(node, ctx), u
 
 
 def test_weak_evidence_escalates_one_level(ctx):

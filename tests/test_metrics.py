@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sentinet.channel import LinkRows, RadioConfig, path_loss_db
+from sentinet.channel import (LinkRows, RadioConfig, compute_lqi, path_loss_db,
+                              weak_link_floor)
 from sentinet import metrics
 from sentinet.metrics import (CSV_HEADER, CoverageGrid, coverage_fraction,
                               format_row, guard_components, meta_line,
@@ -158,6 +159,22 @@ def test_low_power_pair_beyond_threshold_radius_is_isolated():
 def test_edge_requires_both_directions():
     assert components((40.0, 50.0, -5.0),
                       (52.0, 50.0, -10.0))["isolated_count"] == 2
+
+
+@pytest.mark.oracle
+def test_pair_exactly_at_the_weak_link_floor_is_linked():
+    # 10 m apart with a 53 dB reference loss, the path loss is 53 + 24 = 77
+    # dB exactly, so the weaker guard's -10 dBm arrives at -87 dBm, the
+    # floor itself: LQI 7 meets the threshold and the pair is linked
+    radio = RadioConfig(reference_loss_db=53.0)
+    xs, ys, powers = guards((0.0, 0.0, -10.0), (10.0, 0.0, -5.0))
+    assert min(powers) - path_loss_db(radio, np.array([10.0]))[0] \
+        == weak_link_floor(radio) == -87.0
+    assert compute_lqi(radio, -87.0) == radio.lqi_threshold
+    assert guard_components(xs, ys, powers, radio) == [[0, 1]]
+    # a micrometre further out the weaker direction falls below the floor
+    far = np.array([0.0, 10.000001])
+    assert guard_components(far, ys, powers, radio) == [[0], [1]]
 
 
 def lqi_array(radio, rx_dbm):

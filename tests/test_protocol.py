@@ -4,7 +4,7 @@ import math
 import pytest
 
 from conftest import FakeCtx
-from sentinet.channel import Message, MessageKind
+from sentinet.channel import Frame, MessageKind
 from sentinet.config import LinkControlMode, RunConfig
 from sentinet.engine import EventKind
 from sentinet.protocol import (ALLOWED_TRANSITIONS, Node, NodeStatus,
@@ -23,7 +23,7 @@ def make_node(node_id=0, status=NodeStatus.SLEEP, **kw):
 
 
 def probe_from(sender):
-    return Message(MessageKind.PROBE, sender, None, -10.0, 0.0)
+    return Frame(MessageKind.PROBE, sender, None, -10.0, 0.0, 0.004)
 
 
 def test_deploy_sleeps_and_arms_timer():
@@ -87,7 +87,7 @@ def test_non_guards_ignore_probes(ctx, status):
 
 def test_reply_sets_rcv_msg_only_in_probe(ctx):
     node = make_node(status=NodeStatus.PROBE)
-    reply = Message(MessageKind.PROBE_REPLY, 3, 0, -10.0, 0.0)
+    reply = Frame(MessageKind.PROBE_REPLY, 3, 0, -10.0, 0.0, 0.004)
     on_probe_reply_received(node, reply, ctx)
     assert node.rcv_msg is True
     guard = make_node(node_id=1, status=NodeStatus.ACTIVE)

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import zero_shadow
-from sentinet import (LinkControlMode, RunConfig, Simulation, run_simulation)
-from sentinet.channel import (Frame, Message, MessageKind, compute_lqi,
-                              weak_link_floor)
+from sentinet import (LinkControlMode, RunConfig, Simulation, WeibullParams,
+                      link_control, run_simulation)
+from sentinet.channel import Frame, MessageKind, compute_lqi, weak_link_floor
 from sentinet.energy import TX
 from sentinet.engine import EventKind
 from sentinet.metrics import sentinel_components
 from sentinet.protocol import NodeStatus
+from test_channel import UNICAST_KINDS
 from test_golden import GOLDEN_RUNS
 from test_metrics import brute_coverage
 
@@ -109,14 +110,11 @@ def test_census_and_cached_metrics_match_a_recount():
                                                   for s in NodeStatus}
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
-def test_invariants_hold_after_every_event(name):
-    # the documented invariants, checked after every event of the golden
-    # runs: census, the kept id sets, each node's one timer and its heap
-    # entries, exactly the frames with a pending delivery on the air, and
-    # energy that only grows
-    flat, sentinel_failures = GOLDEN_RUNS[name]
-    cfg = RunConfig.from_flat(flat)
+def invariant_checker(cfg):
+    """A post-event hook that checks the documented invariants after every
+    event: census, the kept id sets, each node's one timer and its heap
+    entries, exactly the frames with a pending delivery on the air, and
+    energy that only grows. Returns the hook and a Counter of what it saw."""
     timer_driven = cfg.link_control.uses_conn_timer
     owned = {NodeStatus.SLEEP: EventKind.SLEEP_EXPIRED,
              NodeStatus.PROBE: EventKind.WAIT_EXPIRED,
@@ -182,15 +180,103 @@ def test_invariants_hold_after_every_event(name):
                 assert (spent >= last_energy[0]).all()
             last_energy[0] = spent
 
+    return check, seen
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_invariants_hold_after_every_event(name):
+    flat, sentinel_failures = GOLDEN_RUNS[name]
+    cfg = RunConfig.from_flat(flat)
+    check, seen = invariant_checker(cfg)
     sim = Simulation(cfg, post_event_hook=check)
     for at, count in sentinel_failures:
         sim.inject_sentinel_failure(at, count)
     result = sim.run()
     assert seen["events"] == sum(result.summary["totals"]["events"].values())
-    if timer_driven:
+    if cfg.link_control.uses_conn_timer:
         # the checks saw guards, and timers moved in place both ways
         assert seen["guard_checks"] > 0
         assert seen["moved"] > 0 and seen["earlier"] > 0
+
+
+@st.composite
+def small_runs(draw):
+    """A small drawn run in every link mode, shadowing and hazard feedback,
+    with single kills and mass kills at drawn times."""
+    n = draw(st.integers(2, 16))
+    duration = float(draw(st.integers(20, 120)))
+    cfg = RunConfig(
+        node_count=n,
+        field_width=float(draw(st.integers(30, 90))),
+        field_height=float(draw(st.integers(30, 90))),
+        duration=duration,
+        seed=draw(st.integers(0, 2 ** 31)),
+        weibull=WeibullParams(draw(st.sampled_from([0.05, 0.1])),
+                              draw(st.sampled_from([1.0, 2.0, 3.0]))),
+        link_control=draw(st.sampled_from(LinkControlMode)),
+        hazard_feedback=draw(st.sampled_from(["off", "global", "cycle"])),
+        grid_step=10.0, metric_interval=10.0)
+    if draw(st.booleans()):
+        cfg = zero_shadow(cfg)
+    at = st.floats(0.0, duration)
+    kills = draw(st.lists(st.tuples(st.integers(0, n - 1), at), max_size=3))
+    mass = draw(st.lists(st.tuples(at, st.none() | st.integers(0, 4)),
+                         max_size=2))
+    return cfg, kills, mass
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_runs())
+def test_invariants_hold_under_fuzz(run):
+    cfg, kills, mass = run
+    check, seen = invariant_checker(cfg)
+    sim = Simulation(cfg, post_event_hook=check)
+    for nid, at in kills:
+        sim.inject_failure(nid, at)
+    for at, count in mass:
+        sim.inject_sentinel_failure(at, count)
+    result = sim.run()
+    assert seen["events"] == sum(result.summary["totals"]["events"].values())
+
+
+def test_every_transmission_is_addressed_by_its_kind():
+    # the handlers pass each kind's addressing as a constant: probes and
+    # connectivity frames carry no addressee, and replies carry an int
+    # addressee other than the sender, on every transmission and the frame
+    # made from it, over the golden runs and criterion-3-style runs
+    runs = [(RunConfig.from_flat(flat), failures)
+            for flat, failures in GOLDEN_RUNS.values()]
+    for seed, mode, feedback in ((1, LinkControlMode.STANDALONE, "cycle"),
+                                 (2, LinkControlMode.PIGGYBACKED, "global"),
+                                 (3, LinkControlMode.OFF, "off")):
+        runs.append((zero_shadow(RunConfig(
+            node_count=18, field_width=60.0, field_height=50.0, duration=200.0,
+            seed=seed, weibull=WeibullParams(0.1, 2.0), link_control=mode,
+            hazard_feedback=feedback, grid_step=10.0, metric_interval=20.0)),
+            ((120.0, 2),)))
+    seen = Counter()
+
+    def check(sim, ev):
+        if ev.kind is EventKind.TX_START:
+            kind, addressee = ev.payload
+            sender = ev.target
+        elif ev.kind is EventKind.MSG_DELIVERY:
+            frame = ev.payload
+            kind, addressee, sender = frame.kind, frame.addressee, frame.sender
+        else:
+            return
+        if kind in UNICAST_KINDS:
+            assert type(addressee) is int and addressee != sender, ev
+        else:
+            assert addressee is None, ev
+        seen[kind] += 1
+
+    for cfg, failures in runs:
+        sim = Simulation(cfg, post_event_hook=check)
+        for at, count in failures:
+            sim.inject_sentinel_failure(at, count)
+        sim.run()
+    assert all(seen[kind] > 0 for kind in MessageKind)
 
 
 def test_rows_strictly_increasing_in_time():
@@ -299,6 +385,28 @@ def test_piggybacked_reduces_conn_traffic_vs_standalone():
     assert sum(piggy.values()) <= sum(alone.values())
 
 
+def link_verdicts(sim, frame):
+    """The (receiver, weak) link evidence that resolving ``frame`` hands to
+    the link control, in order."""
+    got = []
+    original = link_control.on_link_evidence
+    link_control.on_link_evidence = lambda node, weak, ctx: got.append(
+        (node.id, weak))
+    try:
+        sim.frames.append(frame)
+        sim._resolve_frame(frame)
+    finally:
+        link_control.on_link_evidence = original
+    return got
+
+
+def standing_guards(sim, *ids):
+    for nid in ids:
+        node = sim.nodes[nid]
+        node.status = NodeStatus.ACTIVE  # bypass protocol: stand guard
+        sim.note_transition(node, NodeStatus.SLEEP, NodeStatus.ACTIVE)
+
+
 @settings(max_examples=200, deadline=None)
 @given(threshold=st.integers(1, 10), tx=st.sampled_from((-10.0, -5.0)),
        offset=st.floats(-2.0, 2.0), ulps=st.integers(-3, 3))
@@ -308,14 +416,36 @@ def test_weak_link_verdict_matches_the_normalized_lqi(threshold, tx, offset, ulp
     # around the floor, down to single ulps
     radio = dataclasses.replace(RunConfig().radio, lqi_threshold=threshold)
     sim = Simulation(small_config(radio=radio))
+    standing_guards(sim, 0)
     base = radio.power_levels[0]
     rx = weak_link_floor(radio) - base + tx + offset
     for _ in range(abs(ulps)):
         rx = math.nextafter(rx, math.copysign(math.inf, ulps))
-    frame = Frame(msg=Message(MessageKind.CONN_REPLY, 1, 0, tx, 0.0),
-                  start=0.0, end=radio.tx_duration_s, rx_dbm={0: rx})
+    frame = Frame(MessageKind.CONN_REPLY, 1, 0, tx, 0.0, radio.tx_duration_s,
+                  rx_dbm={0: rx}, awake_at_start={0})
     lqi = compute_lqi(radio, rx - tx + base)
-    assert sim._weak_link(frame, 0) == (lqi < threshold)
+    assert link_verdicts(sim, frame) == [(0, lqi < threshold)]
+
+
+@pytest.mark.oracle
+def test_weak_link_verdict_normalizes_as_rx_minus_tx_plus_base():
+    # a reply whose normalized power (rx - tx) + base rounds below the
+    # floor, while rx + (base - tx) rounds onto it: the order is pinned, for
+    # the addressed guard and for every guard overhearing a probe reply
+    radio = dataclasses.replace(RunConfig().radio, power_levels=(-12.7, -3.1))
+    energy = dataclasses.replace(RunConfig().energy,
+                                 tx_draw_w=((-12.7, 0.040), (-3.1, 0.046)))
+    sim = Simulation(small_config(radio=radio, energy=energy))
+    standing_guards(sim, 0, 2, 3)
+    tx, base, floor = -3.1, -12.7, weak_link_floor(radio)
+    rx = float.fromhex("-0x1.359999999999ap+6")  # -77.4
+    assert (rx - tx) + base < floor <= rx + (base - tx)
+    assert compute_lqi(radio, (rx - tx) + base) < radio.lqi_threshold
+    for kind, want in ((MessageKind.CONN_REPLY, [0]),
+                       (MessageKind.PROBE_REPLY, [0, 2, 3])):
+        frame = Frame(kind, 1, 0, tx, 0.0, radio.tx_duration_s,
+                      rx_dbm={0: rx, 2: rx, 3: rx}, awake_at_start={0, 2, 3})
+        assert link_verdicts(sim, frame) == [(nid, True) for nid in want]
 
 
 def test_colliding_senders_still_pay_for_their_frames():
@@ -364,8 +494,8 @@ def test_frame_starting_as_another_ends_does_not_collide(monkeypatch):
 
     def spy(frame, awake_now):
         got = original(frame, awake_now)
-        if frame.msg.kind is MessageKind.PROBE:
-            delivered[frame.msg.sender] = got
+        if frame.kind is MessageKind.PROBE:
+            delivered[frame.sender] = got
         return got
 
     def note_on_air(sim, ev):
