@@ -195,6 +195,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_inject(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     specs = [parse_kill_spec(s) for s in args.kill]
+    for spec in specs:  # before the output directory exists
+        if spec["kind"] == "node" and not 0 <= spec["node"] < config.node_count:
+            raise CliError(f"unknown node id {spec['node']}")
     node_failures = []
     sentinel_failures = []
     for spec in specs:

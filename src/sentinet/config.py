@@ -100,6 +100,8 @@ class RunConfig:
             raise ValueError(f"node_count must be >= 1, got {self.node_count}")
         if self.duration <= 0.0:
             raise ValueError(f"duration must be positive, got {self.duration}")
+        if self.seed < 0:  # substream keys take the seed's 32-bit words
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.t_c_range[0] > self.t_c_range[1]:
             raise ValueError(f"t_c_range min exceeds max: {self.t_c_range}")
         if self.t_c_range[0] < 0.0:

@@ -12,7 +12,13 @@ scheduling anew would make.
 
 All randomness flows through counter-based Philox substreams keyed by
 (seed, node id, stream name), so a node's draws depend only on its own
-draw indices and adding more nodes never perturbs existing streams.
+draw indices and adding more nodes never perturbs existing streams. A
+substream's Philox key equals numpy's ``SeedSequence(entropy=seed,
+spawn_key=(node id, stream index)).generate_state(2, uint64)``, but no
+SeedSequence is built: ``substream_keys`` ports its mixing, absorbs the
+seed once and the two spawn words of many keys in one vectorized pass, so
+an engine that knows its node count derives every node's keys at
+construction and builds each generator straight from its key.
 ``uniform`` serves a substream's draws after its first from blocks of
 ``gen.random(k)``: Philox gives the same values in a block as in k scalar
 calls, and zeros are dropped from a block as the scalar retry skips them,
@@ -29,6 +35,7 @@ from enum import Enum
 from typing import Any, Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 RNG_NAME = "philox"
 
@@ -36,6 +43,108 @@ RNG_NAME = "philox"
 _STREAMS = {"sleep": 0, "conn": 2, "shadow": 3, "deploy": 4}
 _SYSTEM_NODE = 0xFFFFFFFF
 _BLOCK = 32  # draws per refill of a substream's block in ``uniform``
+
+# numpy's SeedSequence constants: a pool of 4 32-bit words, hashed with a
+# multiplier that advances on every use
+_POOL = 4
+_MASK = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_U32, _SHIFT, _HIGH = np.uint64(_MASK), np.uint64(16), np.uint64(32)
+_MIX_L64, _MIX_R64 = np.uint64(_MIX_L), np.uint64(_MIX_R)
+
+
+def _hash_consts(start: int, mult: int, n: int) -> list[int]:
+    """The hash multiplier before and after each of ``n`` uses."""
+    out = [start]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK)
+    return out
+
+
+# generate_state(2, uint64) reads the 4 pool words once each
+_OUT = np.array(_hash_consts(_INIT_B, _MULT_B, _POOL), dtype=np.uint64)
+_OUT_XOR, _OUT_MUL = _OUT[:-1].reshape(_POOL, 1, 1), _OUT[1:].reshape(_POOL, 1, 1)
+
+
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """The pool after absorbing the seed's 32-bit words (zero-padded to the
+    pool, as numpy pads entropy that has a spawn key), and the hash
+    multiplier the spawn words start from."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed >> s & _MASK for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL - len(words))
+    h = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value ^= h
+        h = h * _MULT_A & _MASK
+        value = value * h & _MASK
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (_MIX_L * x - _MIX_R * y) & _MASK
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    return pool, h
+
+
+def substream_keys(seed: int, nodes, streams) -> np.ndarray:
+    """Philox keys of every (stream index, node id) pair, shape
+    (len(streams), len(nodes), 2) uint64; each equals numpy's
+    ``SeedSequence(entropy=seed, spawn_key=(node, stream)).generate_state(
+    2, np.uint64)``. Node ids and stream indices are single 32-bit words.
+
+    The pool words are held as uint32 values in uint64 arrays, so a product
+    of two words never overflows and masking takes it modulo 2**32.
+    """
+    pool, h = _seed_pool(int(seed))
+    consts = np.array(_hash_consts(h, _MULT_A, 2 * _POOL), dtype=np.uint64)
+    words = []
+    for w in (nodes, streams):
+        w = np.asarray(w, dtype=np.int64)
+        if w.size and (w.min() < 0 or w.max() > _MASK):
+            raise ValueError("node ids and stream indices must be in [0, 2**32)")
+        words.append(w.astype(np.uint64))
+    # (pool word, stream, node): each pool word absorbs the node word, then
+    # the stream word, each hashed with the multiplier's next value
+    p = np.array(pool, dtype=np.uint64).reshape(_POOL, 1, 1)
+    for k, w in enumerate((words[0][None, None, :], words[1][None, :, None])):
+        xor = consts[k * _POOL:(k + 1) * _POOL].reshape(_POOL, 1, 1)
+        mul = consts[k * _POOL + 1:(k + 1) * _POOL + 1].reshape(_POOL, 1, 1)
+        v = (w ^ xor) * mul & _U32
+        v ^= v >> _SHIFT
+        p = (_MIX_L64 * p - _MIX_R64 * v) & _U32
+        p ^= p >> _SHIFT
+    out = (p ^ _OUT_XOR) * _OUT_MUL & _U32
+    out ^= out >> _SHIFT
+    return np.stack([out[0] | out[1] << _HIGH, out[2] | out[3] << _HIGH], axis=-1)
+
+
+class _Key(ISeedSequence):
+    """Hands Philox a precomputed key where it asks a seed sequence for one."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a substream key is 2 uint64 words, "
+                             f"not {n_words} {np.dtype(dtype)}")
+        return self.key
 
 
 class IndexedEnum(Enum):
@@ -90,8 +199,13 @@ class RunSummary:
 class Engine:
     """Event queue, simulation clock, and seeded RNG substreams."""
 
-    def __init__(self, seed: int, handler=None):
+    def __init__(self, seed: int, handler=None, node_count: int = 0):
         self.seed = int(seed)
+        self._node_count = node_count
+        # each stream's keys for nodes 0..node_count-1, then the system node
+        self._keys = dict(zip(_STREAMS, substream_keys(
+            self.seed, np.append(np.arange(node_count), _SYSTEM_NODE),
+            list(_STREAMS.values()))))
         self.clock = 0.0
         self.handler = handler  # callable(event) set by the simulation
         # (time, seq, event): seq is unique, so events are never compared
@@ -112,10 +226,18 @@ class Engine:
         ahead of the draws served."""
         gen = self._rngs.get((node_id, stream))
         if gen is None:
-            key = (_SYSTEM_NODE if node_id is None else int(node_id), _STREAMS[stream])
-            seq = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
-            gen = self._rngs[node_id, stream] = np.random.Generator(np.random.Philox(seq))
+            gen = self._rngs[node_id, stream] = np.random.Generator(
+                np.random.Philox(_Key(self._key(node_id, stream))))
         return gen
+
+    def _key(self, node_id: Optional[int], stream: str) -> np.ndarray:
+        keys = self._keys[stream]
+        if node_id is None:
+            return keys[-1]
+        node = int(node_id)
+        if 0 <= node < self._node_count:
+            return keys[node]
+        return substream_keys(self.seed, [node], [_STREAMS[stream]])[0, 0]
 
     def uniform(self, node_id: Optional[int], stream: str) -> float:
         """Uniform draw strictly inside (0, 1); endpoint draws are retried.

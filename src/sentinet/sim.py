@@ -47,7 +47,8 @@ class Simulation:
         # Simulation (heap, RNGs, frames) cyclic garbage that lingers until
         # the next full collection
         me = weakref.ref(self)
-        self.engine = Engine(config.seed, handler=lambda ev: me()._dispatch(ev))
+        self.engine = Engine(config.seed, handler=lambda ev: me()._dispatch(ev),
+                             node_count=config.node_count)
         # the handlers pass absolute times, so their draws and timers are
         # the engine's methods, bound through the Engine class (a method
         # wrapped on the class is the one called)
@@ -68,19 +69,20 @@ class Simulation:
         self._piggyback = config.link_control.uses_piggyback
         self._component_cache: tuple = (None, None)
 
-        deploy = self.engine.rng(None, "deploy")
-        self.nodes: dict[int, Node] = {}
+        if positions is None:
+            # node k at draws 2k (x) and 2k+1 (y): one block, the same values
+            # as scalar draws in that order
+            drawn = self.engine.rng(None, "deploy").random(2 * config.node_count)
+            self._xs = drawn[0::2] * config.field_width
+            self._ys = drawn[1::2] * config.field_height
+        else:
+            self._xs, self._ys = np.array(
+                [positions[nid] for nid in range(config.node_count)], dtype=float).T.copy()
         initial_power = config.radio.power_levels[0]
-        for nid in range(config.node_count):
-            x = float(deploy.random()) * config.field_width
-            y = float(deploy.random()) * config.field_height
-            if positions is not None:
-                x, y = positions[nid]
-            self.nodes[nid] = Node(id=nid, x=x, y=y,
-                                   deploy_weibull=config.weibull,
-                                   tx_power=initial_power)
-        self._xs = np.array([self.nodes[i].x for i in range(config.node_count)])
-        self._ys = np.array([self.nodes[i].y for i in range(config.node_count)])
+        self.nodes: dict[int, Node] = {
+            nid: Node(id=nid, x=x, y=y, deploy_weibull=config.weibull,
+                      tx_power=initial_power)
+            for nid, (x, y) in enumerate(zip(self._xs.tolist(), self._ys.tolist()))}
         self._links = chan.LinkRows(self._xs, self._ys, config.radio)
         self._awake_ids: set[int] = set()
         self._guard_ids: set[int] = set()

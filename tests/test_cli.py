@@ -121,6 +121,27 @@ def test_env_seed_is_the_base_of_sweep_rep_seeds(tmp_path, monkeypatch):
     assert len(rows) == 3 and len(set(rows)) == 3
 
 
+@pytest.mark.parametrize("command,source", [
+    ("run", "flag"), ("run", "config"), ("run", "env"), ("sweep", "env")])
+def test_negative_seed_rejected_before_output(tmp_path, monkeypatch, capsys,
+                                              command, source):
+    out = tmp_path / "d"
+    args = [command, *FAST[:-2], "--out", str(out)]
+    if command == "sweep":
+        args += ["--axis", "beta", "--values", "2"]
+    if source == "flag":
+        args.append("--seed=-1")
+    elif source == "config":
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("seed=-1\n")
+        args += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("SENTINET_SEED", "-2")
+    assert run_cli(*args) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_config_file_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nodes=5\nwhat is this\n")
@@ -291,9 +312,12 @@ def test_inject_single_node_kill(tmp_path):
 
 
 def test_inject_unknown_node_errors(tmp_path, capsys):
-    assert run_cli("inject", *FAST, "--out", str(tmp_path / "x"),
-                   "--kill", "node=999:at=10") == 2
-    assert "unknown node" in capsys.readouterr().err
+    out = tmp_path / "x"
+    for node in (999, 8, -1):  # FAST has nodes 0..7
+        assert run_cli("inject", *FAST, "--out", str(out),
+                       "--kill", f"node={node}:at=10") == 2
+        assert f"unknown node id {node}" in capsys.readouterr().err
+        assert not out.exists()  # rejected before the output directory
 
 
 @pytest.mark.parametrize("spec,parsed", [

@@ -92,6 +92,19 @@ def test_validation_rejects_bad_values(kw):
         RunConfig(**kw)
 
 
+@pytest.mark.parametrize("seed", [-1, -3, -2**40])
+def test_negative_seed_rejected(seed):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        RunConfig(seed=seed)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        RunConfig.from_flat({"seed": str(seed)})
+
+
+def test_multi_word_seeds_accepted():
+    for seed in (0, 2**32, 2**200 + 1):
+        assert RunConfig.from_flat({"seed": str(seed)}).seed == seed
+
+
 def test_power_levels_need_energy_draws():
     radio = dataclasses.replace(RunConfig().radio, power_levels=(-10.0, -3.0))
     with pytest.raises(ValueError, match="tx draw"):

@@ -2,9 +2,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from sentinet.engine import _BLOCK, ClockViolationError, Engine, EventKind
+from sentinet.engine import (_BLOCK, _STREAMS, ClockViolationError, Engine,
+                             EventKind, substream_keys)
 
 
 def collect(engine):
@@ -417,7 +418,7 @@ ZEROS = st.one_of(
 
 @pytest.mark.oracle
 @settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1),
+@given(seed=st.integers(0, 2**200 - 1),
        order=st.lists(st.sampled_from(SUBSTREAMS), max_size=200),
        zeros=st.dictionaries(st.sampled_from(SUBSTREAMS), ZEROS, max_size=3))
 def test_block_draws_match_scalar_draws(seed, order, zeros):
@@ -432,3 +433,70 @@ def test_block_draws_match_scalar_draws(seed, order, zeros):
         if key not in drawn:
             assert key not in eng._blocks
             drawn.add(key)
+
+
+# -- substream keys -----------------------------------------------------------
+
+KEY_NODES = [0, 1, 123_456_789, 0xFFFFFFFF]
+
+
+def seed_sequence(seed, node, index):
+    return np.random.SeedSequence(entropy=seed, spawn_key=(node, index))
+
+
+@pytest.mark.oracle
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**200 - 1))
+@example(seed=0)
+@example(seed=2**32 - 1)
+@example(seed=2**32)
+@example(seed=2**128 - 1)
+@example(seed=2**128)
+def test_substream_keys_match_seed_sequence(seed):
+    # the key oracle: one vectorized pass gives numpy's SeedSequence state
+    # for every (node, stream) word pair, seeds of one to seven words
+    indices = list(_STREAMS.values())
+    keys = substream_keys(seed, KEY_NODES, indices)
+    assert keys.shape == (len(indices), len(KEY_NODES), 2)
+    for row, index in enumerate(indices):
+        for col, node in enumerate(KEY_NODES):
+            ref = seed_sequence(seed, node, index)
+            assert keys[row, col].tolist() == ref.generate_state(2, np.uint64).tolist()
+    eng = Engine(seed, node_count=2)  # nodes 0 and 1 from the table, others one by one
+    for stream, index in _STREAMS.items():
+        for node in KEY_NODES:
+            gen = eng.rng(None if node == 0xFFFFFFFF else node, stream)
+            ref = np.random.Generator(np.random.Philox(seed_sequence(seed, node, index)))
+            assert gen.random() == ref.random() and gen.normal() == ref.normal()
+
+
+def test_table_and_single_keys_give_the_same_draws():
+    table, alone = Engine(5, node_count=40), Engine(5)
+    for node in (0, 17, 39, None):
+        for stream in ("sleep", "conn"):
+            assert [table.uniform(node, stream) for _ in range(40)] == \
+                   [alone.uniform(node, stream) for _ in range(40)]
+
+
+def test_generators_built_without_a_seed_sequence():
+    # each generator takes its precomputed key, in the table or not
+    eng = Engine(3, node_count=4)
+    for node in (0, 3, 4, 10_000, None):
+        for stream in _STREAMS:
+            seq = eng.rng(node, stream).bit_generator.seed_seq
+            assert not isinstance(seq, np.random.SeedSequence), (node, stream)
+            with pytest.raises(ValueError):
+                seq.generate_state(4)
+            with pytest.raises(ValueError):
+                seq.generate_state(2, np.uint32)
+
+
+@pytest.mark.parametrize("node", [-1, 2**32])
+def test_node_ids_outside_one_word_rejected(node):
+    with pytest.raises(ValueError):
+        Engine(1).uniform(node, "sleep")
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError):
+        Engine(-1)
