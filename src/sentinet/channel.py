@@ -12,8 +12,11 @@ audible receivers and senders, so a delivery only reads its own frame.
 
 Node positions are static, so each sender's path loss to the others is
 computed once and kept in a link row (``LinkRows``): the nodes within a
-loss cap, ascending by id. A frame reads its sender's row instead of the
-whole field; the guard graph in ``metrics`` reads the same rows.
+loss cap, ascending by id. ``power_maps`` reads its sender's row instead of
+the whole field, once for a block of that sender's frames; the guard graph
+in ``metrics`` reads the same rows. Without shadowing a map depends only on
+the sender and its power, so one map serves all of that sender's frames at
+that power, and their ``rx_dbm`` is shared and read-only.
 """
 
 from __future__ import annotations
@@ -150,8 +153,8 @@ class LinkRows:
     A sender's row holds the other nodes whose path loss from it is at most
     the row's cap, ascending by id, with those losses. A row is built on its
     first use and rebuilt to a larger cap when a caller needs more; it never
-    shrinks. A build adds headroom past the cap asked for: half a shadowing
-    sigma, so that the strongest draws of a sender's later frames seldom
+    shrinks. A build adds headroom past the cap asked for: one shadowing
+    sigma, so that the strongest draws of a sender's later blocks seldom
     force another build, and at least 1 dB, so that a row cut for a
     zero-sigma channel is not an ulp short of its next frame's needs.
     """
@@ -160,7 +163,7 @@ class LinkRows:
         self._xs = np.asarray(xs, dtype=float)
         self._ys = np.asarray(ys, dtype=float)
         self._radio = radio
-        self._headroom = max(0.5 * radio.shadowing_sigma_db, 1.0)
+        self._headroom = max(radio.shadowing_sigma_db, 1.0)
         self._rows: list[Optional[tuple]] = [None] * self._xs.size
 
     def row(self, sender: int, cap: float) -> tuple[np.ndarray, np.ndarray]:
@@ -188,6 +191,34 @@ class LinkRows:
         return cap, near[keep], loss[keep]
 
 
+def power_maps(links: LinkRows, sender: int, tx: float, radio: RadioConfig,
+               block: np.ndarray) -> list[dict[int, float]]:
+    """The received-power maps of ``sender``'s next frames at ``tx`` dBm,
+    one per row of ``block``: each frame's per-receiver shadowing in dB,
+    indexed by node id (a row of zeros for an unshadowed frame).
+
+    A map holds the audible receivers, ascending by id; receivers below
+    sensitivity can neither decode a frame nor disturb anyone else. Each
+    power is ``(tx - loss) - shadowing``, so a map is the same bytes however
+    many frames its block holds.
+    """
+    sens = radio.sensitivity_dbm
+    # The row need only hold the receivers these frames could reach: cut
+    # past the loss at which even the block's most negative draw leaves a
+    # receiver below sensitivity, so locality needs no clip on the shadowing.
+    smin = float(np.minimum.reduce(block, axis=None))
+    ids, loss = links.row(sender, loss_cap(tx, sens, smin))
+    base = tx - loss
+    maps = []
+    # one frame at a time, so a one-frame block costs what a lone frame did;
+    # rows by index, as iterating an array ends in a raised IndexError
+    for k in range(len(block)):
+        rx = base - block[k][ids]
+        audible = rx >= sens
+        maps.append(dict(zip(ids[audible].tolist(), rx[audible].tolist())))
+    return maps
+
+
 @dataclass(eq=False, slots=True)
 class Frame:
     """One transmission: what was sent, when it is on the air, and where
@@ -198,11 +229,13 @@ class Frame:
     handlers pass each kind's addressing as a constant, and the tests check
     it over whole runs, so a frame does not check it again. ``rx_dbm`` maps
     the audible receivers, ascending by id, to their received power,
-    whatever their state; ``awake_at_start`` holds those of them that were
-    awake when the frame started. Nobody else can receive the frame.
-    ``jammed`` holds the nodes that hear, or send, another frame
-    overlapping this one: none of them can receive it. Frames compare by
-    identity, so one can be removed from a list of frames on the air.
+    whatever their state; without shadowing, the frames a sender sends at
+    one power share one such map, so nothing may change it.
+    ``awake_at_start`` holds those of them that were awake when the frame
+    started. Nobody else can receive the frame. ``jammed`` holds the nodes
+    that hear, or send, another frame overlapping this one: none of them
+    can receive it. Frames compare by identity, so one can be removed from
+    a list of frames on the air.
     """
 
     kind: MessageKind
@@ -217,41 +250,28 @@ class Frame:
 
 
 def make_frame(kind: MessageKind, sender: int, addressee: Optional[int],
-               tx_power_dbm: float, start: float, links: LinkRows, awake_ids,
-               radio: RadioConfig, shadow=None, on_air=()) -> Frame:
-    """Make the frame ``sender`` starts at ``start``: compute its received
-    power over the sender's link row, and settle its collisions with the
+               tx_power_dbm: float, start: float, rx_dbm: dict[int, float],
+               awake_ids, radio: RadioConfig, on_air=()) -> Frame:
+    """Make the frame ``sender`` starts at ``start`` with the power map
+    ``rx_dbm`` (from ``power_maps``), and settle its collisions with the
     frames ``on_air``.
 
-    ``shadow`` is an optional per-receiver dB array (one fresh draw per
-    transmission), indexed by node id. Receivers below sensitivity are
-    omitted from the power map; they can neither decode the frame nor
-    disturb anyone else. ``on_air`` holds frames that started no later
-    than this one; each of them still on the air when this one starts adds
-    its audible receivers and its sender to this frame's ``jammed`` set,
-    and this frame's to its own.
+    ``on_air`` holds frames that started no later than this one; each of
+    them still on the air when this one starts adds its audible receivers
+    and its sender to this frame's ``jammed`` set, and this frame's to its
+    own.
     """
-    tx, sens = tx_power_dbm, radio.sensitivity_dbm
-    # The row need only hold the receivers this frame could reach: cut past
-    # the loss at which even the frame's most negative draw leaves a
-    # receiver below sensitivity, so locality needs no clip on the shadowing.
-    smin = 0.0 if shadow is None else float(shadow.min())
-    ids, loss = links.row(sender, loss_cap(tx, sens, smin))
-    rx = tx - loss
-    if shadow is not None:
-        rx = rx - shadow[ids]
-    audible = rx >= sens
-    rx_map = dict(zip(ids[audible].tolist(), rx[audible].tolist()))
     jammed = set()
     for other in on_air:
         # a frame that ends as this one starts does not overlap it
         if other.end > start:
             jammed.update(other.rx_dbm)
             jammed.add(other.sender)
-            other.jammed.update(rx_map)
+            other.jammed.update(rx_dbm)
             other.jammed.add(sender)
-    return Frame(kind, sender, addressee, tx, start, start + radio.tx_duration_s,
-                 rx_map, rx_map.keys() & awake_ids, jammed)
+    return Frame(kind, sender, addressee, tx_power_dbm, start,
+                 start + radio.tx_duration_s, rx_dbm, rx_dbm.keys() & awake_ids,
+                 jammed)
 
 
 def deliver(frame: Frame, awake_now) -> list[int]:

@@ -141,8 +141,10 @@ def parse_kill_spec(spec: str) -> dict:
             raise CliError(f"bad --kill spec {spec!r}: need sentinels-at=T or node=ID:at=T")
     except (KeyError, ValueError) as exc:
         raise CliError(f"bad --kill spec {spec!r}: {exc}") from exc
-    if not math.isfinite(parsed["time"]) or (parsed.get("count") or 0) < 0:
-        raise CliError(f"bad --kill spec {spec!r}: need a finite time and a count >= 0")
+    time = parsed["time"]
+    if not (math.isfinite(time) and time >= 0.0) or (parsed.get("count") or 0) < 0:
+        raise CliError(f"bad --kill spec {spec!r}: need a finite time >= 0 "
+                       "and a count >= 0")
     return parsed
 
 
@@ -194,8 +196,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_inject(args: argparse.Namespace) -> int:
     config = resolve_config(args)
+    # everything is checked before the output directory exists
+    epsilon = args.healing_epsilon
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise CliError(f"--healing-epsilon must be a finite number >= 0, got {epsilon}")
     specs = [parse_kill_spec(s) for s in args.kill]
-    for spec in specs:  # before the output directory exists
+    for spec in specs:
         if spec["kind"] == "node" and not 0 <= spec["node"] < config.node_count:
             raise CliError(f"unknown node id {spec['node']}")
     node_failures = []

@@ -26,6 +26,11 @@ from .config import RunConfig
 from .engine import RNG_NAME, Engine, Event, EventKind
 from .protocol import Node, NodeStatus
 
+# Shadowing normals drawn per block: a sender draws the shadowing of its
+# next max(1, _BLOCK_DRAWS // N) frames at once and makes their power maps
+# in one pass. Philox gives the same values in a block as frame by frame.
+_BLOCK_DRAWS = 512
+
 
 @dataclass
 class RunResult:
@@ -64,6 +69,12 @@ class Simulation:
         self.failure_log: list[dict] = []
         self._sigma = config.radio.shadowing_sigma_db
         self._shadow_gens = [None] * config.node_count  # by sender, on first use
+        # by sender, the power maps of its next frames: shadowed, [tx, block,
+        # maps, next] while its shadowing block has frames left, else None;
+        # unshadowed, {tx: the one map all its frames at tx share}
+        self._maps: list = ([None] * config.node_count if self._sigma > 0.0
+                            else [{} for _ in range(config.node_count)])
+        self._block_frames = max(1, _BLOCK_DRAWS // config.node_count)
         self._base_power = config.radio.power_levels[0]
         self._weak_floor = chan.weak_link_floor(config.radio)
         self._piggyback = config.link_control.uses_piggyback
@@ -174,17 +185,43 @@ class Simulation:
         nid, tx, radio = node.id, node.tx_power, self.config.radio
         self.counters[kind.index] += 1
         energy_mod.add_tx(self.energy, nid, tx, radio.tx_duration_s)
-        shadow = None
         if self._sigma > 0.0:
-            # one fresh per-receiver draw per transmission, from the
-            # sender's substream so draw indices stay node-count stable
-            gen = self._shadow_gens[nid]
-            if gen is None:
-                gen = self._shadow_gens[nid] = self.engine.rng(nid, "shadow")
-            shadow = gen.normal(0.0, self._sigma, size=len(self.nodes))
+            pending = self._maps[nid]
+            if pending is None:
+                # one fresh per-receiver draw per transmission, from the
+                # sender's substream so draw indices stay node-count
+                # stable; a block holds the draws of its next frames
+                gen = self._shadow_gens[nid]
+                if gen is None:
+                    gen = self._shadow_gens[nid] = self.engine.rng(nid, "shadow")
+                block = gen.normal(0.0, self._sigma,
+                                   size=(self._block_frames, len(self.nodes)))
+                maps = chan.power_maps(self._links, nid, tx, radio, block)
+                rx_map = maps[0]
+                if len(maps) > 1:
+                    self._maps[nid] = [tx, block, maps, 1]
+            else:
+                if pending[0] != tx:
+                    # the power rose with frames left: their maps at the
+                    # new power, from the draws they kept
+                    block = pending[1][pending[3]:]
+                    pending[:] = (tx, block, chan.power_maps(
+                        self._links, nid, tx, radio, block), 0)
+                maps, k = pending[2], pending[3]
+                rx_map = maps[k]
+                if k + 1 < len(maps):
+                    pending[3] = k + 1
+                else:  # spent
+                    self._maps[nid] = None
+        else:
+            shared = self._maps[nid]
+            rx_map = shared.get(tx)
+            if rx_map is None:
+                [rx_map] = chan.power_maps(self._links, nid, tx, radio,
+                                           np.zeros((1, len(self.nodes))))
+                shared[tx] = rx_map
         frame = chan.make_frame(kind, nid, addressee, tx, self.engine.clock,
-                                self._links, self._awake_ids, radio, shadow,
-                                self.frames)
+                                rx_map, self._awake_ids, radio, self.frames)
         self.frames.append(frame)
         self.engine.schedule(frame.end, None, EventKind.MSG_DELIVERY, payload=frame)
 

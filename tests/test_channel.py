@@ -5,7 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from sentinet.channel import (Frame, LinkRows, MessageKind, RadioConfig,
                               compute_lqi, deliver, make_frame, overhearers,
-                              path_loss_db, rx_power_dbm, weak_link_floor)
+                              path_loss_db, power_maps, rx_power_dbm,
+                              weak_link_floor)
 
 RADIO = RadioConfig()
 # Replies are unicast, everything else is broadcast.
@@ -119,11 +120,20 @@ def _broadcast(sender, t, power=-5.0):
     return (MessageKind.PROBE, sender, None, power, t)
 
 
+def frame_alone(sent, links, awake, radio, shadow, on_air=()):
+    """The frame ``sent`` makes when its block holds it alone: ``shadow``
+    is its per-receiver shadowing, indexed by node id."""
+    _, sender, _, tx, _ = sent
+    [rx_map] = power_maps(links, sender, tx, radio, shadow[np.newaxis])
+    return make_frame(*sent, rx_map, awake, radio, on_air=on_air)
+
+
 def _mk(sent, positions, awake, on_air=()):
     n = max(positions) + 1
     xs = np.array([positions.get(i, (1e6, 1e6))[0] for i in range(n)])
     ys = np.array([positions.get(i, (1e6, 1e6))[1] for i in range(n)])
-    return make_frame(*sent, LinkRows(xs, ys, RADIO), awake, RADIO, on_air=on_air)
+    return frame_alone(sent, LinkRows(xs, ys, RADIO), awake, RADIO, np.zeros(n),
+                       on_air=on_air)
 
 
 def test_single_receiver_delivery():
@@ -256,8 +266,8 @@ def air_scenes(draw):
     drawn.sort(key=lambda item: item[0][4])
     frames = []
     for sent, shadow, awake in drawn:
-        frames.append(make_frame(*sent, links, awake, RADIO, shadow,
-                                 on_air=list(frames)))
+        frames.append(frame_alone(sent, links, awake, RADIO, shadow,
+                                  on_air=list(frames)))
     awake_at = [awake for _, _, awake in drawn]
     return n, frames, awake_at, draw(node_sets), draw(node_sets)
 
@@ -374,9 +384,11 @@ def frame_sequences(draw):
 def test_frames_over_link_rows_match_the_full_field(scene):
     radio, xs, ys, frames = scene
     links = LinkRows(xs, ys, radio)
+    calm = np.zeros(xs.size)
     for sent, shadow, awake in frames:
-        assert_same_frame(make_frame(*sent, links, awake, radio, shadow),
-                          reference_frame(sent, xs, ys, awake, radio, shadow))
+        got = frame_alone(sent, links, awake, radio,
+                          calm if shadow is None else shadow)
+        assert_same_frame(got, reference_frame(sent, xs, ys, awake, radio, shadow))
 
 
 def test_tail_draw_past_the_row_rebuilds_it():
@@ -386,12 +398,76 @@ def test_tail_draw_past_the_row_rebuilds_it():
     links = LinkRows(xs, ys, radio)
     sent = (MessageKind.PROBE, 0, None, -10.0, 0.0)
     calm = np.zeros(3)
-    assert list(make_frame(*sent, links, {1, 2}, radio, calm).rx_dbm) == [1]
+    assert list(frame_alone(sent, links, {1, 2}, radio, calm).rx_dbm) == [1]
     assert links.row(0, -math.inf)[0].tolist() == [1]
     tail = np.array([0.0, 0.0, -8.0 * radio.shadowing_sigma_db])
-    frame = make_frame(*sent, links, {1, 2}, radio, tail)
+    frame = frame_alone(sent, links, {1, 2}, radio, tail)
     assert_same_frame(frame, reference_frame(sent, xs, ys, {1, 2}, radio, tail))
     assert list(frame.rx_dbm) == [1, 2]
+
+
+@st.composite
+def block_sequences(draw):
+    """A field, one set of link rows, and blocks of K frames from drawn
+    senders, made in turn: each block's shadowing is drawn at once, some
+    draws planted far out in the tail so that rows must be rebuilt, and a
+    block may see its sender's power rise at one of its frames."""
+    sigma = draw(st.sampled_from([0.0, 4.0]))
+    radio = RadioConfig(shadowing_sigma_db=sigma)
+    n = draw(st.integers(2, 40))
+    coord = st.floats(0.0, 200.0)
+    xs = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    ys = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    k = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        sender = draw(st.integers(0, n - 1))
+        level = draw(st.integers(0, len(radio.power_levels) - 1))
+        block = np.zeros((k, n))
+        if sigma > 0.0:
+            block = rng.normal(0.0, sigma, size=(k, n))
+            cells = st.tuples(st.integers(0, k - 1), st.integers(0, n - 1))
+            for row, nid in draw(st.sets(cells, max_size=4)):
+                block[row, nid] = -draw(st.floats(3.0, 8.0)) * sigma
+        rise = None  # the frame at which the sender's power rises
+        if level + 1 < len(radio.power_levels):
+            rise = draw(st.none() | st.integers(0, k - 1))
+        awake = draw(st.sets(st.integers(0, n - 1)))
+        blocks.append((sender, level, block, rise, awake))
+    return radio, xs, ys, blocks
+
+
+@pytest.mark.oracle
+@settings(max_examples=300, deadline=None)
+@given(block_sequences())
+def test_power_map_blocks_match_frame_by_frame(scene):
+    # maps made a block at a time, remade from the rest of the block when
+    # the power rises, equal frames made one by one over the whole field;
+    # without shadowing one map per power level serves every frame
+    radio, xs, ys, blocks = scene
+    shadowed = radio.shadowing_sigma_db > 0.0
+    links = LinkRows(xs, ys, radio)
+    shared = {}
+    for sender, level, block, rise, awake in blocks:
+        tx = radio.power_levels[level]
+        if shadowed:
+            maps = power_maps(links, sender, tx, radio, block)
+        for j, shadow in enumerate(block):
+            if j == rise:
+                tx = radio.power_levels[level + 1]
+                if shadowed:
+                    maps[j:] = power_maps(links, sender, tx, radio, block[j:])
+            if shadowed:
+                rx_map = maps[j]
+            else:
+                if (sender, tx) not in shared:
+                    [shared[sender, tx]] = power_maps(
+                        links, sender, tx, radio, np.zeros((1, xs.size)))
+                rx_map = shared[sender, tx]
+            sent = (MessageKind.PROBE, sender, None, tx, 0.0)
+            assert_same_frame(make_frame(*sent, rx_map, awake, radio),
+                              reference_frame(sent, xs, ys, awake, radio, shadow))
 
 
 @settings(max_examples=150, deadline=None)

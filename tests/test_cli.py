@@ -345,6 +345,36 @@ def test_kill_spec_rejects_non_finite_time(spec):
         parse_kill_spec(spec)
 
 
+@pytest.mark.parametrize("spec", ["node=1:at=-5", "sentinels-at=-0.5",
+                                  "sentinels-at=-1:count=2"])
+def test_kill_spec_rejects_negative_time(spec, tmp_path, capsys):
+    with pytest.raises(CliError, match="time >= 0"):
+        parse_kill_spec(spec)
+    assert parse_kill_spec("node=1:at=0")["time"] == 0.0
+    # rejected before anything runs or is written
+    out = tmp_path / "inj"
+    assert run_cli("inject", *FAST, "--out", str(out), "--kill", spec) == 2
+    assert "bad --kill spec" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "-0.01"])
+def test_inject_rejects_bad_healing_epsilon(epsilon, tmp_path, capsys):
+    out = tmp_path / "inj"
+    assert run_cli("inject", *FAST, "--out", str(out),
+                   f"--healing-epsilon={epsilon}",
+                   "--kill", "sentinels-at=20:count=1") == 2
+    assert "--healing-epsilon must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_inject_accepts_zero_healing_epsilon(tmp_path):
+    out = tmp_path / "inj"
+    assert run_cli("inject", *FAST, "--out", str(out), "--healing-epsilon", "0",
+                   "--kill", "sentinels-at=20:count=1") == 0
+    assert json.loads((out / "healing.json").read_text())["epsilon"] == 0.0
+
+
 def test_kill_spec_rejects_negative_count(tmp_path, capsys):
     from sentinet.cli import CliError
     with pytest.raises(CliError, match="count"):

@@ -4,19 +4,23 @@ import math
 import weakref
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import zero_shadow
 from sentinet import (LinkControlMode, RunConfig, Simulation, WeibullParams,
-                      link_control, run_simulation)
-from sentinet.channel import Frame, MessageKind, compute_lqi, weak_link_floor
+                      link_control, run_simulation, write_outputs)
+from sentinet import channel as chan_mod
+from sentinet import sim as sim_mod
+from sentinet.channel import (Frame, LinkRows, MessageKind, compute_lqi,
+                              power_maps, weak_link_floor)
 from sentinet.energy import TX
 from sentinet.engine import EventKind
 from sentinet.metrics import sentinel_components
 from sentinet.protocol import NodeStatus
 from test_channel import UNICAST_KINDS
-from test_golden import GOLDEN_RUNS
+from test_golden import GOLDEN_RUNS, fingerprint
 from test_metrics import brute_coverage
 
 
@@ -572,3 +576,56 @@ def test_dropped_simulations_are_freed_without_the_cycle_collector():
         assert never_run() is None
     finally:
         gc.enable()
+
+
+def test_outputs_do_not_depend_on_the_shadowing_block(monkeypatch, tmp_path):
+    # a sender draws the shadowing of its next K frames at once; the output
+    # bytes are the same for any K, here through power rises that remake
+    # the maps of a block's frames still pending
+    config = RunConfig.from_flat({"nodes": "50", "field": "100x100",
+                                  "duration": "200", "seed": "11",
+                                  "link_control": "piggybacked",
+                                  "grid_step": "5"})
+    assert config.radio.shadowing_sigma_db == 4.0
+    blocks = Counter()  # frames per block made into maps
+    original = chan_mod.power_maps
+
+    def spy(links, sender, tx, radio, block):
+        blocks[len(block)] += 1
+        return original(links, sender, tx, radio, block)
+
+    monkeypatch.setattr(chan_mod, "power_maps", spy)
+    digests = {}
+    for frames in (1, 3, 10):
+        monkeypatch.setattr(sim_mod, "_BLOCK_DRAWS", frames * config.node_count)
+        blocks.clear()
+        result = run_simulation(config)
+        assert max(blocks) == frames
+        if frames > 1:  # the rest of a block, remade after a power rise
+            assert min(blocks) < frames
+        write_outputs(result, tmp_path / str(frames))
+        digests[frames] = fingerprint(tmp_path / str(frames))
+    assert digests[1] == digests[3] == digests[10]
+
+
+def test_unshadowed_maps_are_shared_and_left_unchanged():
+    # without shadowing a sender's frames at one power share one map; after
+    # a whole run, with kills, each still equals a freshly made one
+    flat, sentinel_failures = GOLDEN_RUNS["sentinels_killed"]
+    config = RunConfig.from_flat({**flat, "duration": "200"})
+    assert config.radio.shadowing_sigma_db == 0.0
+    sim = Simulation(config)
+    for at, count in sentinel_failures:
+        sim.inject_sentinel_failure(at, count)
+    result = sim.run()
+    links = LinkRows(sim._xs, sim._ys, config.radio)
+    calm = np.zeros((1, config.node_count))
+    shared = [(nid, tx, rx_map) for nid, maps in enumerate(sim._maps)
+              for tx, rx_map in maps.items()]
+    frames = sum(result.summary["totals"]["messages"].values())
+    assert 0 < len(shared) < frames
+    assert {tx for _, tx, _ in shared} == set(config.radio.power_levels)
+    for nid, tx, rx_map in shared:
+        [fresh] = power_maps(links, nid, tx, config.radio, calm)
+        assert [(k, v.hex()) for k, v in rx_map.items()] == \
+            [(k, v.hex()) for k, v in fresh.items()]
