@@ -78,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_config_file(path: str) -> dict[str, str]:
     flat: dict[str, str] = {}
+    set_on: dict[str, int] = {}  # key -> the line that set it
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -88,9 +89,14 @@ def parse_config_file(path: str) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
-        if not sep or not key.strip():
+        key = key.strip()
+        if not sep or not key:
             raise CliError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        flat[key.strip()] = value.strip()
+        if key in set_on:
+            raise CliError(f"{path}:{lineno}: {key} is set twice, on lines "
+                           f"{set_on[key]} and {lineno}")
+        set_on[key] = lineno
+        flat[key] = value.strip()
     return flat
 
 
@@ -122,13 +128,34 @@ def prepare_out_dir(path: str, force: bool) -> None:
     os.makedirs(path, exist_ok=True)
 
 
+# The keys of each --kill form, by the key that names the form
+_KILL_KEYS = {"sentinels-at": ("sentinels-at", "count"), "node": ("node", "at")}
+
+
 def parse_kill_spec(spec: str) -> dict:
     fields = {}
     for part in spec.split(":"):
         key, sep, value = part.partition("=")
+        key = key.strip()
         if not sep:
             raise CliError(f"bad --kill spec {spec!r}: expected key=value parts")
-        fields[key.strip()] = value.strip()
+        if key in fields:
+            raise CliError(f"bad --kill spec {spec!r}: {key} is given twice")
+        fields[key] = value.strip()
+    known = {key for keys in _KILL_KEYS.values() for key in keys}
+    unknown = sorted(fields.keys() - known)
+    if unknown:
+        raise CliError(f"bad --kill spec {spec!r}: unknown key "
+                       f"{', '.join(unknown)}")
+    forms = [form for form in _KILL_KEYS if form in fields]
+    if len(forms) > 1:
+        raise CliError(f"bad --kill spec {spec!r}: node=ID:at=T and "
+                       "sentinels-at=T are separate kills")
+    for form in forms:
+        alien = sorted(fields.keys() - set(_KILL_KEYS[form]))
+        if alien:
+            raise CliError(f"bad --kill spec {spec!r}: {', '.join(alien)} "
+                           f"does not go with {form}=")
     try:
         if "sentinels-at" in fields:
             count = int(fields["count"]) if "count" in fields else None

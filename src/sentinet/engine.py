@@ -1,14 +1,20 @@
 """Deterministic discrete-event core.
 
 A single heap-backed queue dispatches events in nondecreasing time order,
-breaking ties FIFO by insertion sequence. Moving a pending event
-(``reschedule``) rewrites it in place, in either direction: it takes a
-fresh sequence number, as a new event would. A move earlier files one new
-heap entry under the new (time, seq); a move later files none. An entry
-popped with a stale sequence number is re-filed under the event's current
-(time, seq) when it is the event's newest filed entry, and dropped
-otherwise, so the heap sees the same pushes and pops as cancelling and
-scheduling anew would make.
+breaking ties FIFO by insertion sequence. A pending event moves by a
+deferred move (``defer``), made for timers that are re-armed to a random
+delay far more often than they expire. The move gives the event a fresh
+sequence number, as a new event would, and owes the delay's draw instead
+of making it: it records the clock at the move, and files a heap entry
+under (bound, seq) only when the event's newest entry is later than
+``bound``, the earliest time the draw can give. An event's ``time`` is the
+time of its newest entry; every older entry is stale and dropped when
+popped. When the newest entry of an event that owes draws is popped, the
+event settles: its target's substream skips all owed draws but the last,
+the last gives the delay, and the event is re-filed under its settled
+(time, seq) unless that is the key just popped. The newest entry never
+sorts after the settled key, so events dispatch in the order, and draw the
+values, that making every move at once would give.
 
 All randomness flows through counter-based Philox substreams keyed by
 (seed, node id, stream name), so a node's draws depend only on its own
@@ -183,6 +189,8 @@ class Event:
     cancelled: bool = False
     dispatched: bool = False
     filed: int = -1  # seq of the newest heap entry filed for this event
+    owed: int = 0  # draws owed by deferred moves since it last settled
+    since: float = 0.0  # the clock at its last deferred move
 
 
 @dataclass
@@ -217,6 +225,8 @@ class Engine:
         # the undrawn rest of each substream's block, last draw first
         self._blocks: dict[tuple[Optional[int], str], array] = {}
         self._counts = [0] * len(EventKind)  # dispatched, by EventKind.index
+        # how a deferred move settles, by EventKind.index: (stream, delay)
+        self._settle = [None] * len(EventKind)
 
     # -- randomness -------------------------------------------------------
 
@@ -252,17 +262,40 @@ class Engine:
             return block.pop()
         gen = self._rngs.get(key)
         if gen is None:
-            gen = self.rng(node_id, stream)
+            return self._first(node_id, stream)
+        block = self._blocks[key] = self._refill(gen)
+        return block.pop()
+
+    def _first(self, node_id: Optional[int], stream: str) -> float:
+        gen = self.rng(node_id, stream)
+        u = gen.random()
+        while u == 0.0:
             u = gen.random()
-            while u == 0.0:
-                u = gen.random()
-            return u
+        return u
+
+    @staticmethod
+    def _refill(gen: np.random.Generator) -> array:
+        block = array("d")
         while not block:
             block = array("d", gen.random(_BLOCK)[::-1].tobytes())
             if 0.0 in block:  # the scalar draws retry these
                 block = array("d", [u for u in block if u != 0.0])
-        self._blocks[key] = block
-        return block.pop()
+        return block
+
+    def _skip(self, node_id: Optional[int], stream: str, n: int) -> None:
+        """Drop the substream's next ``n`` draws: the values ``n`` calls of
+        ``uniform`` would serve, zeros dropped alike."""
+        key = (node_id, stream)
+        if n and key not in self._rngs:
+            self._first(node_id, stream)
+            n -= 1
+        block = self._blocks.get(key)
+        while n:
+            if not block:
+                block = self._blocks[key] = self._refill(self._rngs[key])
+            k = min(n, len(block))
+            del block[len(block) - k:]
+            n -= k
 
     # -- queue ------------------------------------------------------------
 
@@ -283,27 +316,50 @@ class Engine:
         event.cancelled = True
         return True
 
-    def reschedule(self, event: Event, time: float) -> Event:
-        """Move an event to ``time``; returns the handle now pending there.
+    def deferrable(self, kind: EventKind, stream: str, delay) -> None:
+        """Let ``defer`` move events of ``kind``: a settled event is due
+        ``delay(u)`` after its last move, for ``u`` its target's next
+        ``stream`` draw."""
+        self._settle[kind.index] = (stream, delay)
 
-        A pending event is rewritten in place with the next sequence number,
-        so it sorts exactly where a fresh ``schedule`` would put it; a move
-        earlier also files it under that key. A cancelled or dispatched
-        handle is left alone and a new event is scheduled.
+    def defer(self, events, since: float, bound: float) -> None:
+        """Move each pending event to ``since`` plus a delay drawn when it
+        comes due, in order; an event listed twice is moved twice.
+
+        Each event takes the next sequence number and owes one draw of its
+        kind's ``deferrable`` stream; ``bound``, at or after the clock, must
+        not exceed ``since + delay(u)`` for any draw ``u``. Until an event
+        settles, its target's substream must be drawn by no one else. A
+        spent event stays spent: nothing filed for it dispatches.
         """
-        if event.cancelled or event.dispatched:
-            return self.schedule(time, event.target, event.kind, event.payload)
-        seq = self._next_seq
-        if not time >= event.time:  # earlier, or NaN
-            if not time >= self.clock:
-                raise ClockViolationError(
-                    f"cannot move {event.kind.value} to {time} behind clock {self.clock}")
-            event.filed = seq
-            heapq.heappush(self._queue, (time, seq, event))
-        event.time = time
-        event.seq = seq
-        self._next_seq = seq + 1
-        return event
+        if not bound >= self.clock:  # NaN too
+            raise ClockViolationError(
+                f"cannot defer to {bound} behind clock {self.clock}")
+        queue, seq = self._queue, self._next_seq
+        for ev in events:
+            ev.seq = seq
+            ev.owed += 1
+            ev.since = since
+            if ev.time > bound:
+                ev.time = bound
+                ev.filed = seq
+                heapq.heappush(queue, (bound, seq, ev))
+            seq += 1
+        self._next_seq = seq
+
+    def _settled(self, ev: Event, popped: float) -> float:
+        """Draw an event's owed delay; returns its settled time."""
+        settle = self._settle[ev.kind.index]
+        if settle is None:
+            raise ValueError(f"{ev.kind.value} events are not deferrable")
+        stream, delay = settle
+        self._skip(ev.target, stream, ev.owed - 1)
+        ev.owed = 0
+        time = ev.since + delay(self.uniform(ev.target, stream))
+        if not time >= popped:  # a bound above the delay, or NaN
+            raise ClockViolationError(
+                f"{ev.kind.value} settled at {time}, before its bound {popped}")
+        return time
 
     def run_until(self, t_end: float) -> RunSummary:
         if not t_end >= self.clock:  # NaN too
@@ -311,15 +367,16 @@ class Engine:
                 f"cannot run to {t_end} behind clock {self.clock}")
         queue = self._queue
         while queue and queue[0][0] <= t_end:
-            _, seq, ev = heapq.heappop(queue)
-            if ev.cancelled:
+            time, seq, ev = heapq.heappop(queue)
+            if ev.cancelled or seq != ev.filed:  # spent, or a stale entry
                 continue
-            if seq != ev.seq:  # moved since this entry was filed
-                if seq == ev.filed:  # its newest entry: it moved later
+            if ev.owed:
+                ev.time = self._settled(ev, time)
+                if ev.time != time or ev.seq != seq:
                     ev.filed = ev.seq
                     heapq.heappush(queue, (ev.time, ev.seq, ev))
-                continue
-            self.clock = ev.time
+                    continue
+            self.clock = time
             ev.dispatched = True
             self._counts[ev.kind.index] += 1
             if self.handler is not None:

@@ -3,14 +3,18 @@
 Every guard runs a random connectivity timer t_c; on expiry it broadcasts a
 connectivity frame and peers answer by unicast. The simulation judges each
 reply's LQI against the configured threshold, by comparing its power with
-the weak-link floor (``channel.weak_link_floor``), and passes the verdict
-on: a weak link bumps the guard's transmit power one level up (never down),
-and every judged reply re-arms the timer. The timer is the guard's
-``Node.timer``, pending in every ACTIVE node in the timer-driven modes and
-None with link control off. Re-arming moves it to an absolute time
-(``ctx.now + t_c``) through ``ctx.reschedule_event``, which the engine
-does in place whether the new expiry is earlier or later, so a piece of
-evidence costs one t_c draw and no new heap event.
+the weak-link floor (``channel.weak_link_floor``), and passes the verdicts
+of all the reply's receivers on at once: a weak link bumps the guard's
+transmit power one level up (never down), and every judged reply re-arms
+the timer. The timer is the guard's ``Node.timer``, pending in every ACTIVE
+node in the timer-driven modes and None with link control off. Evidence
+arrives far more often than a timer expires, so re-arming is a deferred
+move (``ctx.defer_event``): the timers of one reply move to ``ctx.now`` plus
+a t_c that is drawn only when the timer comes due, and a piece of evidence
+costs a sequence number and an owed draw. The engine settles a timer with
+``t_c``, the rule every t_c is drawn by, and skips the draws that later
+evidence overrode, so the timer expires when, and the guard's draws are
+what, re-arming at once would give.
 In piggybacked mode the same judgement is also applied to probe replies a
 guard receives from other guards, and those resets postpone the standalone
 rounds, which is where the control-overhead saving comes from: a guard
@@ -25,9 +29,15 @@ from .engine import EventKind
 from .protocol import Node, NodeStatus, reply_slot_delay
 
 
+def t_c(config, u: float) -> float:
+    """The connectivity period a draw ``u`` in (0, 1) gives, at least
+    ``t_c_range[0]``: drawn or settled, every t_c is this sum."""
+    lo, hi = config.t_c_range
+    return lo + u * (hi - lo)
+
+
 def draw_t_c(node: Node, ctx) -> float:
-    lo, hi = ctx.config.t_c_range
-    return lo + ctx.draw(node.id, "conn") * (hi - lo)
+    return t_c(ctx.config, ctx.draw(node.id, "conn"))
 
 
 def escalate_power(node: Node, radio: RadioConfig) -> bool:
@@ -71,15 +81,19 @@ def on_conn_received(node: Node, frame, ctx) -> None:
     ctx.send(node, MessageKind.CONN_REPLY, frame.sender, delay)
 
 
-def on_link_evidence(node: Node, weak: bool, ctx) -> None:
-    """Act on one judged reply: a weak link escalates power below the top
-    level; the timer resets to a fresh t_c, drawn as ``draw_t_c`` does."""
-    if node.status is not NodeStatus.ACTIVE:
-        return
-    config = ctx.config
-    if weak and node.tx_power != config.radio.power_levels[-1]:
-        escalate_power(node, config.radio)
-    if config.link_control.uses_conn_timer:
-        lo, hi = config.t_c_range
-        node.timer = ctx.reschedule_event(
-            node.timer, ctx.now + (lo + ctx.draw(node.id, "conn") * (hi - lo)))
+def on_link_evidence(evidence, ctx) -> None:
+    """Act on one reply's judged receivers, (node, weak) pairs in order: a
+    weak link escalates a guard's power below the top level, and every
+    guard's timer resets to a fresh t_c from now, in one deferred move.
+    t_c is never below ``t_c_range[0]``, so now plus that bounds the move."""
+    config, active = ctx.config, NodeStatus.ACTIVE
+    top = config.radio.power_levels[-1]
+    timers = []
+    for node, weak in evidence:
+        if node.status is active:
+            if weak and node.tx_power != top:
+                escalate_power(node, config.radio)
+            timers.append(node.timer)
+    if timers and config.link_control.uses_conn_timer:
+        now = ctx.now
+        ctx.defer_event(timers, now, now + config.t_c_range[0])

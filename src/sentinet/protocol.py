@@ -12,8 +12,9 @@ for a received frame takes the ``channel.Frame`` record itself and reads
 its fields (``frame.sender``). The ctx
 surface used here and by link_control: now, config, draw(node_id, stream),
 schedule_event(time, target, kind), cancel_event(handle),
-reschedule_event(handle, time) (returns the handle now pending),
-send(node, kind, addressee, delay), note_transition(node, old, new),
+defer_event(handles, since, bound) (moves pending timers to ``since`` plus
+a t_c drawn when each comes due; ``bound`` is ``since`` plus the least
+t_c), send(node, kind, addressee, delay), note_transition(node, old, new),
 on_became_active(node). Timer times are absolute engine times, each
 computed as ``ctx.now + delay`` at the call; ``send`` takes its slot delay.
 

@@ -13,6 +13,7 @@ import os
 import time as _wall
 import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -60,7 +61,10 @@ class Simulation:
         self.draw = self.engine.uniform
         self.schedule_event = self.engine.schedule
         self.cancel_event = self.engine.cancel
-        self.reschedule_event = self.engine.reschedule
+        self.defer_event = self.engine.defer
+        # a deferred timer settles by the rule its t_c is drawn by
+        self.engine.deferrable(EventKind.CONN_TIMER_EXPIRED, "conn",
+                               partial(link_control.t_c, config))
         self.transition_hook = transition_hook
         self.post_event_hook = post_event_hook
         self.frames: list[chan.Frame] = []  # on the air: delivery pending
@@ -253,11 +257,12 @@ class Simulation:
         # from its peer. LQI never falls as the power grows, so the link is
         # weak exactly when the normalized power is below the weak-link
         # floor. The order of these float operations is part of the bytes.
-        rx, tx = frame.rx_dbm, frame.tx_power_dbm
-        base, floor = self._base_power, self._weak_floor
-        for rid in received:
-            link_control.on_link_evidence(nodes[rid], (rx[rid] - tx) + base < floor,
-                                          self)
+        if received:
+            rx, tx = frame.rx_dbm, frame.tx_power_dbm
+            base, floor = self._base_power, self._weak_floor
+            link_control.on_link_evidence(
+                [(nodes[rid], (rx[rid] - tx) + base < floor) for rid in received],
+                self)
 
     # -- failures -----------------------------------------------------------
 

@@ -24,6 +24,7 @@ class FakeCtx:
         self.scheduled = []
         self.cancelled = []
         self.moved = []
+        self.deferrals = []  # (handles, since, bound) per defer_event call
         self.sent = []
         self.transitions = []
         self.activated = []
@@ -42,14 +43,19 @@ class FakeCtx:
         self.cancelled.append(handle)
         return True
 
-    def reschedule_event(self, handle, time):
-        # moved in place, as the engine moves a pending event; the handlers
-        # only ever move a pending timer
-        assert isinstance(handle, FakeHandle) and not handle.cancelled
-        assert time >= self.now
-        handle.time = time
-        self.moved.append(handle)
-        return handle
+    def defer_event(self, handles, since, bound):
+        # settled at once, as the engine settles a deferred timer when it
+        # comes due: since plus a t_c from the handle's next conn draw; the
+        # handlers only ever defer pending timers, bounded by the least t_c
+        from sentinet import link_control
+        assert since == self.now and bound >= self.now
+        self.deferrals.append((list(handles), since, bound))
+        for handle in handles:
+            assert isinstance(handle, FakeHandle) and not handle.cancelled
+            handle.time = since + link_control.t_c(
+                self.config, self.draw(handle.target, "conn"))
+            assert bound <= handle.time
+            self.moved.append(handle)
 
     def send(self, node, kind, addressee, delay):
         self.sent.append((node.id, kind, addressee, delay))

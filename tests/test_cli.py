@@ -225,6 +225,18 @@ def test_config_file_is_named_only_for_its_own_values(tmp_path, capsys):
     assert "node_count" in err and str(bad) not in err
 
 
+def test_config_file_setting_a_key_twice_is_rejected(tmp_path, capsys):
+    # the later line used to win silently
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("nodes=50\n# a comment\nseed=3\n nodes = 5\n")
+    out = tmp_path / "x"
+    assert run_cli("run", "--config", str(cfg), "--duration", "1",
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:4: nodes is set twice, on lines 1 and 4" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,flag,line", [
     ("field", "--field=100", None),
     ("field", "--field=10x10x10", None),
@@ -334,6 +346,30 @@ def test_kill_spec_rejects_nonsense():
     for bad in ("everyone", "node=3", "sentinels-at=x", "at=5"):
         with pytest.raises(CliError):
             parse_kill_spec(bad)
+
+
+@pytest.mark.parametrize("spec,why", [
+    ("sentinels-at=5:cnt=3", "unknown key cnt"),
+    ("node=3:at=5:when=9", "unknown key when"),
+    ("node=3:at=5:node=4", "node is given twice"),
+    ("node=3:count=2", "count does not go with node="),
+    ("sentinels-at=5:at=9", "at does not go with sentinels-at="),
+])
+def test_inject_rejects_unknown_kill_keys(spec, why, tmp_path, capsys):
+    # a typo used to be dropped: sentinels-at=5:cnt=3 killed every guard
+    out = tmp_path / "inj"
+    assert run_cli("inject", *FAST, "--out", str(out), "--kill", spec) == 2
+    assert why in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_inject_rejects_a_kill_mixing_node_and_sentinels(tmp_path, capsys):
+    # node=3:at=5:sentinels-at=9 used to become a sentinel kill
+    out = tmp_path / "inj"
+    for spec in ("node=3:at=5:sentinels-at=9", "sentinels-at=9:node=3"):
+        assert run_cli("inject", *FAST, "--out", str(out), "--kill", spec) == 2
+        assert "are separate kills" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("spec", ["sentinels-at=nan", "sentinels-at=inf:count=1",

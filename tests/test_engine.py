@@ -128,75 +128,131 @@ def test_summary_counts_by_kind():
     assert summary.dispatched[EventKind.WAIT_EXPIRED] == 2
 
 
-# -- reschedule ----------------------------------------------------------------
+# -- deferred moves ------------------------------------------------------------
+
+CONN = EventKind.CONN_TIMER_EXPIRED
 
 
-def test_reschedule_later_moves_the_event_in_place():
+def deferring(eng, lo=1.0, hi=3.0):
+    """Let ``eng`` defer connectivity timers, settled ``lo + u * (hi - lo)``
+    after their last move for ``u`` the target's next conn draw; returns
+    that delay."""
+    def delay(u):
+        return lo + u * (hi - lo)
+
+    eng.deferrable(CONN, "conn", delay)
+    return delay
+
+
+def conn_draws(seed, node, n):
+    """The first ``n`` conn draws of a node, served one at a time."""
+    eng = Engine(seed=seed)
+    return [eng.uniform(node, "conn") for _ in range(n)]
+
+
+def test_defer_later_files_no_entry_and_settles_when_due():
     eng = Engine(seed=1)
     seen = collect(eng)
-    handle = eng.schedule(2.0, 1, EventKind.CONN_TIMER_EXPIRED)
-    eng.schedule(3.0, 2, EventKind.SLEEP_EXPIRED)
-    assert eng.reschedule(handle, 3.0) is handle
+    delay = deferring(eng)
+    handle = eng.schedule(2.0, 1, CONN)
+    eng.schedule(2.0, 2, EventKind.SLEEP_EXPIRED)
+    assert eng.defer([handle], 1.5, 2.5) is None
+    # a fresh sequence number and an owed draw; the 2.0 entry bounds it
+    assert (handle.time, handle.seq, handle.filed, handle.owed) == (2.0, 2, 0, 1)
+    assert len(eng._queue) == 2
     summary = eng.run_until(10.0)
-    # the moved event took a fresh sequence number, so it sorts last at 3.0
-    assert seen == [(3.0, 2, EventKind.SLEEP_EXPIRED),
-                    (3.0, 1, EventKind.CONN_TIMER_EXPIRED)]
-    assert sum(summary.dispatched.values()) == 2
+    [u] = conn_draws(1, 1, 1)
+    assert seen == [(2.0, 2, EventKind.SLEEP_EXPIRED), (1.5 + delay(u), 1, CONN)]
+    assert (handle.owed, handle.filed) == (0, 2)
+    assert sum(summary.dispatched.values()) == 2 and eng._queue == []
 
 
-def test_reschedule_earlier_or_spent_handle_schedules_anew():
-    # an earlier move is made in place too; only a spent handle is replaced
+def test_defer_earlier_files_one_entry_and_spent_handles_stay_spent():
+    # a move whose bound is earlier than the newest entry files one entry
+    # at the bound; deferring a dispatched or cancelled handle is inert
     eng = Engine(seed=1)
     seen = collect(eng)
-    handle = eng.schedule(5.0, 1, EventKind.CONN_TIMER_EXPIRED)
-    moved = eng.reschedule(handle, 4.0)
-    assert moved is handle and not handle.cancelled
-    assert len(eng._queue) == 2  # filed anew at 4.0; the 5.0 entry is stale
+    delay = deferring(eng, lo=0.5, hi=0.75)
+    handle = eng.schedule(5.0, 1, CONN)
+    eng.defer([handle], 3.0, 3.5)
+    assert (handle.time, handle.seq, handle.filed) == (3.5, 1, 1)
+    assert heap_keys(eng) == [(3.5, 1), (5.0, 0)]  # the 5.0 entry is stale
     eng.run_until(4.5)
-    again = eng.reschedule(moved, 6.0)  # dispatched: a new event
-    assert again is not moved
-    eng.run_until(10.0)
-    assert seen == [(4.0, 1, EventKind.CONN_TIMER_EXPIRED),
-                    (6.0, 1, EventKind.CONN_TIMER_EXPIRED)]
-    assert eng._queue == []
+    [u, _] = conn_draws(1, 1, 2)
+    assert seen == [(3.0 + delay(u), 1, CONN)] and handle.dispatched
+    cancelled = eng.schedule(8.0, 2, CONN)
+    eng.cancel(cancelled)
+    eng.defer([handle, cancelled], 4.5, 5.0)
+    assert not handle.cancelled and cancelled.cancelled
+    eng.run_until(20.0)
+    assert len(seen) == 1 and eng._queue == []
 
 
-def test_reschedule_earlier_behind_the_clock_rejected():
+def test_settling_skips_all_owed_draws_but_the_last():
+    # an event listed twice is moved twice; the skipped draws cross block
+    # refills, and the stream goes on after the last owed draw
+    for owed in (1, 2, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5):
+        eng = Engine(seed=4)
+        seen = collect(eng)
+        delay = deferring(eng)
+        handle = eng.schedule(50.0, 7, CONN)
+        for k in range(owed // 2):
+            eng.defer([handle, handle], 0.5 * k, 0.5 * k + 1.0)
+        if owed % 2:
+            eng.defer([handle], 0.5 * (owed // 2), 0.5 * (owed // 2) + 1.0)
+        since = 0.5 * ((owed - 1) // 2)
+        assert (handle.owed, handle.since, handle.seq) == (owed, since, owed)
+        eng.run_until(100.0)
+        draws = conn_draws(4, 7, owed + 1)
+        assert seen == [(since + delay(draws[owed - 1]), 7, CONN)], owed
+        assert eng.uniform(7, "conn") == draws[owed], owed
+
+
+def test_defer_bound_behind_the_clock_rejected():
     eng = Engine(seed=1)
-    handle = eng.schedule(8.0, 1, EventKind.CONN_TIMER_EXPIRED)
+    deferring(eng)
+    handle = eng.schedule(8.0, 1, CONN)
     eng.run_until(7.0)
     with pytest.raises(ClockViolationError):
-        eng.reschedule(handle, 6.5)
-    assert (handle.time, handle.seq) == (8.0, 0)
+        eng.defer([handle], 6.0, 6.5)
+    assert (handle.time, handle.seq, handle.filed, handle.owed) == (8.0, 0, 0, 0)
+    assert eng._next_seq == 1
 
 
-def test_reschedule_to_nan_rejected():
+def test_defer_to_nan_bound_rejected():
     # a NaN key would leave the event undispatched for good; the move is
     # refused and the event stays pending at its old key
     eng = Engine(seed=1)
     seen = collect(eng)
-    handle = eng.schedule(5.0, 1, EventKind.CONN_TIMER_EXPIRED)
+    deferring(eng)
+    handle = eng.schedule(5.0, 1, CONN)
     eng.schedule(7.0, 2, EventKind.SLEEP_EXPIRED)
     with pytest.raises(ClockViolationError):
-        eng.reschedule(handle, float("nan"))
-    assert (handle.time, handle.seq, handle.filed) == (5.0, 0, 0)
+        eng.defer([handle], 1.0, float("nan"))
+    assert (handle.time, handle.seq, handle.filed, handle.owed) == (5.0, 0, 0, 0)
     assert not handle.cancelled and not handle.dispatched
-    assert sorted(key[:2] for key in eng._queue) == [(5.0, 0), (7.0, 1)]
+    assert heap_keys(eng) == [(5.0, 0), (7.0, 1)]
     eng.run_until(10.0)
-    assert seen == [(5.0, 1, EventKind.CONN_TIMER_EXPIRED),
-                    (7.0, 2, EventKind.SLEEP_EXPIRED)]
+    assert seen == [(5.0, 1, CONN), (7.0, 2, EventKind.SLEEP_EXPIRED)]
 
 
-class CancelAndSchedule(Engine):
-    """The engine with every earlier move made as a cancel and a schedule,
-    so each event has one heap entry: the heap work moves in place must
-    match."""
+def test_settling_before_the_bound_rejected():
+    # a bound above a delay the draw gives would dispatch out of order
+    eng = Engine(seed=1)
+    deferring(eng, lo=1.0, hi=2.0)
+    handle = eng.schedule(5.0, 1, CONN)
+    eng.defer([handle], 0.0, 2.5)
+    with pytest.raises(ClockViolationError):
+        eng.run_until(10.0)
 
-    def reschedule(self, event, time):
-        if not (event.cancelled or event.dispatched) and time < event.time:
-            self.cancel(event)
-            return self.schedule(time, event.target, event.kind, event.payload)
-        return super().reschedule(event, time)
+
+def test_settling_a_kind_not_deferrable_rejected():
+    eng = Engine(seed=1)
+    deferring(eng)
+    handle = eng.schedule(5.0, 1, EventKind.SLEEP_EXPIRED)
+    eng.defer([handle], 0.0, 1.0)
+    with pytest.raises(ValueError, match="sleep_expired"):
+        eng.run_until(10.0)
 
 
 def heap_keys(engine):
@@ -204,14 +260,17 @@ def heap_keys(engine):
 
 
 class ReferenceQueue:
-    """Cancel and schedule only: every event keeps its (time, seq) for good."""
+    """Cancel and schedule only: every event keeps its (time, seq) for good,
+    and a move draws its delay at once."""
 
-    def __init__(self):
+    def __init__(self, seed, delay):
         self.clock = 0.0
         self.next_seq = 0
         self.pending = {}  # seq -> (time, target, kind)
         self.seen = []
         self.counts = Counter()
+        self.draws = Engine(seed=seed)  # the same substreams, drawn eagerly
+        self.delay = delay
 
     def schedule(self, time, target, kind):
         seq = self.next_seq
@@ -221,6 +280,16 @@ class ReferenceQueue:
 
     def cancel(self, seq):
         self.pending.pop(seq, None)
+
+    def move(self, seq, since):
+        """Cancel and schedule anew at ``since`` plus a drawn delay; a spent
+        event takes a sequence number and stays spent."""
+        if seq not in self.pending:
+            self.next_seq += 1
+            return seq
+        _, target, kind = self.pending.pop(seq)
+        u = self.draws.uniform(target, "conn")
+        return self.schedule(since + self.delay(u), target, kind)
 
     def run_until(self, t_end):
         while True:
@@ -234,26 +303,33 @@ class ReferenceQueue:
         self.clock = t_end
 
 
-KINDS = (EventKind.SLEEP_EXPIRED, EventKind.CONN_TIMER_EXPIRED,
-         EventKind.WAIT_EXPIRED)
+KINDS = (EventKind.SLEEP_EXPIRED, CONN, EventKind.WAIT_EXPIRED)
 # half-second steps so equal times, and equal old and new times, are common
 STEPS = st.integers(0, 6).map(lambda k: 0.5 * k)
+
+
+def half_seconds(u):
+    """A delay in half seconds from 0.5 to 2.5, so settled times tie."""
+    return 0.5 * (1 + int(u * 5))
 
 
 @pytest.mark.oracle
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_reschedule_dispatches_like_cancel_and_schedule(data):
-    # against a reference that only cancels and schedules, and against the
-    # engine that makes earlier moves that way, whose heap must hold the
-    # same keys after every step
-    eng, ref, base = Engine(seed=1), ReferenceQueue(), CancelAndSchedule(seed=1)
+def test_defer_dispatches_like_cancel_and_schedule(data):
+    # against a reference that only cancels and schedules, drawing each
+    # moved event's delay at the move: every pending event's newest entry
+    # is filed and keyed at or below the reference key, and at it once
+    # settled, after every step
+    eng, ref = Engine(seed=1), ReferenceQueue(1, half_seconds)
+    for kind in KINDS:
+        eng.deferrable(kind, "conn", half_seconds)
     seen, last_key, fired = [], [(-1.0, -1)], set()  # fired keeps events alive
 
     def handler(ev):
         # a stale entry must never get here: each event fires once, at
-        # its current key, in key order
-        assert not ev.cancelled and ev not in fired
+        # its current key, in key order, with nothing owed
+        assert not ev.cancelled and ev not in fired and ev.owed == 0
         assert ev.time == eng.clock and (ev.time, ev.seq) > last_key[0]
         last_key[0] = (ev.time, ev.seq)
         fired.add(ev)
@@ -264,56 +340,63 @@ def test_reschedule_dispatches_like_cancel_and_schedule(data):
     def run(t_end):
         summary = eng.run_until(t_end)
         ref.run_until(t_end)
-        base.run_until(t_end)
         assert summary.dispatched == ref.counts
 
-    def move(handles):
-        handle = handles[0]
-        # later, equal or earlier than the handle's time, never behind the
-        # clock; spent handles included
-        time = max(eng.clock, handle.time + data.draw(STEPS) - 1.5)
-        ref.cancel(handles[1])
-        handles[:] = [eng.reschedule(handle, time),
-                      ref.schedule(time, handle.target, handle.kind),
-                      base.reschedule(handles[2], time)]
+    def move(pairs):
+        # one deferred move of 1-3 handles, a handle possibly listed twice;
+        # pending and spent handles alike
+        since = eng.clock
+        eng.defer([pair[0] for pair in pairs], since, since + 0.5)
+        for pair in pairs:
+            pair[1] = ref.move(pair[1], since)
 
-    handles = []  # [engine handle, reference seq, base handle]; spent stay
+    # [engine handle, reference seq]; spent handles stay; each event has
+    # its own target, since a deferred event's substream is its alone
+    handles = []
     for _ in range(data.draw(st.integers(1, 40))):
         op = data.draw(st.sampled_from(
-            ["schedule", "schedule", "cancel", "reschedule", "reschedule",
-             "chain", "run"]))
+            ["schedule", "schedule", "cancel", "defer", "defer", "chain", "run"]))
         if op == "schedule" or not handles and op != "run":
             time = eng.clock + data.draw(STEPS)
-            target = data.draw(st.integers(0, 3))
             kind = data.draw(st.sampled_from(KINDS))
+            target = len(handles)
             handles.append([eng.schedule(time, target, kind),
-                            ref.schedule(time, target, kind),
-                            base.schedule(time, target, kind)])
+                            ref.schedule(time, target, kind)])
         elif op == "cancel":
             pair = data.draw(st.sampled_from(handles))
             eng.cancel(pair[0])
             ref.cancel(pair[1])
-            base.cancel(pair[2])
-        elif op == "reschedule":
-            move(data.draw(st.sampled_from(handles)))
+        elif op == "defer":
+            move(data.draw(st.lists(st.sampled_from(handles), min_size=1,
+                                    max_size=3)))
         elif op == "chain":
-            # 2-4 moves of one handle, earlier and later mixed, the queue
-            # run between some of them
+            # 2-4 moves of one handle, the queue run between some of them
             chained = data.draw(st.sampled_from(handles))
             for _ in range(data.draw(st.integers(2, 4))):
                 if data.draw(st.booleans()):
                     run(eng.clock + data.draw(STEPS))
-                move(chained)
+                move([chained])
         else:
             run(eng.clock + data.draw(STEPS))
-        assert heap_keys(eng) == heap_keys(base)
+        filed = set(heap_keys(eng))
+        for ev, seq in handles:
+            if seq not in ref.pending:
+                continue
+            key = (ref.pending[seq][0], seq)
+            assert ev.seq == seq and (ev.time, ev.filed) in filed
+            assert (ev.time, ev.filed) <= key
+            assert ev.owed > 0 or (ev.time, ev.filed) == key
     summary = eng.run_until(eng.clock + 10.0)
     ref.run_until(ref.clock + 10.0)
-    base.run_until(base.clock + 10.0)
     assert seen == ref.seen
     assert summary.dispatched == ref.counts and summary.clock == ref.clock
     assert eng._next_seq == ref.next_seq  # sequence numbers used up alike
-    assert heap_keys(eng) == heap_keys(base)
+    assert eng._queue == [] and not ref.pending
+    # every event not cancelled drew what the reference drew
+    for ev, _ in handles:
+        if not ev.cancelled:
+            assert eng.uniform(ev.target, "conn") == \
+                ref.draws.uniform(ev.target, "conn")
 
 
 # -- randomness ---------------------------------------------------------------
@@ -433,6 +516,23 @@ def test_block_draws_match_scalar_draws(seed, order, zeros):
         if key not in drawn:
             assert key not in eng._blocks
             drawn.add(key)
+
+
+@pytest.mark.oracle
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       steps=st.lists(st.integers(0, 3 * _BLOCK), min_size=1, max_size=12),
+       zeros=ZEROS)
+def test_skipped_draws_match_scalar_draws(seed, steps, zeros):
+    # skipping n draws passes over the values n uniform calls would serve,
+    # zeros skipped alike, from the first draw of a substream on
+    eng = PlantedEngine(seed, {(3, "conn"): zeros})
+    ref = scalar_draws(seed, 3, "conn", zeros)
+    for n in steps:
+        eng._skip(3, "conn", n)
+        for _ in range(n):
+            next(ref)
+        assert eng.uniform(3, "conn") == next(ref)
 
 
 # -- substream keys -----------------------------------------------------------

@@ -91,7 +91,7 @@ def test_strong_evidence_keeps_power_and_resets_timer(ctx):
     node = armed_guard(ctx)
     timer = node.timer
     ctx.now = 9.0
-    on_link_evidence(node, False, ctx)
+    on_link_evidence([(node, False)], ctx)
     assert node.tx_power == -10.0
     # the pending timer moved in place to a fresh t_c from now
     assert node.timer is timer and ctx.moved == [timer]
@@ -106,19 +106,47 @@ def test_evidence_draws_t_c_as_draw_t_c_does():
         ctx.u = u
         node = armed_guard(ctx)
         ctx.now = 9.7
-        on_link_evidence(node, False, ctx)
+        on_link_evidence([(node, False)], ctx)
         assert node.timer.time == 9.7 + draw_t_c(node, ctx), u
+        assert node.timer.time == 9.7 + (0.3 + u * (7.1 - 0.3)), u
+        # the deferred move is bounded by the least t_c from now
+        assert ctx.deferrals[-1][1:] == (9.7, 9.7 + 0.3)
+
+
+def test_one_reply_is_one_deferred_move_for_its_guards(ctx):
+    # the judged receivers of one reply, in order: each guard acts on its
+    # own verdict, a non-guard is skipped, and the guards' timers move in
+    # one call, bounded by the least t_c from now
+    first, second = armed_guard(ctx, 1), armed_guard(ctx, 2, power=-5.0)
+    prober = make_node(node_id=3, status=NodeStatus.PROBE)
+    prober.tx_power = -10.0
+    ctx.now = 4.0
+    on_link_evidence([(first, True), (prober, True), (second, True)], ctx)
+    assert (first.tx_power, second.tx_power, prober.tx_power) == (-5.0, -5.0, -10.0)
+    assert ctx.deferrals == [([first.timer, second.timer], 4.0,
+                              4.0 + ctx.config.t_c_range[0])]
+    assert ctx.moved == [first.timer, second.timer]
+    assert first.timer.time == second.timer.time == 4.0 + draw_t_c(first, ctx)
+
+
+def test_evidence_moves_no_timer_when_off():
+    ctx = ctx_with(LinkControlMode.OFF)
+    node = armed_guard(ctx)
+    assert node.timer is None
+    on_link_evidence([(node, True)], ctx)
+    assert node.tx_power == -5.0  # escalation does not need the timer
+    assert ctx.deferrals == [] and ctx.scheduled == []
 
 
 def test_weak_evidence_escalates_one_level(ctx):
     node = armed_guard(ctx)
-    on_link_evidence(node, True, ctx)
+    on_link_evidence([(node, True)], ctx)
     assert node.tx_power == -5.0
 
 
 def test_weak_evidence_at_top_level_saturates(ctx):
     node = armed_guard(ctx, power=-5.0)
-    on_link_evidence(node, True, ctx)
+    on_link_evidence([(node, True)], ctx)
     assert node.tx_power == -5.0
     assert ctx.moved == [node.timer]  # timer still reset
 
@@ -131,14 +159,14 @@ def test_threshold_boundary_is_strong(ctx):
     assert compute_lqi(radio, floor) == radio.lqi_threshold
     assert compute_lqi(radio, math.nextafter(floor, -math.inf)) < radio.lqi_threshold
     node = armed_guard(ctx)
-    on_link_evidence(node, False, ctx)
+    on_link_evidence([(node, False)], ctx)
     assert node.tx_power == -10.0
 
 
 def test_evidence_ignored_for_non_guards(ctx):
     node = make_node(status=NodeStatus.PROBE)
     node.tx_power = -10.0
-    on_link_evidence(node, True, ctx)
+    on_link_evidence([(node, True)], ctx)
     assert node.tx_power == -10.0
     assert ctx.scheduled == [] and ctx.moved == []
 
@@ -146,7 +174,7 @@ def test_evidence_ignored_for_non_guards(ctx):
 def test_power_stays_in_configured_domain(ctx):
     node = armed_guard(ctx)
     for _ in range(5):
-        on_link_evidence(node, True, ctx)
+        on_link_evidence([(node, True)], ctx)
         assert node.tx_power in ctx.config.radio.power_levels
     assert node.tx_power == max(ctx.config.radio.power_levels)
 
@@ -155,7 +183,7 @@ def test_power_never_decreases(ctx):
     node = armed_guard(ctx)
     seen = [node.tx_power]
     for weak in (False, True, False, True, False):
-        on_link_evidence(node, weak, ctx)
+        on_link_evidence([(node, weak)], ctx)
         seen.append(node.tx_power)
     assert seen == sorted(seen)
 
