@@ -226,7 +226,7 @@ class Engine:
         self._blocks: dict[tuple[Optional[int], str], array] = {}
         self._counts = [0] * len(EventKind)  # dispatched, by EventKind.index
         # how a deferred move settles, by EventKind.index: (stream, delay)
-        self._settle = [None] * len(EventKind)
+        self._settle_by_kind = [None] * len(EventKind)
 
     # -- randomness -------------------------------------------------------
 
@@ -320,7 +320,7 @@ class Engine:
         """Let ``defer`` move events of ``kind``: a settled event is due
         ``delay(u)`` after its last move, for ``u`` its target's next
         ``stream`` draw."""
-        self._settle[kind.index] = (stream, delay)
+        self._settle_by_kind[kind.index] = (stream, delay)
 
     def defer(self, events, since: float, bound: float) -> None:
         """Move each pending event to ``since`` plus a delay drawn when it
@@ -349,7 +349,7 @@ class Engine:
 
     def _settled(self, ev: Event, popped: float) -> float:
         """Draw an event's owed delay; returns its settled time."""
-        settle = self._settle[ev.kind.index]
+        settle = self._settle_by_kind[ev.kind.index]
         if settle is None:
             raise ValueError(f"{ev.kind.value} events are not deferrable")
         stream, delay = settle

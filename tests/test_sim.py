@@ -272,7 +272,7 @@ class EagerEngine(Engine):
         for ev in events:
             # the simulation only ever defers a pending timer
             assert not (ev.cancelled or ev.dispatched)
-            stream, delay = self._settle[ev.kind.index]
+            stream, delay = self._settle_by_kind[ev.kind.index]
             time = since + delay(self.uniform(ev.target, stream))
             assert bound <= time
             seq = self._next_seq
