@@ -60,6 +60,9 @@ class RadioConfig:
             raise ValueError(f"power_levels must be strictly increasing: {self.power_levels}")
         if self.path_loss_exponent <= 0.0:
             raise ValueError("path_loss_exponent must be positive")
+        if self.shadowing_sigma_db < 0.0:
+            raise ValueError(f"shadowing_sigma_db must be >= 0, "
+                             f"got {self.shadowing_sigma_db}")
         if self.sensitivity_dbm < self.noise_floor_dbm:
             raise ValueError("sensitivity must be at or above the noise floor")
         if self.lqi_snr_min_db >= self.lqi_snr_max_db:

@@ -106,8 +106,10 @@ class RunConfig:
             raise ValueError(f"t_c_range min exceeds max: {self.t_c_range}")
         if self.t_c_range[0] < 0.0:
             raise ValueError("t_c_range must be non-negative")
-        if self.t_w <= 0.0:
-            raise ValueError("t_w must be positive")
+        if self.t_w <= 2.0 * self.radio.tx_duration_s:
+            # probe and reply take two frames; a tie goes to the wait, filed first
+            raise ValueError(f"tw={self.t_w!r} must exceed two frames of "
+                             f"tx_duration={self.radio.tx_duration_s!r}")
         if self.sensing_range <= 0.0:
             raise ValueError("sensing_range must be positive")
         if self.grid_step <= 0.0:

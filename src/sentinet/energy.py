@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import require_finite
+from .protocol import NodeStatus
 
 
 @dataclass(frozen=True)
@@ -42,24 +43,27 @@ def tx_cost(config: EnergyConfig, level_dbm: float, frame_duration: float) -> fl
     return config.tx_draw(level_dbm) * frame_duration
 
 
-# Joule rows of an EnergyLedger, indexed by a node's status code. A dead
-# node draws 0 W into the DEAD row, which therefore only ever holds zeros.
-SLEEP, PROBE, ACTIVE, TX, DEAD = 0, 1, 2, 3, 4
-STATUS_CODES = {"SLEEP": SLEEP, "PROBE": PROBE, "ACTIVE": ACTIVE, "DEAD": DEAD}
+# Joule rows of an EnergyLedger: one per NodeStatus, at its index, then
+# TX. A dead node draws 0 W into the DEAD row, which therefore only ever
+# holds zeros.
+SLEEP, PROBE, ACTIVE, DEAD = (NodeStatus.SLEEP.index, NodeStatus.PROBE.index,
+                              NodeStatus.ACTIVE.index, NodeStatus.DEAD.index)
+TX = len(NodeStatus)
 
 
 class EnergyLedger:
     """Joules consumed by each of ``n`` nodes (indexed by node id), split by
-    what the radio was doing, with the status each node accrues in and the
-    time up to which it has been accrued."""
+    what the radio was doing, with the status each node accrues in (its
+    ``NodeStatus.index``) and the time up to which it has been accrued."""
 
     def __init__(self, config: EnergyConfig, n: int):
         self.config = config
-        self.joules = np.zeros((5, n))  # rows SLEEP, PROBE, ACTIVE, TX, DEAD
+        self.joules = np.zeros((TX + 1, n))
         self.accrued_until = np.zeros(n)
         self.status = np.full(n, SLEEP, dtype=np.intp)
-        self.draws = np.array([config.sleep_draw_w, config.probe_awake_draw_w,
-                               config.active_draw_w, 0.0, 0.0])  # W by code
+        self.draws = np.zeros(TX + 1)  # W by row
+        self.draws[[SLEEP, PROBE, ACTIVE]] = (
+            config.sleep_draw_w, config.probe_awake_draw_w, config.active_draw_w)
         self._ids = np.arange(n)
         self._tx_joules: dict[tuple[float, float], float] = {}  # add_tx's costs
 
@@ -69,14 +73,9 @@ class EnergyLedger:
         return ((j[SLEEP] + j[PROBE]) + j[ACTIVE]) + j[TX]
 
 
-def set_status(ledger: EnergyLedger, node_id: int, status) -> None:
+def set_status(ledger: EnergyLedger, node_id: int, status: NodeStatus) -> None:
     """Accrue node ``node_id`` at ``status``'s draw from its next touch on."""
-    # an Enum's ``_name_`` is a plain attribute; its ``name`` property
-    # costs more than the rest of this function
-    try:
-        ledger.status[node_id] = STATUS_CODES[getattr(status, "_name_", status)]
-    except KeyError:
-        raise ValueError(f"unknown status {status!r}") from None
+    ledger.status[node_id] = status.index
 
 
 def accrue_node(ledger: EnergyLedger, node_id: int, now: float) -> None:
@@ -127,8 +126,9 @@ def summarize(ledger: EnergyLedger) -> dict:
     """
     n = ledger.joules.shape[1]
     if n:
-        sleep, probe, active, tx = np.add.accumulate(
-            ledger.joules[:DEAD], axis=1)[:, -1].tolist()
+        by_row = np.add.accumulate(ledger.joules, axis=1)[:, -1].tolist()
+        sleep, probe, active, tx = (by_row[SLEEP], by_row[PROBE],
+                                    by_row[ACTIVE], by_row[TX])
     else:
         sleep = probe = active = tx = 0.0
     total = ((sleep + probe) + active) + tx

@@ -21,10 +21,11 @@ All randomness flows through counter-based Philox substreams keyed by
 draw indices and adding more nodes never perturbs existing streams. A
 substream's Philox key equals numpy's ``SeedSequence(entropy=seed,
 spawn_key=(node id, stream index)).generate_state(2, uint64)``, but no
-SeedSequence is built: ``substream_keys`` ports its mixing, absorbs the
-seed once and the two spawn words of many keys in one vectorized pass, so
-an engine that knows its node count derives every node's keys at
-construction and builds each generator straight from its key.
+SeedSequence is built per key: ``substream_keys`` takes the pool of one
+``SeedSequence(seed)``, which has absorbed the seed, and ports the mixing
+of the two spawn words of many keys into one vectorized pass, so an engine
+that knows its node count derives every node's keys at construction and
+builds each generator straight from its key.
 ``uniform`` serves a substream's draws after its first from blocks of
 ``gen.random(k)``: Philox gives the same values in a block as in k scalar
 calls, and zeros are dropped from a block as the scalar retry skips them,
@@ -56,9 +57,8 @@ _POOL = 4
 _MASK = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _U32, _SHIFT, _HIGH = np.uint64(_MASK), np.uint64(16), np.uint64(32)
-_MIX_L64, _MIX_R64 = np.uint64(_MIX_L), np.uint64(_MIX_R)
+_MIX_L64, _MIX_R64 = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
 
 
 def _hash_consts(start: int, mult: int, n: int) -> list[int]:
@@ -74,38 +74,6 @@ _OUT = np.array(_hash_consts(_INIT_B, _MULT_B, _POOL), dtype=np.uint64)
 _OUT_XOR, _OUT_MUL = _OUT[:-1].reshape(_POOL, 1, 1), _OUT[1:].reshape(_POOL, 1, 1)
 
 
-def _seed_pool(seed: int) -> tuple[list[int], int]:
-    """The pool after absorbing the seed's 32-bit words (zero-padded to the
-    pool, as numpy pads entropy that has a spawn key), and the hash
-    multiplier the spawn words start from."""
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    words = [seed >> s & _MASK for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL - len(words))
-    h = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal h
-        value ^= h
-        h = h * _MULT_A & _MASK
-        value = value * h & _MASK
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        r = (_MIX_L * x - _MIX_R * y) & _MASK
-        return r ^ r >> 16
-
-    pool = [hashmix(w) for w in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    return pool, h
-
-
 def substream_keys(seed: int, nodes, streams) -> np.ndarray:
     """Philox keys of every (stream index, node id) pair, shape
     (len(streams), len(nodes), 2) uint64; each equals numpy's
@@ -115,7 +83,13 @@ def substream_keys(seed: int, nodes, streams) -> np.ndarray:
     The pool words are held as uint32 values in uint64 arrays, so a product
     of two words never overflows and masking takes it modulo 2**32.
     """
-    pool, h = _seed_pool(int(seed))
+    seed = int(seed)
+    # absorbing the seed used the hash multiplier once per pool word, per
+    # ordered pair of pool words, and per pool word per seed word past the pool
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)
+    seed_words = (max(seed.bit_length(), 1) + 31) // 32
+    uses = _POOL * _POOL + _POOL * max(0, seed_words - _POOL)
+    h = _INIT_A * pow(_MULT_A, uses, _MASK + 1) & _MASK
     consts = np.array(_hash_consts(h, _MULT_A, 2 * _POOL), dtype=np.uint64)
     words = []
     for w in (nodes, streams):
@@ -125,7 +99,7 @@ def substream_keys(seed: int, nodes, streams) -> np.ndarray:
         words.append(w.astype(np.uint64))
     # (pool word, stream, node): each pool word absorbs the node word, then
     # the stream word, each hashed with the multiplier's next value
-    p = np.array(pool, dtype=np.uint64).reshape(_POOL, 1, 1)
+    p = pool.reshape(_POOL, 1, 1)
     for k, w in enumerate((words[0][None, None, :], words[1][None, :, None])):
         xor = consts[k * _POOL:(k + 1) * _POOL].reshape(_POOL, 1, 1)
         mul = consts[k * _POOL + 1:(k + 1) * _POOL + 1].reshape(_POOL, 1, 1)

@@ -25,6 +25,7 @@ from .channel import LinkRows, RadioConfig, loss_cap, weak_link_floor
 CSV_HEADER = ("time_s,n_sleep,n_probe,n_active,n_dead,coverage,components,"
               "isolated,msgs_probe,msgs_probe_reply,msgs_conn,msgs_conn_reply,"
               "energy_total_j,energy_mean_j")
+_COLUMNS = CSV_HEADER.split(",")
 
 
 def _grid_centers(extent: float, step: float) -> np.ndarray:
@@ -163,18 +164,10 @@ def meta_line(seed: int, config_hash: str, rng_name: str) -> str:
 
 
 def format_row(row: dict) -> str:
-    return ",".join([
-        _fmt(row["time_s"]), str(row["n_sleep"]), str(row["n_probe"]),
-        str(row["n_active"]), str(row["n_dead"]), _fmt(row["coverage"]),
-        str(row["components"]), str(row["isolated"]), str(row["msgs_probe"]),
-        str(row["msgs_probe_reply"]), str(row["msgs_conn"]),
-        str(row["msgs_conn_reply"]), _fmt(row["energy_total_j"]),
-        _fmt(row["energy_mean_j"]),
-    ])
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+    """A metrics row in ``CSV_HEADER``'s column order: floats (``np.float64``
+    included) as ``repr(float(v))``, counts as ``str(v)``."""
+    return ",".join([repr(float(v)) if isinstance(v, float) else str(v)
+                     for v in map(row.__getitem__, _COLUMNS)])
 
 
 @contextlib.contextmanager

@@ -59,8 +59,9 @@ def reply_slot_delay(node_id: int, config) -> float:
     """Deterministic reply stagger: each node owns a slot inside t_w.
 
     Repliers share the probe-delivery instant, so id-keyed slots keep their
-    frames disjoint unless ids clash modulo the slot count; the reply still
-    lands before the prober's wait window closes (slots + 2 frames <= t_w).
+    frames disjoint unless ids clash modulo the slot count. The slots fit in
+    what t_w leaves of the probe's and the reply's frames, and ``RunConfig``
+    requires t_w longer than those two, so a reply lands before t_w ends.
     """
     frame = config.radio.tx_duration_s
     width = 1.05 * frame

@@ -72,13 +72,12 @@ class Simulation:
         self.rows: list[dict] = []
         self.failure_log: list[dict] = []
         self._sigma = config.radio.shadowing_sigma_db
-        self._shadow_gens = [None] * config.node_count  # by sender, on first use
-        # by sender, the power maps of its next frames: shadowed, [tx, block,
-        # maps, next] while its shadowing block has frames left, else None;
-        # unshadowed, {tx: the one map all its frames at tx share}
-        self._maps: list = ([None] * config.node_count if self._sigma > 0.0
-                            else [{} for _ in range(config.node_count)])
+        # by sender, the power maps of its next frames, [tx, block, maps,
+        # next], or None before it sends and once its block is spent; an
+        # unshadowed sender's block is this one row of zeros, never spent
+        self._maps: list = [None] * config.node_count
         self._block_frames = max(1, _BLOCK_DRAWS // config.node_count)
+        self._zeros = np.zeros((1, config.node_count))
         self._base_power = config.radio.power_levels[0]
         self._weak_floor = chan.weak_link_floor(config.radio)
         self._piggyback = config.link_control.uses_piggyback
@@ -93,16 +92,13 @@ class Simulation:
         else:
             self._xs, self._ys = np.array(
                 [positions[nid] for nid in range(config.node_count)], dtype=float).T.copy()
-        initial_power = config.radio.power_levels[0]
         self.nodes: dict[int, Node] = {
             nid: Node(id=nid, x=x, y=y, deploy_weibull=config.weibull,
-                      tx_power=initial_power)
+                      tx_power=self._base_power)
             for nid, (x, y) in enumerate(zip(self._xs.tolist(), self._ys.tolist()))}
         self._links = chan.LinkRows(self._xs, self._ys, config.radio)
         self._awake_ids: set[int] = set()
         self._guard_ids: set[int] = set()
-        self._census = [0] * len(NodeStatus)  # by NodeStatus.index
-        self._census[NodeStatus.SLEEP.index] = config.node_count
         self.energy = energy_mod.EnergyLedger(config.energy, config.node_count)
         self._coverage = metrics_mod.CoverageGrid(
             config.field_width, config.field_height, config.sensing_range,
@@ -123,8 +119,6 @@ class Simulation:
                             payload=(kind, addressee))
 
     def note_transition(self, node: Node, old: NodeStatus, new: NodeStatus) -> None:
-        self._census[old.index] -= 1
-        self._census[new.index] += 1
         # the node accrues at its old status up to now, then at the new one
         energy_mod.accrue_node(self.energy, node.id, self.now)
         energy_mod.set_status(self.energy, node.id, new)
@@ -189,41 +183,28 @@ class Simulation:
         nid, tx, radio = node.id, node.tx_power, self.config.radio
         self.counters[kind.index] += 1
         energy_mod.add_tx(self.energy, nid, tx, radio.tx_duration_s)
-        if self._sigma > 0.0:
-            pending = self._maps[nid]
-            if pending is None:
-                # one fresh per-receiver draw per transmission, from the
-                # sender's substream so draw indices stay node-count
-                # stable; a block holds the draws of its next frames
-                gen = self._shadow_gens[nid]
-                if gen is None:
-                    gen = self._shadow_gens[nid] = self.engine.rng(nid, "shadow")
-                block = gen.normal(0.0, self._sigma,
-                                   size=(self._block_frames, len(self.nodes)))
-                maps = chan.power_maps(self._links, nid, tx, radio, block)
-                rx_map = maps[0]
-                if len(maps) > 1:
-                    self._maps[nid] = [tx, block, maps, 1]
-            else:
-                if pending[0] != tx:
-                    # the power rose with frames left: their maps at the
-                    # new power, from the draws they kept
-                    block = pending[1][pending[3]:]
-                    pending[:] = (tx, block, chan.power_maps(
-                        self._links, nid, tx, radio, block), 0)
-                maps, k = pending[2], pending[3]
-                rx_map = maps[k]
-                if k + 1 < len(maps):
-                    pending[3] = k + 1
-                else:  # spent
-                    self._maps[nid] = None
-        else:
-            shared = self._maps[nid]
-            rx_map = shared.get(tx)
-            if rx_map is None:
-                [rx_map] = chan.power_maps(self._links, nid, tx, radio,
-                                           np.zeros((1, len(self.nodes))))
-                shared[tx] = rx_map
+        pending = self._maps[nid]
+        if pending is None:
+            # one fresh per-receiver draw per transmission, from the
+            # sender's substream so draw indices stay node-count stable; a
+            # block holds the draws of its next frames
+            block = (self.engine.rng(nid, "shadow").normal(
+                0.0, self._sigma, size=(self._block_frames, len(self.nodes)))
+                if self._sigma > 0.0 else self._zeros)
+            pending = self._maps[nid] = [
+                tx, block, chan.power_maps(self._links, nid, tx, radio, block), 0]
+        elif pending[0] != tx:
+            # the power rose (it never falls): the maps of the frames left
+            # at the new power, from the draws they kept
+            block = pending[1][pending[3]:]
+            pending[:] = (tx, block, chan.power_maps(
+                self._links, nid, tx, radio, block), 0)
+        maps, k = pending[2], pending[3]
+        rx_map = maps[k]
+        if k + 1 < len(maps):
+            pending[3] = k + 1
+        elif self._sigma > 0.0:  # spent
+            self._maps[nid] = None
         frame = chan.make_frame(kind, nid, addressee, tx, self.engine.clock,
                                 rx_map, self._awake_ids, radio, self.frames)
         self.frames.append(frame)
@@ -293,6 +274,10 @@ class Simulation:
         if at <= self.config.duration:
             self.engine.schedule(at, None, EventKind.METRIC_SAMPLE, payload=index)
 
+    def census(self) -> list[int]:
+        """How many nodes are in each status, by ``NodeStatus.index``."""
+        return np.bincount(self.energy.status, minlength=len(NodeStatus)).tolist()
+
     def snapshot(self) -> dict:
         """The current node states, as written to snapshot.json."""
         spent = self.energy.node_totals().tolist()
@@ -315,7 +300,7 @@ class Simulation:
         comps = self._component_cache[1]
         totals = energy_mod.summarize(self.energy)
         # both lists run in their enum's declaration order
-        n_sleep, n_probe, n_active, n_dead = self._census
+        n_sleep, n_probe, n_active, n_dead = self.census()
         probe, probe_reply, conn, conn_reply = self.counters
         self.rows.append({
             "time_s": self.now,
@@ -353,7 +338,7 @@ class Simulation:
                 "messages": {k.value: self.counters[k.index]
                              for k in chan.MessageKind},
                 "events": engine_summary.as_dict()["dispatched"],
-                "census": {s.value: self._census[s.index] for s in NodeStatus},
+                "census": dict(zip([s.value for s in NodeStatus], self.census())),
                 "coverage_final": final_row["coverage"] if final_row else None,
                 "components_final": final_row["components"] if final_row else None,
                 "isolated_final": final_row["isolated"] if final_row else None,

@@ -142,6 +142,18 @@ def test_negative_seed_rejected_before_output(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,why", [
+    ("--shadowing-sigma=-4", "shadowing_sigma_db must be >= 0"),
+    ("--tw=0.005", "tw=0.005 must exceed two frames of tx_duration=0.004"),
+])
+def test_out_of_range_values_rejected_before_output(tmp_path, capsys, flag,
+                                                    why):
+    out = tmp_path / "d"
+    assert run_cli("run", *FAST, flag, "--out", str(out)) == 2
+    assert why in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_config_file_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nodes=5\nwhat is this\n")

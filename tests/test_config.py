@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import typing
 from collections import Counter
@@ -98,6 +99,26 @@ def test_negative_seed_rejected(seed):
         RunConfig(seed=seed)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         RunConfig.from_flat({"seed": str(seed)})
+
+
+def test_tw_must_exceed_two_frames():
+    # a reply at slot 0 ends two frames after its probe began, and one that
+    # ends as the wait does loses the tie to the earlier-filed wait
+    frame = RadioConfig().tx_duration_s
+    for tw in (0.005, 2.0 * frame):
+        with pytest.raises(ValueError, match="tw=.* tx_duration="):
+            RunConfig.from_flat({"tw": repr(tw)})
+    assert RunConfig(t_w=math.nextafter(2.0 * frame, 1.0)).t_w > 2.0 * frame
+    slow = dataclasses.replace(RadioConfig(), tx_duration_s=0.06)
+    with pytest.raises(ValueError, match="tx_duration=0.06"):
+        RunConfig(radio=slow)
+
+
+def test_negative_shadowing_sigma_rejected():
+    with pytest.raises(ValueError, match="shadowing_sigma_db must be >= 0"):
+        RunConfig.from_flat({"shadowing_sigma": "-4"})
+    calm = RunConfig.from_flat({"shadowing_sigma": "0"})
+    assert calm.radio.shadowing_sigma_db == 0.0
 
 
 def test_multi_word_seeds_accepted():

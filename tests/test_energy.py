@@ -3,9 +3,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sentinet.energy import (TX, EnergyConfig, EnergyLedger, accrue,
-                             accrue_node, add_tx, set_status, summarize,
-                             tx_cost)
+from sentinet.energy import (ACTIVE, DEAD, PROBE, SLEEP, TX, EnergyConfig,
+                             EnergyLedger, accrue, accrue_node, add_tx,
+                             set_status, summarize, tx_cost)
+from sentinet.protocol import NodeStatus
 
 CFG = EnergyConfig()
 
@@ -22,7 +23,7 @@ def test_sleep_for_the_whole_run():
 
 def test_zero_dt_accrues_nothing():
     led = EnergyLedger(CFG, 1)
-    set_status(led, 0, "ACTIVE")
+    set_status(led, 0, NodeStatus.ACTIVE)
     accrue_node(led, 0, 0.0)
     accrue(led, 0.0)
     assert node_total(led) == 0.0
@@ -30,7 +31,7 @@ def test_zero_dt_accrues_nothing():
 
 def test_dead_accrues_nothing():
     led = EnergyLedger(CFG, 2)
-    set_status(led, 0, "DEAD")
+    set_status(led, 0, NodeStatus.DEAD)
     accrue_node(led, 0, 123.0)
     accrue(led, 200.0)
     assert node_total(led, 0) == 0.0
@@ -46,9 +47,18 @@ def test_negative_dt_rejected():
         accrue(led, 4.0)
 
 
-def test_unknown_status_rejected():
-    with pytest.raises(ValueError):
-        set_status(EnergyLedger(CFG, 1), 0, "NAPPING")
+def test_rows_follow_node_status_then_tx():
+    assert [SLEEP, PROBE, ACTIVE, DEAD] == [
+        NodeStatus.SLEEP.index, NodeStatus.PROBE.index,
+        NodeStatus.ACTIVE.index, NodeStatus.DEAD.index]
+    assert TX == len(NodeStatus)
+    led = EnergyLedger(CFG, 3)
+    assert led.joules.shape == (TX + 1, 3)
+    assert led.draws.tolist() == [CFG.sleep_draw_w, CFG.probe_awake_draw_w,
+                                  CFG.active_draw_w, 0.0, 0.0]
+    for status in NodeStatus:
+        set_status(led, 1, status)
+        assert led.status.tolist() == [SLEEP, status.index, SLEEP]
 
 
 def test_tx_cost_hand_evaluated():
@@ -71,8 +81,9 @@ def test_tx_cost_unknown_level():
 def test_ledger_nonnegative_and_nondecreasing():
     led = EnergyLedger(CFG, 1)
     now = last = 0.0
-    for status, dt in (("SLEEP", 10.0), ("PROBE", 0.1), ("ACTIVE", 5.0),
-                       ("DEAD", 50.0), ("SLEEP", 0.0)):
+    for status, dt in ((NodeStatus.SLEEP, 10.0), (NodeStatus.PROBE, 0.1),
+                       (NodeStatus.ACTIVE, 5.0), (NodeStatus.DEAD, 50.0),
+                       (NodeStatus.SLEEP, 0.0)):
         set_status(led, 0, status)
         now += dt
         accrue_node(led, 0, now)
@@ -86,7 +97,7 @@ def test_summarize_accounting_identity():
     led = EnergyLedger(CFG, 5)
     for k in range(5):
         accrue_node(led, k, 100.0 * k)
-        set_status(led, k, "ACTIVE")
+        set_status(led, k, NodeStatus.ACTIVE)
         accrue_node(led, k, 100.0 * k + 13.0)
         add_tx(led, k, -5.0, 0.004)
     summary = summarize(led)
@@ -103,7 +114,7 @@ def test_summarize_empty_network():
 
 def test_extra_frame_strictly_increases_total():
     led = EnergyLedger(CFG, 1)
-    set_status(led, 0, "ACTIVE")
+    set_status(led, 0, NodeStatus.ACTIVE)
     accrue(led, 100.0)
     before = summarize(led)["total_j"]
     add_tx(led, 0, -10.0, 0.004)
@@ -137,7 +148,7 @@ def test_total_is_a_left_fold_of_the_states():
     # 3.12's sum() of floats would give the latter
     by_state = [0.1, 0.2, 0.3, 1e-17]
     led = EnergyLedger(CFG, 1)
-    led.joules[:TX + 1, 0] = by_state
+    led.joules[[SLEEP, PROBE, ACTIVE, TX], 0] = by_state
     total = summarize(led)["total_j"]
     assert total == ((0.1 + 0.2) + 0.3) + 1e-17
     assert total != math.fsum(by_state)
@@ -146,21 +157,21 @@ def test_total_is_a_left_fold_of_the_states():
 
 # -- oracle: one scalar left fold per node, as each node once kept its own --
 
-DRAWS = {"SLEEP": CFG.sleep_draw_w, "PROBE": CFG.probe_awake_draw_w,
-         "ACTIVE": CFG.active_draw_w, "DEAD": 0.0}
-ROWS = ("SLEEP", "PROBE", "ACTIVE")
+DRAWS = {NodeStatus.SLEEP: CFG.sleep_draw_w,
+         NodeStatus.PROBE: CFG.probe_awake_draw_w,
+         NodeStatus.ACTIVE: CFG.active_draw_w, NodeStatus.DEAD: 0.0}
 
 
 class ScalarNode:
     def __init__(self):
-        self.joules = [0.0, 0.0, 0.0, 0.0]  # sleep, probe, active, tx
+        self.joules = [0.0, 0.0, 0.0, 0.0, 0.0]  # sleep, probe, active, dead, tx
         self.until = 0.0
-        self.status = "SLEEP"
+        self.status = NodeStatus.SLEEP
 
     def touch(self, now):
         dt = now - self.until
-        if dt > 0.0 and self.status != "DEAD":
-            row = ROWS.index(self.status)
+        if dt > 0.0:
+            row = self.status.index
             self.joules[row] = self.joules[row] + DRAWS[self.status] * dt
         self.until = now
 
@@ -192,18 +203,19 @@ def test_array_ledger_matches_scalar_left_folds(n, ops):
         elif op[0] == "tx":
             nid = op[1] % n
             add_tx(led, nid, op[2], op[3])
-            nodes[nid].joules[3] += CFG.tx_draw(op[2]) * op[3]
+            nodes[nid].joules[4] += CFG.tx_draw(op[2]) * op[3]
         else:
             accrue(led, now)
             for node in nodes:
                 node.touch(now)
-    assert led.joules[:TX + 1].T.tolist() == [node.joules for node in nodes]
+    assert led.joules.T.tolist() == [node.joules for node in nodes]
     assert led.node_totals().tolist() == [
-        ((s + p) + a) + t for s, p, a, t in (node.joules for node in nodes)]
+        ((s + p) + a) + t for s, p, a, d, t in (node.joules for node in nodes)]
+    assert all(node.joules[3] == 0.0 for node in nodes)  # the dead draw none
     by_state = [0.0, 0.0, 0.0, 0.0]
     for node in nodes:
-        for k in range(4):
-            by_state[k] += node.joules[k]
+        for k, row in enumerate((0, 1, 2, 4)):
+            by_state[k] += node.joules[row]
     total = ((by_state[0] + by_state[1]) + by_state[2]) + by_state[3]
     assert summarize(led) == {
         "total_j": total, "mean_per_node_j": total / n,

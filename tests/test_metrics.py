@@ -273,6 +273,15 @@ def test_format_row_field_order_matches_header():
     assert len(row.split(",")) == len(CSV_HEADER.split(","))
 
 
+def test_format_row_writes_numpy_floats_as_python_floats():
+    row = {**sample_rows()[1], "coverage": np.float64(0.07),
+           "energy_total_j": np.float64(1e-17), "components": np.int64(2)}
+    fields = format_row(row).split(",")
+    assert fields[5] == repr(0.07) == "0.07"
+    assert fields[12] == repr(1e-17) and fields[6] == "2"
+    assert fields[0] == "1.0" and fields[1] == "8"
+
+
 def test_interrupted_writes_leave_no_file(tmp_path, monkeypatch):
     rows = sample_rows()
     calls = []

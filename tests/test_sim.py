@@ -134,8 +134,11 @@ def invariant_checker(cfg):
         by_status = {status: set() for status in NodeStatus}
         for node in sim.nodes.values():
             by_status[node.status].add(node.id)
-        assert sum(sim._census) == cfg.node_count
-        assert sim._census == [len(by_status[s]) for s in NodeStatus]
+        census = sim.census()
+        assert sum(census) == cfg.node_count
+        assert census == [len(by_status[s]) for s in NodeStatus]
+        assert sim.energy.status.tolist() == [
+            node.status.index for node in sim.nodes.values()]
         guards = by_status[NodeStatus.ACTIVE]
         assert sim._guard_ids == guards
         assert sim._awake_ids == by_status[NodeStatus.PROBE] | guards
@@ -728,24 +731,43 @@ def test_outputs_do_not_depend_on_the_shadowing_block(monkeypatch, tmp_path):
     assert digests[1] == digests[3] == digests[10]
 
 
-def test_unshadowed_maps_are_shared_and_left_unchanged():
-    # without shadowing a sender's frames at one power share one map; after
-    # a whole run, with kills, each still equals a freshly made one
+def test_unshadowed_maps_are_shared_and_left_unchanged(monkeypatch):
+    # without shadowing a sender's frames at one power share one map, made
+    # from the one shared row of zeros; after a whole run, with kills, each
+    # still equals a freshly made one
     flat, sentinel_failures = GOLDEN_RUNS["sentinels_killed"]
     config = RunConfig.from_flat({**flat, "duration": "200"})
     assert config.radio.shadowing_sigma_db == 0.0
+    sent = {}  # (sender, power) -> the maps its frames carried
+    original = chan_mod.make_frame
+
+    def spy(kind, sender, addressee, tx, start, rx_dbm, *args):
+        sent.setdefault((sender, tx), []).append(rx_dbm)
+        return original(kind, sender, addressee, tx, start, rx_dbm, *args)
+
+    monkeypatch.setattr(chan_mod, "make_frame", spy)
     sim = Simulation(config)
     for at, count in sentinel_failures:
         sim.inject_sentinel_failure(at, count)
     result = sim.run()
     links = LinkRows(sim._xs, sim._ys, config.radio)
     calm = np.zeros((1, config.node_count))
-    shared = [(nid, tx, rx_map) for nid, maps in enumerate(sim._maps)
-              for tx, rx_map in maps.items()]
     frames = sum(result.summary["totals"]["messages"].values())
-    assert 0 < len(shared) < frames
-    assert {tx for _, tx, _ in shared} == set(config.radio.power_levels)
-    for nid, tx, rx_map in shared:
+    assert sum(map(len, sent.values())) == frames
+    assert 0 < len(sent) < frames
+    assert {tx for _, tx in sent} == set(config.radio.power_levels)
+    for (nid, tx), maps in sent.items():
+        assert all(rx_map is maps[0] for rx_map in maps)
         [fresh] = power_maps(links, nid, tx, config.radio, calm)
-        assert [(k, v.hex()) for k, v in rx_map.items()] == \
+        assert [(k, v.hex()) for k, v in maps[0].items()] == \
             [(k, v.hex()) for k, v in fresh.items()]
+    # each sender keeps the map at its current power, never spent
+    for nid, pending in enumerate(sim._maps):
+        if pending is None:
+            assert not any(sender == nid for sender, _ in sent)
+            continue
+        tx, block, maps, k = pending
+        assert tx == sim.nodes[nid].tx_power
+        assert np.shares_memory(block, sim._zeros)
+        assert block.shape == (1, config.node_count) and not block.any()
+        assert len(maps) == 1 and maps[0] is sent[nid, tx][0] and k == 0
