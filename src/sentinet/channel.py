@@ -11,10 +11,10 @@ it and every frame still on the air that overlaps it jam each other's
 audible receivers and senders, so a delivery only reads its own frame.
 
 Node positions are static, so each sender's path loss to the others is
-computed once and kept in a link row (``LinkRows``): the nodes within a
-loss cap, ascending by id. ``power_maps`` reads its sender's row instead of
-the whole field, once for a block of that sender's frames; the guard graph
-in ``metrics`` reads the same rows. Without shadowing a map depends only on
+computed once and kept in a link row: the nodes within a loss cap,
+ascending by id. ``LinkRows`` owns the rows and makes each sender's power
+maps from its row, once for a block of its frames; the guard graph in
+``metrics`` reads the same rows. Without shadowing a map depends only on
 the sender and its power, so one map serves all of that sender's frames at
 that power, and their ``rx_dbm`` is shared and read-only.
 """
@@ -151,7 +151,7 @@ def loss_cap(tx: float, bound: float, smin: float = 0.0) -> float:
 
 
 class LinkRows:
-    """Per-sender link rows over static node positions.
+    """Per-sender link rows over static node positions, and power maps.
 
     A sender's row holds the other nodes whose path loss from it is at most
     the row's cap, ascending by id, with those losses. A row is built on its
@@ -160,14 +160,21 @@ class LinkRows:
     sigma, so that the strongest draws of a sender's later blocks seldom
     force another build, and at least 1 dB, so that a row cut for a
     zero-sigma channel is not an ulp short of its next frame's needs.
+    ``next_map`` draws the shadowing of a sender's next max(1, 512 // N)
+    frames at once from ``shadow(sender)``, the same values as frame by
+    frame under Philox; rows read only for the guard graph need no source.
     """
 
-    def __init__(self, xs, ys, radio: RadioConfig):
+    def __init__(self, xs, ys, radio: RadioConfig, shadow=None):
         self._xs = np.asarray(xs, dtype=float)
         self._ys = np.asarray(ys, dtype=float)
-        self._radio = radio
-        self._headroom = max(radio.shadowing_sigma_db, 1.0)
-        self._rows: list[Optional[tuple]] = [None] * self._xs.size
+        self._radio, self._shadow, self._sigma = radio, shadow, radio.shadowing_sigma_db
+        self._headroom = max(self._sigma, 1.0)
+        n = self._xs.size
+        self._rows: list[Optional[tuple]] = [None] * n
+        self._block_frames = max(1, 512 // max(n, 1))
+        self._zeros = np.zeros((1, n))  # every unshadowed block, never spent
+        self._pending: list = [None] * n  # by sender: [tx, block, maps to come]
 
     def row(self, sender: int, cap: float) -> tuple[np.ndarray, np.ndarray]:
         """Ids (ascending) and path losses of ``sender``'s row, which holds
@@ -193,33 +200,47 @@ class LinkRows:
         keep = loss <= cap
         return cap, near[keep], loss[keep]
 
+    def next_map(self, sender: int, tx: float) -> dict[int, float]:
+        """The power map of ``sender``'s next frame, sent at ``tx`` dBm; a
+        power rise remakes the maps of its block's frames left."""
+        pending = self._pending[sender]
+        if pending is None or pending[0] != tx:
+            block = (pending[1][-len(pending[2]):] if pending
+                     else self._zeros if self._sigma == 0.0
+                     else self._shadow(sender).normal(
+                         0.0, self._sigma, size=(self._block_frames, self._xs.size)))
+            pending = self._pending[sender] = [tx, block, self.maps(sender, tx, block)]
+        maps = pending[2]
+        if len(maps) == 1 and self._sigma > 0.0:  # spent
+            self._pending[sender] = None
+        return maps.pop(0) if self._sigma > 0.0 else maps[0]
 
-def power_maps(links: LinkRows, sender: int, tx: float, radio: RadioConfig,
-               block: np.ndarray) -> list[dict[int, float]]:
-    """The received-power maps of ``sender``'s next frames at ``tx`` dBm,
-    one per row of ``block``: each frame's per-receiver shadowing in dB,
-    indexed by node id (a row of zeros for an unshadowed frame).
+    def maps(self, sender: int, tx: float,
+             block: np.ndarray) -> list[dict[int, float]]:
+        """The received-power maps of ``sender``'s frames at ``tx`` dBm, one
+        per row of ``block``: each frame's per-receiver shadowing in dB,
+        indexed by node id (a row of zeros for an unshadowed frame).
 
-    A map holds the audible receivers, ascending by id; receivers below
-    sensitivity can neither decode a frame nor disturb anyone else. Each
-    power is ``(tx - loss) - shadowing``, so a map is the same bytes however
-    many frames its block holds.
-    """
-    sens = radio.sensitivity_dbm
-    # The row need only hold the receivers these frames could reach: cut
-    # past the loss at which even the block's most negative draw leaves a
-    # receiver below sensitivity, so locality needs no clip on the shadowing.
-    smin = float(np.minimum.reduce(block, axis=None))
-    ids, loss = links.row(sender, loss_cap(tx, sens, smin))
-    base = tx - loss
-    maps = []
-    # one frame at a time, so a one-frame block costs what a lone frame did;
-    # rows by index, as iterating an array ends in a raised IndexError
-    for k in range(len(block)):
-        rx = base - block[k][ids]
-        audible = rx >= sens
-        maps.append(dict(zip(ids[audible].tolist(), rx[audible].tolist())))
-    return maps
+        A map holds the audible receivers, ascending by id; receivers below
+        sensitivity can neither decode a frame nor disturb anyone else. Each
+        power is ``(tx - loss) - shadowing``, so a map is the same bytes
+        however many frames its block holds.
+        """
+        sens = self._radio.sensitivity_dbm
+        # The row need only hold the receivers these frames could reach: cut
+        # past the loss at which even the block's most negative draw leaves a
+        # receiver below sensitivity, so locality needs no clip on shadowing.
+        smin = float(np.minimum.reduce(block, axis=None))
+        ids, loss = self.row(sender, loss_cap(tx, sens, smin))
+        base = tx - loss
+        maps = []
+        # one frame at a time, so a one-frame block costs what a lone frame
+        # did; rows by index, as iterating an array ends in an IndexError
+        for k in range(len(block)):
+            rx = base - block[k][ids]
+            audible = rx >= sens
+            maps.append(dict(zip(ids[audible].tolist(), rx[audible].tolist())))
+        return maps
 
 
 @dataclass(eq=False, slots=True)
@@ -256,7 +277,7 @@ def make_frame(kind: MessageKind, sender: int, addressee: Optional[int],
                tx_power_dbm: float, start: float, rx_dbm: dict[int, float],
                awake_ids, radio: RadioConfig, on_air=()) -> Frame:
     """Make the frame ``sender`` starts at ``start`` with the power map
-    ``rx_dbm`` (from ``power_maps``), and settle its collisions with the
+    ``rx_dbm`` (from ``LinkRows.next_map``), and settle its collisions with the
     frames ``on_air``.
 
     ``on_air`` holds frames that started no later than this one; each of

@@ -19,7 +19,7 @@ import sys
 from .config import HAZARD_FEEDBACK_MODES, LinkControlMode, RunConfig
 from .engine import RNG_NAME
 from .metrics import atomic_write, meta_line
-from .sim import run_simulation, write_outputs
+from .sim import HEALING_EPSILON, run_simulation, write_outputs
 
 AGGREGATE_HEADER = "axis_value,rep,energy_total_j,energy_mean_j,components,coverage_final"
 
@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(inject_p)
     inject_p.add_argument("--kill", action="append", default=[], metavar="SPEC",
                           help="sentinels-at=T[:count=K] or node=ID:at=T")
-    inject_p.add_argument("--healing-epsilon", type=float, default=0.05)
+    inject_p.add_argument("--healing-epsilon", type=float, default=HEALING_EPSILON)
     return parser
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 
 from .channel import RadioConfig, require_finite
@@ -93,6 +93,8 @@ class RunConfig:
     hazard_feedback: str = "off"
 
     def __post_init__(self):
+        for name, proto in _FIELD_DEFAULTS.items():  # ints as the floats echoed
+            object.__setattr__(self, name, _floated(getattr(self, name), proto))
         require_finite(self, "config")
         if self.field_width <= 0.0 or self.field_height <= 0.0:
             raise ValueError("field dimensions must be positive")
@@ -152,6 +154,20 @@ class RunConfig:
 _SEPS = "x,:"
 
 
+def _floated(value, proto):
+    """``value``, nested configs and tuple items too, with a number (a numpy
+    int too) stored as a float wherever its default ``proto`` holds a float."""
+    if isinstance(proto, float):
+        return value if isinstance(value, float) else float(value)
+    if isinstance(proto, tuple) and proto and isinstance(value, tuple):
+        return tuple(_floated(v, proto[min(i, len(proto) - 1)]) for i, v in enumerate(value))
+    if is_dataclass(proto) and type(value) is type(proto):
+        return replace(value, **{f.name: _floated(getattr(value, f.name),
+                                                  getattr(proto, f.name))
+                                 for f in fields(value)})
+    return value
+
+
 def _get(obj, path: str):
     for step in path.split("."):
         obj = obj[int(step)] if step.isdigit() else getattr(obj, step)
@@ -199,6 +215,8 @@ def _with(obj, leaves: dict):
     return replace(obj, **new)
 
 
+_FIELD_DEFAULTS = {f.name: f.default if f.default is not MISSING
+                   else f.default_factory() for f in fields(RunConfig)}
 _DEFAULT = RunConfig()
 # each key's fields in a default RunConfig, whose types give the key's text
 # form and parser

@@ -82,7 +82,6 @@ class Node:
     deployed_at: float = 0.0
     sleep_cycle_start: float = 0.0
     timer: Optional[object] = None  # the pending timer its status owns
-    died_at: Optional[float] = None
 
     def __post_init__(self):
         if self.weibull is None:
@@ -175,7 +174,6 @@ def mark_dead(node: Node, ctx) -> None:
     if node.status is NodeStatus.DEAD:
         return
     set_status(node, NodeStatus.DEAD, ctx)
-    node.died_at = ctx.now
     if node.timer is not None:
         ctx.cancel_event(node.timer)
         node.timer = None

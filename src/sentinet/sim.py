@@ -5,6 +5,7 @@ and link-control handlers expect (time, randomness, timers, transmissions,
 transitions) and routes every dispatched event to the right handler, so
 all node behaviour is serialized through the engine's event loop. The
 draws and timers of that surface are the engine's own methods, bound once.
+Frames get their power maps, shadowing included, from ``channel.LinkRows``.
 """
 
 from __future__ import annotations
@@ -27,10 +28,7 @@ from .config import RunConfig
 from .engine import RNG_NAME, Engine, Event, EventKind
 from .protocol import Node, NodeStatus
 
-# Shadowing normals drawn per block: a sender draws the shadowing of its
-# next max(1, _BLOCK_DRAWS // N) frames at once and makes their power maps
-# in one pass. Philox gives the same values in a block as frame by frame.
-_BLOCK_DRAWS = 512
+HEALING_EPSILON = 0.05  # coverage this far below its pre-failure value is healed
 
 
 @dataclass
@@ -71,13 +69,6 @@ class Simulation:
         self.counters = [0] * len(chan.MessageKind)  # by MessageKind.index
         self.rows: list[dict] = []
         self.failure_log: list[dict] = []
-        self._sigma = config.radio.shadowing_sigma_db
-        # by sender, the power maps of its next frames, [tx, block, maps,
-        # next], or None before it sends and once its block is spent; an
-        # unshadowed sender's block is this one row of zeros, never spent
-        self._maps: list = [None] * config.node_count
-        self._block_frames = max(1, _BLOCK_DRAWS // config.node_count)
-        self._zeros = np.zeros((1, config.node_count))
         self._base_power = config.radio.power_levels[0]
         self._weak_floor = chan.weak_link_floor(config.radio)
         self._piggyback = config.link_control.uses_piggyback
@@ -96,7 +87,8 @@ class Simulation:
             nid: Node(id=nid, x=x, y=y, deploy_weibull=config.weibull,
                       tx_power=self._base_power)
             for nid, (x, y) in enumerate(zip(self._xs.tolist(), self._ys.tolist()))}
-        self._links = chan.LinkRows(self._xs, self._ys, config.radio)
+        self._links = chan.LinkRows(self._xs, self._ys, config.radio,
+                                    partial(self.engine.rng, stream="shadow"))
         self._awake_ids: set[int] = set()
         self._guard_ids: set[int] = set()
         self.energy = energy_mod.EnergyLedger(config.energy, config.node_count)
@@ -183,30 +175,9 @@ class Simulation:
         nid, tx, radio = node.id, node.tx_power, self.config.radio
         self.counters[kind.index] += 1
         energy_mod.add_tx(self.energy, nid, tx, radio.tx_duration_s)
-        pending = self._maps[nid]
-        if pending is None:
-            # one fresh per-receiver draw per transmission, from the
-            # sender's substream so draw indices stay node-count stable; a
-            # block holds the draws of its next frames
-            block = (self.engine.rng(nid, "shadow").normal(
-                0.0, self._sigma, size=(self._block_frames, len(self.nodes)))
-                if self._sigma > 0.0 else self._zeros)
-            pending = self._maps[nid] = [
-                tx, block, chan.power_maps(self._links, nid, tx, radio, block), 0]
-        elif pending[0] != tx:
-            # the power rose (it never falls): the maps of the frames left
-            # at the new power, from the draws they kept
-            block = pending[1][pending[3]:]
-            pending[:] = (tx, block, chan.power_maps(
-                self._links, nid, tx, radio, block), 0)
-        maps, k = pending[2], pending[3]
-        rx_map = maps[k]
-        if k + 1 < len(maps):
-            pending[3] = k + 1
-        elif self._sigma > 0.0:  # spent
-            self._maps[nid] = None
         frame = chan.make_frame(kind, nid, addressee, tx, self.engine.clock,
-                                rx_map, self._awake_ids, radio, self.frames)
+                                self._links.next_map(nid, tx), self._awake_ids,
+                                radio, self.frames)
         self.frames.append(frame)
         self.engine.schedule(frame.end, None, EventKind.MSG_DELIVERY, payload=frame)
 
@@ -255,7 +226,7 @@ class Simulation:
             self.failure_log.append({"time": self.now, "kind": "node",
                                      "requested": 1, "killed": killed})
             return
-        count = (ev.payload or {}).get("count")
+        count = ev.payload["count"]
         guards = sorted(self._guard_ids)
         victims = guards if count is None else guards[:count]
         for nid in victims:
@@ -330,7 +301,8 @@ class Simulation:
         totals = energy_mod.summarize(self.energy)
         final_row = self.rows[-1] if self.rows else None
         summary = {
-            "meta": self._meta_dict(),
+            "meta": {"seed": self.config.seed, "config": self.config.config_hash(),
+                     "rng": RNG_NAME},
             "seed": self.config.seed,
             "config": self.config.to_flat(),
             "totals": {
@@ -350,13 +322,9 @@ class Simulation:
                          summary=summary, snapshot=self.snapshot(),
                          failure_log=self.failure_log)
 
-    def _meta_dict(self) -> dict:
-        return {"seed": self.config.seed, "config": self.config.config_hash(),
-                "rng": RNG_NAME}
-
 
 def healing_report(rows: list[dict], failure_log: list[dict],
-                   epsilon: float = 0.05) -> list[dict]:
+                   epsilon: float = HEALING_EPSILON) -> list[dict]:
     """Per failure: time until coverage returns to within epsilon of the
     last pre-failure sample."""
     report = []
@@ -364,17 +332,11 @@ def healing_report(rows: list[dict], failure_log: list[dict],
         t_fail = failure["time"]
         before = [r for r in rows if r["time_s"] < t_fail]
         pre = before[-1]["coverage"] if before else 0.0
-        recovered_at = None
-        for row in rows:
-            if row["time_s"] > t_fail and row["coverage"] >= pre - epsilon:
-                recovered_at = row["time_s"]
-                break
-        entry = dict(failure)
-        entry["pre_coverage"] = pre
-        entry["recovered_at"] = recovered_at
-        entry["recovery_time"] = (None if recovered_at is None
-                                  else recovered_at - t_fail)
-        report.append(entry)
+        recovered_at = next((row["time_s"] for row in rows if row["time_s"] > t_fail
+                             and row["coverage"] >= pre - epsilon), None)
+        report.append({**failure, "pre_coverage": pre, "recovered_at": recovered_at,
+                       "recovery_time": (None if recovered_at is None
+                                         else recovered_at - t_fail)})
     return report
 
 
@@ -412,7 +374,7 @@ def write_outputs(result: RunResult, out_dir, healing_epsilon: Optional[float] =
     metrics_mod.write_json(paths["summary"], result.summary)
     metrics_mod.write_config_echo(paths["config"], cfg, meta)
     if result.failure_log or healing_epsilon is not None:
-        eps = 0.05 if healing_epsilon is None else healing_epsilon
+        eps = HEALING_EPSILON if healing_epsilon is None else healing_epsilon
         paths["healing"] = os.path.join(out_dir, "healing.json")
         metrics_mod.write_json(paths["healing"], {
             "meta": meta_dict, "epsilon": eps,

@@ -5,8 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sentinet.channel import (Frame, LinkRows, MessageKind, RadioConfig,
                               compute_lqi, deliver, make_frame, overhearers,
-                              path_loss_db, power_maps, rx_power_dbm,
-                              weak_link_floor)
+                              path_loss_db, rx_power_dbm, weak_link_floor)
 
 RADIO = RadioConfig()
 # Replies are unicast, everything else is broadcast.
@@ -124,7 +123,7 @@ def frame_alone(sent, links, awake, radio, shadow, on_air=()):
     """The frame ``sent`` makes when its block holds it alone: ``shadow``
     is its per-receiver shadowing, indexed by node id."""
     _, sender, _, tx, _ = sent
-    [rx_map] = power_maps(links, sender, tx, radio, shadow[np.newaxis])
+    [rx_map] = links.maps(sender, tx, shadow[np.newaxis])
     return make_frame(*sent, rx_map, awake, radio, on_air=on_air)
 
 
@@ -411,7 +410,8 @@ def block_sequences(draw):
     """A field, one set of link rows, and blocks of K frames from drawn
     senders, made in turn: each block's shadowing is drawn at once, some
     draws planted far out in the tail so that rows must be rebuilt, and a
-    block may see its sender's power rise at one of its frames."""
+    block may see its sender's power rise at one of its frames. A sender's
+    power never falls, from block to block either."""
     sigma = draw(st.sampled_from([0.0, 4.0]))
     radio = RadioConfig(shadowing_sigma_db=sigma)
     n = draw(st.integers(2, 40))
@@ -421,9 +421,11 @@ def block_sequences(draw):
     k = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     blocks = []
+    levels = {}  # each sender's power level after its last block
     for _ in range(draw(st.integers(1, 4))):
         sender = draw(st.integers(0, n - 1))
-        level = draw(st.integers(0, len(radio.power_levels) - 1))
+        level = draw(st.integers(levels.get(sender, 0),
+                                 len(radio.power_levels) - 1))
         block = np.zeros((k, n))
         if sigma > 0.0:
             block = rng.normal(0.0, sigma, size=(k, n))
@@ -433,41 +435,61 @@ def block_sequences(draw):
         rise = None  # the frame at which the sender's power rises
         if level + 1 < len(radio.power_levels):
             rise = draw(st.none() | st.integers(0, k - 1))
+        levels[sender] = level + (rise is not None)
         awake = draw(st.sets(st.integers(0, n - 1)))
         blocks.append((sender, level, block, rise, awake))
     return radio, xs, ys, blocks
+
+
+class BlockSource:
+    """Stands in for the engine's shadow substreams: each ``normal`` draw
+    hands out the next queued (sender, block), checking that the sender
+    drawing it and the draw's shape are the ones it was made for."""
+
+    def __init__(self, sigma):
+        self.sigma = sigma
+        self.queue = []
+
+    def __call__(self, sender):
+        self.sender = sender
+        return self
+
+    def normal(self, loc, scale, size):
+        sender, block = self.queue.pop(0)
+        assert (self.sender, loc, scale, size) == \
+            (sender, 0.0, self.sigma, block.shape)
+        return block
 
 
 @pytest.mark.oracle
 @settings(max_examples=300, deadline=None)
 @given(block_sequences())
 def test_power_map_blocks_match_frame_by_frame(scene):
-    # maps made a block at a time, remade from the rest of the block when
-    # the power rises, equal frames made one by one over the whole field;
-    # without shadowing one map per power level serves every frame
+    # the maps next_map hands out, made a block at a time and remade from
+    # the rest of the block when the power rises, equal frames made one by
+    # one over the whole field; without shadowing nothing is drawn, and a
+    # sender's frames at one power share one map
     radio, xs, ys, blocks = scene
     shadowed = radio.shadowing_sigma_db > 0.0
-    links = LinkRows(xs, ys, radio)
-    shared = {}
+    source = BlockSource(radio.shadowing_sigma_db)
+    links = LinkRows(xs, ys, radio, source)
+    links._block_frames = len(blocks[0][2])
+    last = {}  # sender -> (power, map) of its last frame
     for sender, level, block, rise, awake in blocks:
-        tx = radio.power_levels[level]
         if shadowed:
-            maps = power_maps(links, sender, tx, radio, block)
+            source.queue.append((sender, block))
+        tx = radio.power_levels[level]
         for j, shadow in enumerate(block):
             if j == rise:
                 tx = radio.power_levels[level + 1]
-                if shadowed:
-                    maps[j:] = power_maps(links, sender, tx, radio, block[j:])
-            if shadowed:
-                rx_map = maps[j]
-            else:
-                if (sender, tx) not in shared:
-                    [shared[sender, tx]] = power_maps(
-                        links, sender, tx, radio, np.zeros((1, xs.size)))
-                rx_map = shared[sender, tx]
+            rx_map = links.next_map(sender, tx)
+            if not shadowed and last.get(sender, (None,))[0] == tx:
+                assert rx_map is last[sender][1]
+            last[sender] = (tx, rx_map)
             sent = (MessageKind.PROBE, sender, None, tx, 0.0)
             assert_same_frame(make_frame(*sent, rx_map, awake, radio),
                               reference_frame(sent, xs, ys, awake, radio, shadow))
+        assert not source.queue  # the block was drawn, and when it was due
 
 
 @settings(max_examples=150, deadline=None)

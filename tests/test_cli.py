@@ -1,14 +1,19 @@
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sentinet.cli import (FLAG_KEYS, CliError, build_parser, main,
                           parse_kill_spec, resolve_config)
+from sentinet.channel import RadioConfig
 from sentinet.config import (HAZARD_FEEDBACK_MODES, KEYS, LinkControlMode,
                              RunConfig)
+from sentinet.energy import EnergyConfig
 from sentinet.metrics import CSV_HEADER, read_metrics_csv
+from sentinet.sim import run_simulation, write_outputs
+from sentinet.weibull import WeibullParams
 
 FAST = ["--nodes", "8", "--duration", "30", "--field", "60x60",
         "--grid-step", "5", "--seed", "9"]
@@ -59,6 +64,45 @@ def test_config_echo_reproduces_run(tmp_path):
     assert run_cli("run", "--config", str(a / "config.txt"), "--out", str(b)) == 0
     assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
     assert (a / "snapshot.json").read_bytes() == (b / "snapshot.json").read_bytes()
+
+
+INTS = st.integers
+
+# RunConfigs built in Python with ints, numpy's too, where the fields,
+# nested configs and tuple items included, default to floats
+INT_FLOAT_CONFIGS = st.builds(
+    RunConfig,
+    node_count=INTS(2, 8), seed=INTS(0, 50), field_width=INTS(20, 60),
+    field_height=INTS(20, 60), duration=INTS(2, 6).map(np.int64),
+    metric_interval=INTS(1, 3) | INTS(1, 3).map(np.int64),
+    grid_step=INTS(5, 10), sensing_range=INTS(10, 20),
+    t_c_range=st.tuples(INTS(1, 2), INTS(2, 4)),
+    weibull=st.builds(WeibullParams, INTS(1, 3), INTS(1, 3)),
+    radio=st.builds(RadioConfig, power_levels=st.just((-10, -5)),
+                    shadowing_sigma_db=INTS(0, 4)),
+    energy=st.builds(EnergyConfig, active_draw_w=INTS(0, 1),
+                     tx_draw_w=st.just(((-10, 1), (-5, 2)))))
+
+
+def _run_bytes(out):
+    """The bytes of a run's outputs, its wall time left out."""
+    blobs = {n: (out / n).read_bytes() for n in ("metrics.csv", "snapshot.json")}
+    blobs["summary.json"] = [ln for ln in (out / "summary.json").read_bytes()
+                             .splitlines() if b'"runtime_wall_s": ' not in ln]
+    return blobs
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=INT_FLOAT_CONFIGS)
+def test_config_built_with_ints_reruns_from_its_echo(tmp_path_factory, config):
+    # the echo writes every float field as a float, so the run it describes
+    # must be the one the Python-built config made, on the same clock
+    a = tmp_path_factory.mktemp("built")
+    b = tmp_path_factory.mktemp("rerun")
+    write_outputs(run_simulation(config), a)
+    assert run_cli("run", "--config", str(a / "config.txt"), "--out", str(b)) == 0
+    assert _run_bytes(a) == _run_bytes(b)
+    assert (a / "config.txt").read_bytes() == (b / "config.txt").read_bytes()
 
 
 def test_flags_override_config_file(tmp_path):

@@ -15,7 +15,7 @@ from sentinet import (LinkControlMode, RunConfig, Simulation, WeibullParams,
 from sentinet import channel as chan_mod
 from sentinet import sim as sim_mod
 from sentinet.channel import (Frame, LinkRows, MessageKind, compute_lqi,
-                              power_maps, weak_link_floor)
+                              weak_link_floor)
 from sentinet.energy import TX
 from sentinet.engine import Engine, EventKind, RunSummary
 from sentinet.metrics import sentinel_components
@@ -430,7 +430,8 @@ def test_killed_node_goes_silent():
     result = sim.run()
     node = result.nodes[0]
     assert node.status is NodeStatus.DEAD
-    assert node.died_at == pytest.approx(kill_at)
+    assert result.failure_log == [{"time": kill_at, "kind": "node",
+                                   "requested": 1, "killed": [0]}]
     assert result.snapshot["nodes"][0]["energy_j"] == pytest.approx(
         cfg.energy.sleep_draw_w * kill_at)
     # the far-away survivor probes alone; the dead node never answered
@@ -711,18 +712,19 @@ def test_outputs_do_not_depend_on_the_shadowing_block(monkeypatch, tmp_path):
                                   "grid_step": "5"})
     assert config.radio.shadowing_sigma_db == 4.0
     blocks = Counter()  # frames per block made into maps
-    original = chan_mod.power_maps
+    original = LinkRows.maps
 
-    def spy(links, sender, tx, radio, block):
+    def spy(links, sender, tx, block):
         blocks[len(block)] += 1
-        return original(links, sender, tx, radio, block)
+        return original(links, sender, tx, block)
 
-    monkeypatch.setattr(chan_mod, "power_maps", spy)
+    monkeypatch.setattr(LinkRows, "maps", spy)
     digests = {}
     for frames in (1, 3, 10):
-        monkeypatch.setattr(sim_mod, "_BLOCK_DRAWS", frames * config.node_count)
+        sim = Simulation(config)
+        sim._links._block_frames = frames
         blocks.clear()
-        result = run_simulation(config)
+        result = sim.run()
         assert max(blocks) == frames
         if frames > 1:  # the rest of a block, remade after a power rise
             assert min(blocks) < frames
@@ -758,16 +760,16 @@ def test_unshadowed_maps_are_shared_and_left_unchanged(monkeypatch):
     assert {tx for _, tx in sent} == set(config.radio.power_levels)
     for (nid, tx), maps in sent.items():
         assert all(rx_map is maps[0] for rx_map in maps)
-        [fresh] = power_maps(links, nid, tx, config.radio, calm)
+        [fresh] = links.maps(nid, tx, calm)
         assert [(k, v.hex()) for k, v in maps[0].items()] == \
             [(k, v.hex()) for k, v in fresh.items()]
     # each sender keeps the map at its current power, never spent
-    for nid, pending in enumerate(sim._maps):
+    for nid, pending in enumerate(sim._links._pending):
         if pending is None:
             assert not any(sender == nid for sender, _ in sent)
             continue
-        tx, block, maps, k = pending
+        tx, block, maps = pending
         assert tx == sim.nodes[nid].tx_power
-        assert np.shares_memory(block, sim._zeros)
+        assert np.shares_memory(block, sim._links._zeros)
         assert block.shape == (1, config.node_count) and not block.any()
-        assert len(maps) == 1 and maps[0] is sent[nid, tx][0] and k == 0
+        assert len(maps) == 1 and maps[0] is sent[nid, tx][0]
