@@ -15,6 +15,7 @@ from enum import Enum
 
 from .channel import RadioConfig, require_finite
 from .energy import EnergyConfig
+from .protocol import reply_slots
 from .weibull import WeibullParams
 
 
@@ -108,10 +109,12 @@ class RunConfig:
             raise ValueError(f"t_c_range min exceeds max: {self.t_c_range}")
         if self.t_c_range[0] < 0.0:
             raise ValueError("t_c_range must be non-negative")
-        if self.t_w <= 2.0 * self.radio.tx_duration_s:
-            # probe and reply take two frames; a tie goes to the wait, filed first
-            raise ValueError(f"tw={self.t_w!r} must exceed two frames of "
-                             f"tx_duration={self.radio.tx_duration_s!r}")
+        slots, width = reply_slots(self)
+        if slots < 2:  # with one slot, every guard hearing a probe replies at once
+            frame = self.radio.tx_duration_s
+            raise ValueError(f"tw={self.t_w!r} must exceed two frames of tx_duration="
+                             f"{frame!r} by two reply slots of {width:.6g}: at least "
+                             f"{2.0 * frame + 2.0 * width:.6g}")
         if self.sensing_range <= 0.0:
             raise ValueError("sensing_range must be positive")
         if self.grid_step <= 0.0:

@@ -30,11 +30,17 @@ builds each generator straight from its key.
 ``gen.random(k)``: Philox gives the same values in a block as in k scalar
 calls, and zeros are dropped from a block as the scalar retry skips them,
 so the values are those of scalar draws.
+
+Dispatch is a table of plain functions ``fn(owner, event)``, one per
+``EventKind.index`` (``handle``). The engine holds its owner by a weak
+reference, dereferenced once per ``run_until``, so the table makes no
+cycle through it. ``handler`` views the table as one callable(event).
 """
 
 from __future__ import annotations
 
 import heapq
+import weakref
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -181,7 +187,7 @@ class RunSummary:
 class Engine:
     """Event queue, simulation clock, and seeded RNG substreams."""
 
-    def __init__(self, seed: int, handler=None, node_count: int = 0):
+    def __init__(self, seed: int, node_count: int = 0, owner=None):
         self.seed = int(seed)
         self._node_count = node_count
         # each stream's keys for nodes 0..node_count-1, then the system node
@@ -189,7 +195,8 @@ class Engine:
             self.seed, np.append(np.arange(node_count), _SYSTEM_NODE),
             list(_STREAMS.values()))))
         self.clock = 0.0
-        self.handler = handler  # callable(event) set by the simulation
+        self._owner = (lambda: None) if owner is None else weakref.ref(owner)
+        self._handlers = [lambda owner, ev: None] * len(EventKind)
         # (time, seq, event): seq is unique, so events are never compared
         self._queue: list[tuple[float, int, Event]] = []
         self._next_seq = 0
@@ -271,6 +278,23 @@ class Engine:
             del block[len(block) - k:]
             n -= k
 
+    # -- dispatch ---------------------------------------------------------
+
+    def handle(self, kind: EventKind, fn) -> None:
+        """Dispatch events of ``kind`` to ``fn(owner, event)``."""
+        self._handlers[kind.index] = fn
+
+    @property
+    def handler(self):
+        """A callable(event) that dispatches as the table does now;
+        assigning a callable(event) sends every kind through it."""
+        table, owner = list(self._handlers), self._owner
+        return lambda ev: table[ev.kind.index](owner(), ev)
+
+    @handler.setter
+    def handler(self, fn) -> None:
+        self._handlers[:] = [lambda owner, ev: fn(ev)] * len(EventKind)
+
     # -- queue ------------------------------------------------------------
 
     def schedule(self, time: float, target: Optional[int], kind: EventKind,
@@ -339,7 +363,9 @@ class Engine:
         if not t_end >= self.clock:  # NaN too
             raise ClockViolationError(
                 f"cannot run to {t_end} behind clock {self.clock}")
-        queue = self._queue
+        # handle changes the table in place, from the next event on
+        queue, handlers, counts = self._queue, self._handlers, self._counts
+        owner = self._owner()
         while queue and queue[0][0] <= t_end:
             time, seq, ev = heapq.heappop(queue)
             if ev.cancelled or seq != ev.filed:  # spent, or a stale entry
@@ -352,9 +378,9 @@ class Engine:
                     continue
             self.clock = time
             ev.dispatched = True
-            self._counts[ev.kind.index] += 1
-            if self.handler is not None:
-                self.handler(ev)
+            index = ev.kind.index
+            counts[index] += 1
+            handlers[index](owner, ev)
         self.clock = t_end
         return RunSummary(clock=self.clock, dispatched=Counter(
             {kind: n for kind, n in zip(EventKind, self._counts) if n}))

@@ -55,17 +55,22 @@ class ProtocolViolationError(RuntimeError):
     """A handler ran in a status its contract forbids."""
 
 
+def reply_slots(config) -> tuple[int, float]:
+    """How many reply slots fit in what t_w leaves of the probe's and the
+    reply's frames, and their width. ``RunConfig`` requires two at least,
+    so a reply lands before t_w ends and repliers do not share one slot."""
+    frame = config.radio.tx_duration_s
+    width = 1.05 * frame
+    return int((config.t_w - 2.0 * frame) / width), width
+
+
 def reply_slot_delay(node_id: int, config) -> float:
     """Deterministic reply stagger: each node owns a slot inside t_w.
 
     Repliers share the probe-delivery instant, so id-keyed slots keep their
-    frames disjoint unless ids clash modulo the slot count. The slots fit in
-    what t_w leaves of the probe's and the reply's frames, and ``RunConfig``
-    requires t_w longer than those two, so a reply lands before t_w ends.
+    frames disjoint unless ids clash modulo the slot count.
     """
-    frame = config.radio.tx_duration_s
-    width = 1.05 * frame
-    slots = max(1, int((config.t_w - 2.0 * frame) / width))
+    slots, width = reply_slots(config)
     return (node_id % slots) * width
 
 

@@ -2,8 +2,9 @@
 
 One Simulation owns one run. It implements the context surface the protocol
 and link-control handlers expect (time, randomness, timers, transmissions,
-transitions) and routes every dispatched event to the right handler, so
-all node behaviour is serialized through the engine's event loop. The
+transitions) and puts its handler of each event kind in the engine's
+dispatch table, so all node behaviour is serialized through the engine's
+event loop; a ``post_event_hook`` wraps those handlers while set. The
 draws and timers of that surface are the engine's own methods, bound once.
 Frames get their power maps, shadowing included, from ``channel.LinkRows``.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import os
 import time as _wall
-import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -47,12 +47,9 @@ class Simulation:
         """``positions`` pins node placement (id -> (x, y)) for scenario
         construction; by default nodes deploy uniformly at random."""
         self.config = config
-        # a weak reference back: a bound _dispatch would make every dropped
-        # Simulation (heap, RNGs, frames) cyclic garbage that lingers until
-        # the next full collection
-        me = weakref.ref(self)
-        self.engine = Engine(config.seed, handler=lambda ev: me()._dispatch(ev),
-                             node_count=config.node_count)
+        # held weakly: else every dropped Simulation (heap, RNGs, frames)
+        # would be cyclic garbage until the next full collection
+        self.engine = Engine(config.seed, config.node_count, owner=self)
         # the handlers pass absolute times, so their draws and timers are
         # the engine's methods, bound through the Engine class (a method
         # wrapped on the class is the one called)
@@ -64,7 +61,7 @@ class Simulation:
         self.engine.deferrable(EventKind.CONN_TIMER_EXPIRED, "conn",
                                partial(link_control.t_c, config))
         self.transition_hook = transition_hook
-        self.post_event_hook = post_event_hook
+        self.post_event_hook = post_event_hook  # registers the handlers
         self.frames: list[chan.Frame] = []  # on the air: delivery pending
         self.counters = [0] * len(chan.MessageKind)  # by MessageKind.index
         self.rows: list[dict] = []
@@ -146,32 +143,35 @@ class Simulation:
 
     # -- event routing ------------------------------------------------------
 
-    def _dispatch(self, ev: Event) -> None:
-        kind = ev.kind
-        if kind is EventKind.SLEEP_EXPIRED:
-            protocol.on_sleep_expired(self.nodes[ev.target], self)
-        elif kind is EventKind.WAIT_EXPIRED:
-            protocol.on_wait_expired(self.nodes[ev.target], self)
-        elif kind is EventKind.CONN_TIMER_EXPIRED:
-            link_control.on_conn_timer_expired(self.nodes[ev.target], self)
-        elif kind is EventKind.TX_START:
-            msg_kind, addressee = ev.payload
-            self._transmit(self.nodes[ev.target], msg_kind, addressee)
-        elif kind is EventKind.MSG_DELIVERY:
-            self._resolve_frame(ev.payload)
-        elif kind is EventKind.NODE_FAILURE:
-            self._handle_failure(ev)
-        elif kind is EventKind.METRIC_SAMPLE:
-            self._sample_metrics(ev.payload)
-        if self.post_event_hook is not None:
-            self.post_event_hook(self, ev)
+    @property
+    def post_event_hook(self):
+        """Called as ``hook(sim, event)`` after each event's handler.
+        Setting it puts the handlers back in the engine's table, over any
+        callable assigned to ``engine.handler``."""
+        return self._post_event_hook
+
+    @post_event_hook.setter
+    def post_event_hook(self, hook) -> None:
+        self._post_event_hook = hook
+        for kind, fn in self._HANDLERS.items():
+            self.engine.handle(kind, fn if hook is None else _hooked(fn, hook))
+
+    def _sleep_expired(self, ev: Event) -> None:
+        protocol.on_sleep_expired(self.nodes[ev.target], self)
+
+    def _wait_expired(self, ev: Event) -> None:
+        protocol.on_wait_expired(self.nodes[ev.target], self)
+
+    def _conn_timer_expired(self, ev: Event) -> None:
+        link_control.on_conn_timer_expired(self.nodes[ev.target], self)
 
     # -- radio --------------------------------------------------------------
 
-    def _transmit(self, node: Node, kind: chan.MessageKind,
-                  addressee: Optional[int]) -> None:
+    def _transmit(self, ev: Event) -> None:
+        node = self.nodes[ev.target]
         if node.status is NodeStatus.DEAD:
             return  # fail-stop: queued transmissions die with the node
+        kind, addressee = ev.payload
         nid, tx, radio = node.id, node.tx_power, self.config.radio
         self.counters[kind.index] += 1
         energy_mod.add_tx(self.energy, nid, tx, radio.tx_duration_s)
@@ -181,7 +181,8 @@ class Simulation:
         self.frames.append(frame)
         self.engine.schedule(frame.end, None, EventKind.MSG_DELIVERY, payload=frame)
 
-    def _resolve_frame(self, frame: chan.Frame) -> None:
+    def _resolve_frame(self, ev: Event) -> None:
+        frame = ev.payload
         self.frames.remove(frame)
         kind, nodes = frame.kind, self.nodes
         received = chan.deliver(frame, self._awake_ids)
@@ -258,7 +259,8 @@ class Simulation:
                            "energy_j": spent[n.id]}
                           for n in self.nodes.values()]}
 
-    def _sample_metrics(self, index: int) -> None:
+    def _sample_metrics(self, ev: Event) -> None:
+        index = ev.payload
         energy_mod.accrue(self.energy, self.now)
         # guard set and powers change rarely; reuse the components when
         # they are unchanged since the last sample
@@ -299,7 +301,7 @@ class Simulation:
         energy_mod.accrue(self.energy, self.now)
         wall = _wall.perf_counter() - started
         totals = energy_mod.summarize(self.energy)
-        final_row = self.rows[-1] if self.rows else None
+        final_row = self.rows[-1]  # the t = 0 sample, at least
         summary = {
             "meta": {"seed": self.config.seed, "config": self.config.config_hash(),
                      "rng": RNG_NAME},
@@ -311,9 +313,9 @@ class Simulation:
                              for k in chan.MessageKind},
                 "events": engine_summary.as_dict()["dispatched"],
                 "census": dict(zip([s.value for s in NodeStatus], self.census())),
-                "coverage_final": final_row["coverage"] if final_row else None,
-                "components_final": final_row["components"] if final_row else None,
-                "isolated_final": final_row["isolated"] if final_row else None,
+                "coverage_final": final_row["coverage"],
+                "components_final": final_row["components"],
+                "isolated_final": final_row["isolated"],
             },
             "failures": self.failure_log,
             "runtime_wall_s": wall,
@@ -321,6 +323,18 @@ class Simulation:
         return RunResult(config=self.config, nodes=self.nodes, rows=self.rows,
                          summary=summary, snapshot=self.snapshot(),
                          failure_log=self.failure_log)
+
+    # each kind's handler, in EventKind order
+    _HANDLERS = dict(zip(EventKind, (
+        _sleep_expired, _wait_expired, _conn_timer_expired, _transmit,
+        _resolve_frame, _handle_failure, _sample_metrics)))
+
+
+def _hooked(fn, hook):
+    def hooked(sim, ev):
+        fn(sim, ev)
+        hook(sim, ev)
+    return hooked
 
 
 def healing_report(rows: list[dict], failure_log: list[dict],

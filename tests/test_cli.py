@@ -189,6 +189,9 @@ def test_negative_seed_rejected_before_output(tmp_path, monkeypatch, capsys,
 @pytest.mark.parametrize("flag,why", [
     ("--shadowing-sigma=-4", "shadowing_sigma_db must be >= 0"),
     ("--tw=0.005", "tw=0.005 must exceed two frames of tx_duration=0.004"),
+    # one reply slot: every guard hearing a probe would reply at once
+    ("--tw=0.01", "tw=0.01 must exceed two frames of tx_duration=0.004 by two "
+                  "reply slots of 0.0042: at least 0.0164"),
 ])
 def test_out_of_range_values_rejected_before_output(tmp_path, capsys, flag,
                                                     why):

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from sentinet.channel import RadioConfig
 from sentinet.config import KEYS, LinkControlMode, RunConfig
 from sentinet.energy import EnergyConfig
+from sentinet.protocol import reply_slot_delay
 from sentinet.weibull import WeibullParams
 
 
@@ -102,13 +103,18 @@ def test_negative_seed_rejected(seed):
 
 
 def test_tw_must_exceed_two_frames():
-    # a reply at slot 0 ends two frames after its probe began, and one that
-    # ends as the wait does loses the tie to the earlier-filed wait
+    # a reply at slot 0 ends two frames after its probe began, and t_w must
+    # leave two reply slots of 1.05 frames after that: with one slot, every
+    # guard that hears a probe replies at the same instant
     frame = RadioConfig().tx_duration_s
-    for tw in (0.005, 2.0 * frame):
-        with pytest.raises(ValueError, match="tw=.* tx_duration="):
+    least = 2.0 * frame + 2.0 * (1.05 * frame)
+    for tw in (0.005, 2.0 * frame, 0.01, math.nextafter(least, 0.0)):
+        with pytest.raises(ValueError, match="tw=.* tx_duration=0.004 by two "
+                                             "reply slots .* at least 0.0164"):
             RunConfig.from_flat({"tw": repr(tw)})
-    assert RunConfig(t_w=math.nextafter(2.0 * frame, 1.0)).t_w > 2.0 * frame
+    cfg = RunConfig(t_w=least)
+    assert [reply_slot_delay(nid, cfg) for nid in range(3)] == [
+        0.0, 1.05 * frame, 0.0]
     slow = dataclasses.replace(RadioConfig(), tx_duration_s=0.06)
     with pytest.raises(ValueError, match="tx_duration=0.06"):
         RunConfig(radio=slow)

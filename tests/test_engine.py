@@ -1,3 +1,4 @@
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -126,6 +127,68 @@ def test_summary_counts_by_kind():
     summary = eng.run_until(10.0)
     assert summary.dispatched[EventKind.SLEEP_EXPIRED] == 1
     assert summary.dispatched[EventKind.WAIT_EXPIRED] == 2
+
+
+# -- dispatch table ------------------------------------------------------------
+
+
+class Owner:
+    """What an engine's handlers get as their first argument."""
+
+
+def one_of_each_kind(eng):
+    """Schedule one event of every kind, the last kind first."""
+    for at, kind in enumerate(reversed(EventKind)):
+        eng.schedule(float(at), at, kind)
+
+
+def test_engine_without_handlers_runs_its_queue():
+    eng = Engine(seed=1)
+    one_of_each_kind(eng)
+    summary = eng.run_until(10.0)
+    assert eng.clock == 10.0 and eng._queue == []
+    assert summary.dispatched == Counter(EventKind)
+
+
+def test_every_kind_reaches_its_own_entry_with_the_owner():
+    owner = Owner()
+    eng, seen = Engine(seed=1, owner=owner), []
+    for kind in EventKind:
+        eng.handle(kind, lambda got, ev, kind=kind: seen.append((kind, got, ev)))
+    one_of_each_kind(eng)
+    eng.run_until(10.0)
+    assert [kind for kind, _, _ in seen] == list(reversed(EventKind))
+    assert all(got is owner and ev.kind is kind for kind, got, ev in seen)
+
+
+def test_engine_holds_its_owner_weakly():
+    owner = Owner()
+    eng, got = Engine(seed=1, owner=owner), []
+    eng.handle(EventKind.METRIC_SAMPLE, lambda o, ev: got.append(o))
+    eng.schedule(1.0, None, EventKind.METRIC_SAMPLE)
+    ref = weakref.ref(owner)
+    del owner
+    assert ref() is None
+    eng.run_until(2.0)
+    assert got == [None]
+
+
+def test_assigned_handler_takes_every_kind_and_a_read_one_dispatches_as_the_table():
+    eng, inner, outer = Engine(seed=1, owner=Owner()), [], []
+    for kind in EventKind:
+        eng.handle(kind, lambda o, ev, kind=kind: inner.append(kind))
+    view = eng.handler
+    # the view keeps the entries it was read with
+    eng.handle(EventKind.TX_START, lambda o, ev: inner.append(None))
+
+    def wrapped(ev):
+        outer.append(ev.kind)
+        view(ev)
+
+    eng.handler = wrapped
+    one_of_each_kind(eng)
+    eng.run_until(10.0)
+    assert inner == outer == list(reversed(EventKind))
 
 
 # -- deferred moves ------------------------------------------------------------

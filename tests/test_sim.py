@@ -17,11 +17,11 @@ from sentinet import sim as sim_mod
 from sentinet.channel import (Frame, LinkRows, MessageKind, compute_lqi,
                               weak_link_floor)
 from sentinet.energy import TX
-from sentinet.engine import Engine, EventKind, RunSummary
+from sentinet.engine import Engine, Event, EventKind, RunSummary
 from sentinet.metrics import sentinel_components
 from sentinet.protocol import NodeStatus
 from test_channel import UNICAST_KINDS
-from test_golden import GOLDEN_RUNS, fingerprint
+from test_golden import GOLDEN_RUNS, GOLDEN_SHA256, fingerprint
 from test_metrics import brute_coverage
 
 
@@ -521,7 +521,7 @@ def link_verdicts(sim, frame):
         [(node.id, weak) for node, weak in evidence])
     try:
         sim.frames.append(frame)
-        sim._resolve_frame(frame)
+        sim._resolve_frame(Event(sim.now, -1, None, EventKind.MSG_DELIVERY, frame))
     finally:
         link_control.on_link_evidence = original
     assert len(calls) <= 1
@@ -576,6 +576,11 @@ def test_weak_link_verdict_normalizes_as_rx_minus_tx_plus_base():
         assert link_verdicts(sim, frame) == [(nid, True) for nid in want]
 
 
+def transmit_now(sim, nid, kind):
+    """The node starts a ``kind`` broadcast now, as its TX_START event would."""
+    sim._transmit(Event(sim.now, -1, nid, EventKind.TX_START, (kind, None)))
+
+
 def test_colliding_senders_still_pay_for_their_frames():
     # two mutually-audible nodes transmitting in the same window: nothing is
     # delivered, yet both counters and both tx ledgers move
@@ -596,8 +601,8 @@ def test_colliding_senders_still_pay_for_their_frames():
         for node in sim.nodes.values():
             node.status = NodeStatus.ACTIVE  # bypass protocol: force overlap
             sim.note_transition(node, NodeStatus.SLEEP, NodeStatus.ACTIVE)
-        sim._transmit(sim.nodes[0], MessageKind.PROBE, None)
-        sim._transmit(sim.nodes[1], MessageKind.PROBE, None)
+        transmit_now(sim, 0, MessageKind.PROBE)
+        transmit_now(sim, 1, MessageKind.PROBE)
         sim.engine.run_until(1.0)
     finally:
         chan_mod.deliver = original
@@ -636,7 +641,7 @@ def test_frame_starting_as_another_ends_does_not_collide(monkeypatch):
         sim.note_transition(node, NodeStatus.SLEEP, NodeStatus.ACTIVE)
     sim.post_event_hook = note_on_air
     sim.send(sim.nodes[1], MessageKind.PROBE, None, cfg.radio.tx_duration_s)
-    sim._transmit(sim.nodes[0], MessageKind.PROBE, None)
+    transmit_now(sim, 0, MessageKind.PROBE)
     sim.engine.run_until(0.01)
     first, second = on_air
     assert first.end == second.start
@@ -700,6 +705,102 @@ def test_dropped_simulations_are_freed_without_the_cycle_collector():
         assert never_run() is None
     finally:
         gc.enable()
+
+
+# -- the engine's dispatch table -------------------------------------------------
+
+
+def every_kind_config():
+    """A small run that dispatches events of every kind, with a node killed
+    at 40 s."""
+    return small_config(link_control=LinkControlMode.STANDALONE)
+
+
+def run_every_kind(sim):
+    sim.inject_failure(0, 40.0)
+    result = sim.run()
+    assert set(result.summary["totals"]["events"]) == {k.value for k in EventKind}
+    return result
+
+
+def test_every_kind_reaches_its_own_handler(monkeypatch):
+    assert {kind: fn.__name__ for kind, fn in Simulation._HANDLERS.items()} == {
+        EventKind.SLEEP_EXPIRED: "_sleep_expired",
+        EventKind.WAIT_EXPIRED: "_wait_expired",
+        EventKind.CONN_TIMER_EXPIRED: "_conn_timer_expired",
+        EventKind.TX_START: "_transmit",
+        EventKind.MSG_DELIVERY: "_resolve_frame",
+        EventKind.NODE_FAILURE: "_handle_failure",
+        EventKind.METRIC_SAMPLE: "_sample_metrics",
+    }
+    reached = Counter()
+
+    def spied(kind, fn):
+        def spy(sim, ev):
+            assert ev.kind is kind
+            reached[kind.value] += 1
+            fn(sim, ev)
+        return spy
+
+    monkeypatch.setattr(Simulation, "_HANDLERS", {
+        kind: spied(kind, fn) for kind, fn in Simulation._HANDLERS.items()})
+    result = run_every_kind(Simulation(every_kind_config()))
+    assert reached == result.summary["totals"]["events"]
+
+
+def test_post_event_hook_sees_each_event_once_in_order():
+    # given to the constructor or assigned after it, alike
+    runs = []
+    for later in (False, True):
+        seen = []
+
+        def hook(sim, ev):
+            assert sim.now == ev.time and ev.dispatched
+            seen.append((ev.time, ev.seq, ev.kind.value, ev.target))
+
+        if later:
+            sim = Simulation(every_kind_config())
+            sim.post_event_hook = hook
+        else:
+            sim = Simulation(every_kind_config(), post_event_hook=hook)
+        assert sim.post_event_hook is hook
+        result = run_every_kind(sim)
+        keys = [(time, seq) for time, seq, _, _ in seen]
+        assert keys == sorted(set(keys))
+        assert Counter(kind for _, _, kind, _ in seen) == \
+            result.summary["totals"]["events"]
+        runs.append(seen)
+    assert runs[0] == runs[1]
+
+
+def test_without_a_hook_the_table_holds_the_plain_handlers():
+    sim = Simulation(small_config())
+    plain = [Simulation._HANDLERS[kind] for kind in EventKind]
+    assert all(entry is fn for entry, fn in zip(sim.engine._handlers, plain))
+    sim.post_event_hook = lambda sim, ev: None
+    assert not any(entry is fn for entry, fn in zip(sim.engine._handlers, plain))
+    sim.post_event_hook = None
+    assert all(entry is fn for entry, fn in zip(sim.engine._handlers, plain))
+
+
+def test_an_assigned_engine_handler_sees_every_event(tmp_path):
+    # a callable read from engine.handler, wrapped and assigned back, routes
+    # every kind through the wrapper and keeps the output bytes
+    flat, sentinel_failures = GOLDEN_RUNS["sentinels_killed"]
+    sim = Simulation(RunConfig.from_flat(flat))
+    for at, count in sentinel_failures:
+        sim.inject_sentinel_failure(at, count)
+    view, seen = sim.engine.handler, Counter()
+
+    def wrapped(ev):
+        seen[ev.kind.value] += 1
+        view(ev)
+
+    sim.engine.handler = wrapped
+    result = sim.run()
+    assert seen == result.summary["totals"]["events"]
+    write_outputs(result, tmp_path)
+    assert fingerprint(tmp_path) == GOLDEN_SHA256["sentinels_killed"]
 
 
 def test_outputs_do_not_depend_on_the_shadowing_block(monkeypatch, tmp_path):
