@@ -411,7 +411,10 @@ def block_sequences(draw):
     senders, made in turn: each block's shadowing is drawn at once, some
     draws planted far out in the tail so that rows must be rebuilt, and a
     block may see its sender's power rise at one of its frames. A sender's
-    power never falls, from block to block either."""
+    power never falls, from block to block either. Shadowed blocks may
+    hold silent frames, whose every draw is planted so far above the mean
+    that nobody hears them: the first, a middle, the last, every frame, or
+    any set of them."""
     sigma = draw(st.sampled_from([0.0, 4.0]))
     radio = RadioConfig(shadowing_sigma_db=sigma)
     n = draw(st.integers(2, 40))
@@ -432,12 +435,20 @@ def block_sequences(draw):
             cells = st.tuples(st.integers(0, k - 1), st.integers(0, n - 1))
             for row, nid in draw(st.sets(cells, max_size=4)):
                 block[row, nid] = -draw(st.floats(3.0, 8.0)) * sigma
+            silent = draw(st.sampled_from([(), (0,), (k // 2,), (k - 1,),
+                                           tuple(range(k))])
+                          | st.sets(st.integers(0, k - 1)))
+            # a draw of 100 dB or more leaves every receiver below
+            # sensitivity, even at 1 cm and the highest power level
+            block[sorted(silent)] = draw(st.floats(25.0, 50.0)) * sigma
+        else:
+            silent = ()
         rise = None  # the frame at which the sender's power rises
         if level + 1 < len(radio.power_levels):
             rise = draw(st.none() | st.integers(0, k - 1))
         levels[sender] = level + (rise is not None)
         awake = draw(st.sets(st.integers(0, n - 1)))
-        blocks.append((sender, level, block, rise, awake))
+        blocks.append((sender, level, block, rise, awake, silent))
     return radio, xs, ys, blocks
 
 
@@ -468,14 +479,15 @@ def test_power_map_blocks_match_frame_by_frame(scene):
     # the maps next_map hands out, made a block at a time and remade from
     # the rest of the block when the power rises, equal frames made one by
     # one over the whole field; without shadowing nothing is drawn, and a
-    # sender's frames at one power share one map
+    # sender's frames at one power share one map; a silent frame's map is
+    # empty wherever it sits in its block
     radio, xs, ys, blocks = scene
     shadowed = radio.shadowing_sigma_db > 0.0
     source = BlockSource(radio.shadowing_sigma_db)
     links = LinkRows(xs, ys, radio, source)
     links._block_frames = len(blocks[0][2])
     last = {}  # sender -> (power, map) of its last frame
-    for sender, level, block, rise, awake in blocks:
+    for sender, level, block, rise, awake, silent in blocks:
         if shadowed:
             source.queue.append((sender, block))
         tx = radio.power_levels[level]
@@ -483,6 +495,7 @@ def test_power_map_blocks_match_frame_by_frame(scene):
             if j == rise:
                 tx = radio.power_levels[level + 1]
             rx_map = links.next_map(sender, tx)
+            assert (j not in silent) or rx_map == {}
             if not shadowed and last.get(sender, (None,))[0] == tx:
                 assert rx_map is last[sender][1]
             last[sender] = (tx, rx_map)

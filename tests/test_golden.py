@@ -32,6 +32,17 @@ GOLDEN_RUNS = {
         {"nodes": "200", "field": "100x100", "duration": "300", "seed": "7",
          "lambda": "0.02", "shadowing_sigma": "0", "sensing_range": "18",
          "grid_step": "4", "metric_interval": "2"}, ((150.0, None),)),
+    # shadowed runs at the other block sizes a sender's maps come in: five
+    # frames a block at 100 nodes, where escalations remake the rest of a
+    # block, and one frame a block at 300 nodes
+    "shadowed_100_piggybacked": (
+        {"nodes": "100", "field": "140x140", "duration": "200", "seed": "13",
+         "link_control": "piggybacked", "grid_step": "5",
+         "metric_interval": "10"}, ()),
+    "shadowed_300_standalone": (
+        {"nodes": "300", "field": "245x245", "duration": "40", "seed": "17",
+         "link_control": "standalone", "grid_step": "7",
+         "metric_interval": "10"}, ()),
 }
 
 GOLDEN_SHA256 = {
@@ -66,6 +77,22 @@ GOLDEN_SHA256 = {
             "c029fc9a9f5d8a8c0cfac4022779dfc9aa54c7b24f0e9072b8d75a916944e372",
         "summary.json":
             "26902c73215bd029d81bfe261d1425e83612074867e140aec7a5a9d4ca673410",
+    },
+    "shadowed_100_piggybacked": {
+        "metrics.csv":
+            "2d44aaa092822bf5bf6d5b6f0e594cc5d5bd247daff1e7057648e465adeabd8f",
+        "snapshot.json":
+            "2b78be75e9f1ed53b1000758d50bf51ba12d896aa76118a492bcaacecc1ddd1f",
+        "summary.json":
+            "830ff41c24e13ecadd5c3b256c84bf7576a1d2bf626baf78ff617320bb5c5662",
+    },
+    "shadowed_300_standalone": {
+        "metrics.csv":
+            "e85f7eded7e345c1b1923ee079d128919fbacf4a47b05934f2e1672423192253",
+        "snapshot.json":
+            "3b95b566264d5440e53c6de02c708681152816977986d54a5c365a48378f6ccb",
+        "summary.json":
+            "2e07aa847f64bff61726f64d9607e8c02e6d7ac963c760e01941bd656aec22a7",
     },
 }
 
