@@ -163,6 +163,9 @@ class LinkRows:
     ``next_map`` draws the shadowing of a sender's next max(1, 512 // N)
     frames at once from ``shadow(sender)``, the same values as frame by
     frame under Philox; rows read only for the guard graph need no source.
+    ``maps`` makes all of a block's maps in one 2-D numpy pass, so a block
+    costs a fixed number of numpy calls however many frames it holds; a
+    one-frame block takes a 1-D path that costs less.
     """
 
     def __init__(self, xs, ys, radio: RadioConfig, shadow=None):
@@ -174,7 +177,7 @@ class LinkRows:
         self._rows: list[Optional[tuple]] = [None] * n
         self._block_frames = max(1, 512 // max(n, 1))
         self._zeros = np.zeros((1, n))  # every unshadowed block, never spent
-        self._pending: list = [None] * n  # by sender: [tx, block, maps to come]
+        self._pending: list = [None] * n  # by sender: [tx, block, maps left, last first]
 
     def row(self, sender: int, cap: float) -> tuple[np.ndarray, np.ndarray]:
         """Ids (ascending) and path losses of ``sender``'s row, which holds
@@ -209,11 +212,13 @@ class LinkRows:
                      else self._zeros if self._sigma == 0.0
                      else self._shadow(sender).normal(
                          0.0, self._sigma, size=(self._block_frames, self._xs.size)))
-            pending = self._pending[sender] = [tx, block, self.maps(sender, tx, block)]
+            # the last frame's map first, so each frame pops its own
+            pending = self._pending[sender] = [tx, block,
+                                               self.maps(sender, tx, block)[::-1]]
         maps = pending[2]
         if len(maps) == 1 and self._sigma > 0.0:  # spent
             self._pending[sender] = None
-        return maps.pop(0) if self._sigma > 0.0 else maps[0]
+        return maps.pop() if self._sigma > 0.0 else maps[0]
 
     def maps(self, sender: int, tx: float,
              block: np.ndarray) -> list[dict[int, float]]:
@@ -223,8 +228,8 @@ class LinkRows:
 
         A map holds the audible receivers, ascending by id; receivers below
         sensitivity can neither decode a frame nor disturb anyone else. Each
-        power is ``(tx - loss) - shadowing``, so a map is the same bytes
-        however many frames its block holds.
+        power is ``(tx - loss) - shadowing`` on either path, so a map is the
+        same bytes however many frames its block holds.
         """
         sens = self._radio.sensitivity_dbm
         # The row need only hold the receivers these frames could reach: cut
@@ -232,14 +237,21 @@ class LinkRows:
         # receiver below sensitivity, so locality needs no clip on shadowing.
         smin = float(np.minimum.reduce(block, axis=None))
         ids, loss = self.row(sender, loss_cap(tx, sens, smin))
-        base = tx - loss
-        maps = []
-        # one frame at a time, so a one-frame block costs what a lone frame
-        # did; rows by index, as iterating an array ends in an IndexError
-        for k in range(len(block)):
-            rx = base - block[k][ids]
+        if len(block) == 1:
+            # a 1-D gather and two masks cost less than the 2-D pass's
+            # fixed calls when there is one frame to share them
+            rx = (tx - loss) - block[0][ids]
             audible = rx >= sens
-            maps.append(dict(zip(ids[audible].tolist(), rx[audible].tolist())))
+            return [dict(zip(ids[audible].tolist(), rx[audible].tolist()))]
+        # one pass over the whole block; row-major nonzero lists each frame's
+        # audible receivers in turn, ascending by id
+        rx = (tx - loss) - block.take(ids, axis=1)
+        audible = rx >= sens
+        frames, cols = audible.nonzero()
+        maps = [{} for _ in range(len(block))]
+        for k, nid, power in zip(frames.tolist(), ids[cols].tolist(),
+                                 rx[audible].tolist()):
+            maps[k][nid] = power
         return maps
 
 

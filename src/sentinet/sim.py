@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 import time as _wall
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -38,7 +38,6 @@ class RunResult:
     rows: list[dict]
     summary: dict
     snapshot: dict  # {"time", "nodes"}: the final node states
-    failure_log: list[dict] = field(default_factory=list)
 
 
 class Simulation:
@@ -321,8 +320,7 @@ class Simulation:
             "runtime_wall_s": wall,
         }
         return RunResult(config=self.config, nodes=self.nodes, rows=self.rows,
-                         summary=summary, snapshot=self.snapshot(),
-                         failure_log=self.failure_log)
+                         summary=summary, snapshot=self.snapshot())
 
     # each kind's handler, in EventKind order
     _HANDLERS = dict(zip(EventKind, (
@@ -387,11 +385,12 @@ def write_outputs(result: RunResult, out_dir, healing_epsilon: Optional[float] =
     metrics_mod.write_json(paths["snapshot"], {"meta": meta_dict, **result.snapshot})
     metrics_mod.write_json(paths["summary"], result.summary)
     metrics_mod.write_config_echo(paths["config"], cfg, meta)
-    if result.failure_log or healing_epsilon is not None:
+    failures = result.summary["failures"]
+    if failures or healing_epsilon is not None:
         eps = HEALING_EPSILON if healing_epsilon is None else healing_epsilon
         paths["healing"] = os.path.join(out_dir, "healing.json")
         metrics_mod.write_json(paths["healing"], {
             "meta": meta_dict, "epsilon": eps,
-            "failures": healing_report(result.rows, result.failure_log, eps),
+            "failures": healing_report(result.rows, failures, eps),
         })
     return paths

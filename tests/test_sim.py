@@ -108,8 +108,9 @@ def test_census_and_cached_metrics_match_a_recount():
     sim.inject_sentinel_failure(80.0, 3)
     result = sim.run()
     assert len(checked) == len(result.rows) == 151
-    assert [f["kind"] for f in result.failure_log] == ["node", "sentinels"]
-    assert checked[-1] == sum(len(f["killed"]) for f in result.failure_log) >= 2
+    failures = result.summary["failures"]
+    assert [f["kind"] for f in failures] == ["node", "sentinels"]
+    assert checked[-1] == sum(len(f["killed"]) for f in failures) >= 2
     final = Counter(n.status for n in result.nodes.values())
     assert result.summary["totals"]["census"] == {s.value: final[s]
                                                   for s in NodeStatus}
@@ -430,8 +431,8 @@ def test_killed_node_goes_silent():
     result = sim.run()
     node = result.nodes[0]
     assert node.status is NodeStatus.DEAD
-    assert result.failure_log == [{"time": kill_at, "kind": "node",
-                                   "requested": 1, "killed": [0]}]
+    assert result.summary["failures"] == [{"time": kill_at, "kind": "node",
+                                           "requested": 1, "killed": [0]}]
     assert result.snapshot["nodes"][0]["energy_j"] == pytest.approx(
         cfg.energy.sleep_draw_w * kill_at)
     # the far-away survivor probes alone; the dead node never answered
@@ -475,7 +476,7 @@ def test_mass_kill_clamps_to_live_guards():
     sim = Simulation(cfg)
     sim.inject_sentinel_failure(100.0, count=10_000)
     result = sim.run()
-    [failure] = result.failure_log
+    [failure] = result.summary["failures"]
     assert failure["clamped"] is True
     assert all(result.nodes[nid].status is NodeStatus.DEAD
                for nid in failure["killed"])
@@ -488,7 +489,7 @@ def test_negative_sentinel_kill_count_rejected():
         sim.inject_sentinel_failure(50.0, count=-1)
     sim.inject_sentinel_failure(50.0, count=0)
     result = sim.run()
-    assert [f["killed"] for f in result.failure_log] == [[]]
+    assert [f["killed"] for f in result.summary["failures"]] == [[]]
 
 
 def test_link_control_off_sends_no_conn_traffic():
