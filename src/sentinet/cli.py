@@ -80,10 +80,12 @@ def parse_config_file(path: str) -> dict[str, str]:
     flat: dict[str, str] = {}
     set_on: dict[str, int] = {}  # key -> the line that set it
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -123,9 +125,12 @@ def resolve_config(args: argparse.Namespace,
 
 
 def prepare_out_dir(path: str, force: bool) -> None:
-    if os.path.isdir(path) and os.listdir(path) and not force:
-        raise CliError(f"output directory {path!r} is not empty (use --force)")
-    os.makedirs(path, exist_ok=True)
+    try:
+        if os.path.isdir(path) and os.listdir(path) and not force:
+            raise CliError(f"output directory {path!r} is not empty (use --force)")
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"output directory {path!r}: {exc.strerror}") from exc
 
 
 # The keys of each --kill form, by the key that names the form

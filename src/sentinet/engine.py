@@ -34,7 +34,8 @@ so the values are those of scalar draws.
 Dispatch is a table of plain functions ``fn(owner, event)``, one per
 ``EventKind.index`` (``handle``). The engine holds its owner by a weak
 reference, dereferenced once per ``run_until``, so the table makes no
-cycle through it. ``handler`` views the table as one callable(event).
+cycle through it. ``handler`` views the table as one callable(event); it is
+the one way to watch dispatch: read it, wrap it, assign the wrapper back.
 """
 
 from __future__ import annotations
@@ -171,17 +172,6 @@ class Event:
     filed: int = -1  # seq of the newest heap entry filed for this event
     owed: int = 0  # draws owed by deferred moves since it last settled
     since: float = 0.0  # the clock at its last deferred move
-
-
-@dataclass
-class RunSummary:
-    clock: float
-    dispatched: Counter
-
-    def as_dict(self) -> dict:
-        return {"clock": self.clock,
-                "dispatched": {k.value: v for k, v in sorted(
-                    self.dispatched.items(), key=lambda kv: kv[0].value)}}
 
 
 class Engine:
@@ -359,7 +349,9 @@ class Engine:
                 f"{ev.kind.value} settled at {time}, before its bound {popped}")
         return time
 
-    def run_until(self, t_end: float) -> RunSummary:
+    def run_until(self, t_end: float) -> Counter:
+        """Dispatch the events due by ``t_end``; returns the count of each
+        kind dispatched since the engine was made."""
         if not t_end >= self.clock:  # NaN too
             raise ClockViolationError(
                 f"cannot run to {t_end} behind clock {self.clock}")
@@ -382,5 +374,4 @@ class Engine:
             counts[index] += 1
             handlers[index](owner, ev)
         self.clock = t_end
-        return RunSummary(clock=self.clock, dispatched=Counter(
-            {kind: n for kind, n in zip(EventKind, self._counts) if n}))
+        return Counter({kind: n for kind, n in zip(EventKind, counts) if n})

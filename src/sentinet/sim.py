@@ -3,9 +3,9 @@
 One Simulation owns one run. It implements the context surface the protocol
 and link-control handlers expect (time, randomness, timers, transmissions,
 transitions) and puts its handler of each event kind in the engine's
-dispatch table, so all node behaviour is serialized through the engine's
-event loop; a ``post_event_hook`` wraps those handlers while set. The
-draws and timers of that surface are the engine's own methods, bound once.
+dispatch table once, so all node behaviour is serialized through the
+engine's event loop; anything that watches dispatch wraps ``engine.handler``.
+The draws and timers of that surface are the engine's own methods, bound once.
 Frames get their power maps, shadowing included, from ``channel.LinkRows``.
 """
 
@@ -42,7 +42,7 @@ class RunResult:
 
 class Simulation:
     def __init__(self, config: RunConfig, transition_hook=None,
-                 post_event_hook=None, positions: Optional[dict] = None):
+                 positions: Optional[dict] = None):
         """``positions`` pins node placement (id -> (x, y)) for scenario
         construction; by default nodes deploy uniformly at random."""
         self.config = config
@@ -59,8 +59,9 @@ class Simulation:
         # a deferred timer settles by the rule its t_c is drawn by
         self.engine.deferrable(EventKind.CONN_TIMER_EXPIRED, "conn",
                                partial(link_control.t_c, config))
+        for kind, fn in self._HANDLERS.items():
+            self.engine.handle(kind, fn)
         self.transition_hook = transition_hook
-        self.post_event_hook = post_event_hook  # registers the handlers
         self.frames: list[chan.Frame] = []  # on the air: delivery pending
         self.counters = [0] * len(chan.MessageKind)  # by MessageKind.index
         self.rows: list[dict] = []
@@ -141,19 +142,6 @@ class Simulation:
                                     payload={"count": count})
 
     # -- event routing ------------------------------------------------------
-
-    @property
-    def post_event_hook(self):
-        """Called as ``hook(sim, event)`` after each event's handler.
-        Setting it puts the handlers back in the engine's table, over any
-        callable assigned to ``engine.handler``."""
-        return self._post_event_hook
-
-    @post_event_hook.setter
-    def post_event_hook(self, hook) -> None:
-        self._post_event_hook = hook
-        for kind, fn in self._HANDLERS.items():
-            self.engine.handle(kind, fn if hook is None else _hooked(fn, hook))
 
     def _sleep_expired(self, ev: Event) -> None:
         protocol.on_sleep_expired(self.nodes[ev.target], self)
@@ -296,7 +284,7 @@ class Simulation:
 
     def run(self) -> RunResult:
         started = _wall.perf_counter()
-        engine_summary = self.engine.run_until(self.config.duration)
+        dispatched = self.engine.run_until(self.config.duration)
         energy_mod.accrue(self.energy, self.now)
         wall = _wall.perf_counter() - started
         totals = energy_mod.summarize(self.energy)
@@ -310,7 +298,7 @@ class Simulation:
                 "energy": totals,
                 "messages": {k.value: self.counters[k.index]
                              for k in chan.MessageKind},
-                "events": engine_summary.as_dict()["dispatched"],
+                "events": dict(sorted((k.value, n) for k, n in dispatched.items())),
                 "census": dict(zip([s.value for s in NodeStatus], self.census())),
                 "coverage_final": final_row["coverage"],
                 "components_final": final_row["components"],
@@ -326,13 +314,6 @@ class Simulation:
     _HANDLERS = dict(zip(EventKind, (
         _sleep_expired, _wait_expired, _conn_timer_expired, _transmit,
         _resolve_frame, _handle_failure, _sample_metrics)))
-
-
-def _hooked(fn, hook):
-    def hooked(sim, ev):
-        fn(sim, ev)
-        hook(sim, ev)
-    return hooked
 
 
 def healing_report(rows: list[dict], failure_log: list[dict],

@@ -77,6 +77,19 @@ def ctx():
     return FakeCtx()
 
 
+def after_each_event(sim, watch):
+    """Call ``watch(sim, event)`` after each event's handler, by wrapping
+    ``sim.engine.handler``; returns ``sim``."""
+    handler = sim.engine.handler
+
+    def watched(ev):
+        handler(ev)
+        watch(sim, ev)
+
+    sim.engine.handler = watched
+    return sim
+
+
 def zero_shadow(config: RunConfig) -> RunConfig:
     return dataclasses.replace(
         config, radio=dataclasses.replace(config.radio, shadowing_sigma_db=0.0))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import after_each_event
 from sentinet import (LinkControlMode, RunConfig, Simulation, WeibullParams,
                       run_simulation, write_outputs)
 from sentinet.channel import compute_lqi, rx_power_dbm
@@ -151,8 +152,8 @@ def test_criterion_03_state_machine_fuzz():
                     assert not timer.dispatched and not timer.cancelled
             assert sum(census.values()) == sim.config.node_count
 
-        sim = Simulation(cfg, transition_hook=on_transition,
-                         post_event_hook=probe)
+        sim = after_each_event(
+            Simulation(cfg, transition_hook=on_transition), probe)
         for _ in range(int(rng.integers(0, 3))):
             at = float(rng.uniform(0.0, cfg.duration))
             if rng.random() < 0.5:

@@ -48,6 +48,22 @@ def test_run_refuses_nonempty_out_dir(tmp_path, capsys):
     assert "--force" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("under", [False, True])
+@pytest.mark.parametrize("command", ["run", "sweep", "inject"])
+def test_out_naming_a_file_is_rejected(tmp_path, capsys, command, under):
+    # --out naming a file, or a path under one, is an error, not a traceback
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if under else afile
+    args = [command, *FAST, "--out", str(out)]
+    if command == "sweep":
+        args += ["--axis", "beta", "--values", "2"]
+    assert run_cli(*args) == 2
+    assert capsys.readouterr().err.startswith(f"error: output directory {str(out)!r}: ")
+    assert afile.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
 def test_force_rerun_is_byte_identical(tmp_path):
     out = tmp_path / "r1"
     assert run_cli("run", *FAST, "--out", str(out)) == 0
@@ -207,6 +223,15 @@ def test_malformed_config_file_reports_line(tmp_path, capsys):
     code = run_cli("run", "--config", str(bad), "--out", str(tmp_path / "x"))
     assert code == 2
     assert f"{bad}:2" in capsys.readouterr().err
+
+
+def test_config_file_not_utf8_is_rejected(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes("nodes=5\nfield=60×60\n".encode("latin-1"))
+    out = tmp_path / "x"
+    assert run_cli("run", "--config", str(bad), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
+    assert not out.exists()
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

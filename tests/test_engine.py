@@ -103,9 +103,9 @@ def test_run_until_nan_rejected():
 
 def test_run_until_on_empty_queue_advances_clock():
     eng = Engine(seed=1)
-    summary = eng.run_until(1000.0)
+    dispatched = eng.run_until(1000.0)
     assert eng.clock == 1000.0
-    assert sum(summary.dispatched.values()) == 0
+    assert sum(dispatched.values()) == 0
 
 
 def test_events_beyond_horizon_stay_queued():
@@ -124,9 +124,9 @@ def test_summary_counts_by_kind():
     eng.schedule(1.0, 1, EventKind.SLEEP_EXPIRED)
     eng.schedule(2.0, 1, EventKind.WAIT_EXPIRED)
     eng.schedule(3.0, 1, EventKind.WAIT_EXPIRED)
-    summary = eng.run_until(10.0)
-    assert summary.dispatched[EventKind.SLEEP_EXPIRED] == 1
-    assert summary.dispatched[EventKind.WAIT_EXPIRED] == 2
+    dispatched = eng.run_until(10.0)
+    assert dispatched[EventKind.SLEEP_EXPIRED] == 1
+    assert dispatched[EventKind.WAIT_EXPIRED] == 2
 
 
 # -- dispatch table ------------------------------------------------------------
@@ -145,9 +145,9 @@ def one_of_each_kind(eng):
 def test_engine_without_handlers_runs_its_queue():
     eng = Engine(seed=1)
     one_of_each_kind(eng)
-    summary = eng.run_until(10.0)
+    dispatched = eng.run_until(10.0)
     assert eng.clock == 10.0 and eng._queue == []
-    assert summary.dispatched == Counter(EventKind)
+    assert dispatched == Counter(EventKind)
 
 
 def test_every_kind_reaches_its_own_entry_with_the_owner():
@@ -223,11 +223,11 @@ def test_defer_later_files_no_entry_and_settles_when_due():
     # a fresh sequence number and an owed draw; the 2.0 entry bounds it
     assert (handle.time, handle.seq, handle.filed, handle.owed) == (2.0, 2, 0, 1)
     assert len(eng._queue) == 2
-    summary = eng.run_until(10.0)
+    dispatched = eng.run_until(10.0)
     [u] = conn_draws(1, 1, 1)
     assert seen == [(2.0, 2, EventKind.SLEEP_EXPIRED), (1.5 + delay(u), 1, CONN)]
     assert (handle.owed, handle.filed) == (0, 2)
-    assert sum(summary.dispatched.values()) == 2 and eng._queue == []
+    assert sum(dispatched.values()) == 2 and eng._queue == []
 
 
 def test_defer_earlier_files_one_entry_and_spent_handles_stay_spent():
@@ -401,9 +401,9 @@ def test_defer_dispatches_like_cancel_and_schedule(data):
     eng.handler = handler
 
     def run(t_end):
-        summary = eng.run_until(t_end)
+        dispatched = eng.run_until(t_end)
         ref.run_until(t_end)
-        assert summary.dispatched == ref.counts
+        assert dispatched == ref.counts
 
     def move(pairs):
         # one deferred move of 1-3 handles, a handle possibly listed twice;
@@ -449,10 +449,10 @@ def test_defer_dispatches_like_cancel_and_schedule(data):
             assert ev.seq == seq and (ev.time, ev.filed) in filed
             assert (ev.time, ev.filed) <= key
             assert ev.owed > 0 or (ev.time, ev.filed) == key
-    summary = eng.run_until(eng.clock + 10.0)
+    dispatched = eng.run_until(eng.clock + 10.0)
     ref.run_until(ref.clock + 10.0)
     assert seen == ref.seen
-    assert summary.dispatched == ref.counts and summary.clock == ref.clock
+    assert dispatched == ref.counts and eng.clock == ref.clock
     assert eng._next_seq == ref.next_seq  # sequence numbers used up alike
     assert eng._queue == [] and not ref.pending
     # every event not cancelled drew what the reference drew

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import zero_shadow
+from conftest import after_each_event, zero_shadow
 from sentinet import (LinkControlMode, RunConfig, Simulation, WeibullParams,
                       link_control, run_simulation, write_outputs)
 from sentinet import channel as chan_mod
@@ -17,7 +17,7 @@ from sentinet import sim as sim_mod
 from sentinet.channel import (Frame, LinkRows, MessageKind, compute_lqi,
                               weak_link_floor)
 from sentinet.energy import TX
-from sentinet.engine import Engine, Event, EventKind, RunSummary
+from sentinet.engine import Engine, Event, EventKind
 from sentinet.metrics import sentinel_components
 from sentinet.protocol import NodeStatus
 from test_channel import UNICAST_KINDS
@@ -103,7 +103,7 @@ def test_census_and_cached_metrics_match_a_recount():
             comps["component_count"], comps["isolated_count"])
         checked.append(row["n_dead"])
 
-    sim = Simulation(cfg, post_event_hook=recount)
+    sim = after_each_event(Simulation(cfg), recount)
     sim.inject_failure(0, 40.0)
     sim.inject_sentinel_failure(80.0, 3)
     result = sim.run()
@@ -117,10 +117,11 @@ def test_census_and_cached_metrics_match_a_recount():
 
 
 def invariant_checker(cfg):
-    """A post-event hook that checks the documented invariants after every
-    event: census, the kept id sets, each node's one timer and its heap
-    entries, exactly the frames with a pending delivery on the air, and
-    energy that only grows. Returns the hook and a Counter of what it saw."""
+    """A watcher for ``after_each_event`` that checks the documented
+    invariants after every event: census, the kept id sets, each node's one
+    timer and its heap entries, exactly the frames with a pending delivery
+    on the air, and energy that only grows. Returns the watcher and a
+    Counter of what it saw."""
     timer_driven = cfg.link_control.uses_conn_timer
     owned = {NodeStatus.SLEEP: EventKind.SLEEP_EXPIRED,
              NodeStatus.PROBE: EventKind.WAIT_EXPIRED,
@@ -199,7 +200,7 @@ def test_invariants_hold_after_every_event(name):
     flat, sentinel_failures = GOLDEN_RUNS[name]
     cfg = RunConfig.from_flat(flat)
     check, seen = invariant_checker(cfg)
-    sim = Simulation(cfg, post_event_hook=check)
+    sim = after_each_event(Simulation(cfg), check)
     for at, count in sentinel_failures:
         sim.inject_sentinel_failure(at, count)
     result = sim.run()
@@ -242,7 +243,7 @@ def small_runs(draw):
 def test_invariants_hold_under_fuzz(run):
     cfg, kills, mass = run
     check, seen = invariant_checker(cfg)
-    sim = Simulation(cfg, post_event_hook=check)
+    sim = after_each_event(Simulation(cfg), check)
     for nid, at in kills:
         sim.inject_failure(nid, at)
     for at, count in mass:
@@ -302,8 +303,7 @@ class EagerEngine(Engine):
             self._counts[ev.kind.index] += 1
             self.handler(ev)
         self.clock = t_end
-        return RunSummary(clock=t_end, dispatched=Counter(
-            {kind: n for kind, n in zip(EventKind, self._counts) if n}))
+        return Counter({kind: n for kind, n in zip(EventKind, self._counts) if n})
 
 
 def conn_draws_per_node(engine, node_count):
@@ -331,7 +331,7 @@ def deferred_and_eager(cfg, kills=(), mass=()):
         seen = []
         sim_mod.Engine = engine_cls
         try:
-            sim = Simulation(cfg, post_event_hook=lambda sim, ev: seen.append(
+            sim = after_each_event(Simulation(cfg), lambda sim, ev: seen.append(
                 (ev.time, ev.kind, ev.target)))
         finally:
             sim_mod.Engine = original
@@ -399,7 +399,7 @@ def test_every_transmission_is_addressed_by_its_kind():
         seen[kind] += 1
 
     for cfg, failures in runs:
-        sim = Simulation(cfg, post_event_hook=check)
+        sim = after_each_event(Simulation(cfg), check)
         for at, count in failures:
             sim.inject_sentinel_failure(at, count)
         sim.run()
@@ -447,8 +447,8 @@ def test_inject_failure_unknown_node():
 
 def test_inject_failure_schedules_event():
     seen = []
-    sim = Simulation(small_config(duration=20.0), post_event_hook=lambda s, ev:
-                     seen.append((ev.time, ev.target, ev.kind)))
+    sim = after_each_event(Simulation(small_config(duration=20.0)), lambda s, ev:
+                           seen.append((ev.time, ev.target, ev.kind)))
     sim.inject_failure(0, 10.0)
     sim.run()
     assert [e for e in seen if e[2] is EventKind.NODE_FAILURE] == \
@@ -640,7 +640,7 @@ def test_frame_starting_as_another_ends_does_not_collide(monkeypatch):
     for node in sim.nodes.values():
         node.status = NodeStatus.ACTIVE  # bypass protocol: stay awake
         sim.note_transition(node, NodeStatus.SLEEP, NodeStatus.ACTIVE)
-    sim.post_event_hook = note_on_air
+    after_each_event(sim, note_on_air)
     sim.send(sim.nodes[1], MessageKind.PROBE, None, cfg.radio.tx_duration_s)
     transmit_now(sim, 0, MessageKind.PROBE)
     sim.engine.run_until(0.01)
@@ -749,38 +749,30 @@ def test_every_kind_reaches_its_own_handler(monkeypatch):
     assert reached == result.summary["totals"]["events"]
 
 
-def test_post_event_hook_sees_each_event_once_in_order():
-    # given to the constructor or assigned after it, alike
-    runs = []
-    for later in (False, True):
+def test_a_wrapped_engine_handler_sees_each_event_once_in_order():
+    # two watchers, one wrapped around the other: each sees every event
+    # once, in (time, seq) order, so wrapping later keeps the first watcher
+    sim, runs = Simulation(every_kind_config()), []
+    for _ in range(2):
         seen = []
 
-        def hook(sim, ev):
+        def watch(sim, ev, seen=seen):
             assert sim.now == ev.time and ev.dispatched
             seen.append((ev.time, ev.seq, ev.kind.value, ev.target))
 
-        if later:
-            sim = Simulation(every_kind_config())
-            sim.post_event_hook = hook
-        else:
-            sim = Simulation(every_kind_config(), post_event_hook=hook)
-        assert sim.post_event_hook is hook
-        result = run_every_kind(sim)
-        keys = [(time, seq) for time, seq, _, _ in seen]
-        assert keys == sorted(set(keys))
-        assert Counter(kind for _, _, kind, _ in seen) == \
-            result.summary["totals"]["events"]
+        after_each_event(sim, watch)
         runs.append(seen)
+    result = run_every_kind(sim)
+    keys = [(time, seq) for time, seq, _, _ in runs[0]]
+    assert keys == sorted(set(keys))
+    assert Counter(kind for _, _, kind, _ in runs[0]) == \
+        result.summary["totals"]["events"]
     assert runs[0] == runs[1]
 
 
-def test_without_a_hook_the_table_holds_the_plain_handlers():
+def test_the_table_holds_the_plain_handlers():
     sim = Simulation(small_config())
     plain = [Simulation._HANDLERS[kind] for kind in EventKind]
-    assert all(entry is fn for entry, fn in zip(sim.engine._handlers, plain))
-    sim.post_event_hook = lambda sim, ev: None
-    assert not any(entry is fn for entry, fn in zip(sim.engine._handlers, plain))
-    sim.post_event_hook = None
     assert all(entry is fn for entry, fn in zip(sim.engine._handlers, plain))
 
 
