@@ -229,9 +229,9 @@ class Simulation:
     # -- metrics ------------------------------------------------------------
 
     def _schedule_sample(self, index: int) -> None:
-        at = index * self.config.metric_interval
-        if at <= self.config.duration:
-            self.engine.schedule(at, None, EventKind.METRIC_SAMPLE, payload=index)
+        # the last sample is at the end of the run, on the interval's grid or not
+        at = min(index * self.config.metric_interval, self.config.duration)
+        self.engine.schedule(at, None, EventKind.METRIC_SAMPLE, payload=index)
 
     def census(self) -> list[int]:
         """How many nodes are in each status, by ``NodeStatus.index``."""
@@ -278,7 +278,8 @@ class Simulation:
             "energy_total_j": totals["total_j"],
             "energy_mean_j": totals["mean_per_node_j"],
         })
-        self._schedule_sample(index + 1)
+        if self.now < self.config.duration:
+            self._schedule_sample(index + 1)
 
     # -- run ----------------------------------------------------------------
 
@@ -288,7 +289,7 @@ class Simulation:
         energy_mod.accrue(self.energy, self.now)
         wall = _wall.perf_counter() - started
         totals = energy_mod.summarize(self.energy)
-        final_row = self.rows[-1]  # the t = 0 sample, at least
+        final_row = self.rows[-1]  # the sample at duration
         summary = {
             "meta": {"seed": self.config.seed, "config": self.config.config_hash(),
                      "rng": RNG_NAME},

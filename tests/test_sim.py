@@ -413,6 +413,29 @@ def test_rows_strictly_increasing_in_time():
     assert len(times) == 81  # t = 0 .. 80 inclusive at 1 s cadence
 
 
+@pytest.mark.parametrize("duration, times", [
+    (95.0, [10.0 * k for k in range(10)] + [95.0]),
+    (5.0, [0.0, 5.0]),  # an interval longer than the run
+])
+def test_last_row_is_at_the_end_of_the_run(duration, times):
+    # off the interval's grid the last row is at `duration`, and the
+    # summary's final values and totals read that row
+    result = run_simulation(small_config(node_count=30, duration=duration,
+                                         metric_interval=10.0))
+    assert [row["time_s"] for row in result.rows] == times
+    final, totals = result.rows[-1], result.summary["totals"]
+    assert [final[k] for k in ("n_sleep", "n_probe", "n_active", "n_dead")] \
+        == list(totals["census"].values())
+    assert [final[f"msgs_{kind.value}"] for kind in MessageKind] \
+        == list(totals["messages"].values())
+    assert (final["coverage"], final["components"], final["isolated"]) == (
+        totals["coverage_final"], totals["components_final"],
+        totals["isolated_final"])
+    assert final["energy_total_j"] == pytest.approx(totals["energy"]["total_j"],
+                                                    rel=1e-12)
+    assert totals["events"]["metric_sample"] == len(times)
+
+
 def test_energy_row_matches_ledgers():
     result = run_simulation(small_config())
     total = sum(n["energy_j"] for n in result.snapshot["nodes"])
