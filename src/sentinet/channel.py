@@ -30,6 +30,7 @@ import numpy as np
 from .engine import IndexedEnum
 
 MIN_DISTANCE_M = 0.01  # co-located nodes are clamped to 1 cm
+SHADOW_CLIP = 4.0  # shadowing draws are clipped to this many sigma either way
 
 
 class MessageKind(IndexedEnum):
@@ -156,10 +157,10 @@ class LinkRows:
     A sender's row holds the other nodes whose path loss from it is at most
     the row's cap, ascending by id, with those losses. A row is built on its
     first use and rebuilt to a larger cap when a caller needs more; it never
-    shrinks. A build adds headroom past the cap asked for: one shadowing
-    sigma, so that the strongest draws of a sender's later blocks seldom
-    force another build, and at least 1 dB, so that a row cut for a
-    zero-sigma channel is not an ulp short of its next frame's needs.
+    shrinks. Shadowing draws are clipped at ±``SHADOW_CLIP`` sigma, so the
+    row a frame needs depends only on its power: it is cut where even the
+    strongest clipped draw leaves a receiver below sensitivity, and a
+    sender's power only rises, so its row is built at most once per level.
     ``next_map`` draws the shadowing of a sender's next max(1, 512 // N)
     frames at once from ``shadow(sender)``, the same values as frame by
     frame under Philox; rows read only for the guard graph need no source.
@@ -172,7 +173,7 @@ class LinkRows:
         self._xs = np.asarray(xs, dtype=float)
         self._ys = np.asarray(ys, dtype=float)
         self._radio, self._shadow, self._sigma = radio, shadow, radio.shadowing_sigma_db
-        self._headroom = max(self._sigma, 1.0)
+        self._clip = SHADOW_CLIP * self._sigma
         n = self._xs.size
         self._rows: list[Optional[tuple]] = [None] * n
         self._block_frames = max(1, 512 // max(n, 1))
@@ -184,7 +185,7 @@ class LinkRows:
         every other node within loss ``cap`` of it, and maybe more."""
         row = self._rows[sender]
         if row is None or row[0] < cap:
-            row = self._rows[sender] = self._build(sender, cap + self._headroom)
+            row = self._rows[sender] = self._build(sender, cap)
         return row[1], row[2]
 
     def _build(self, sender: int, cap: float) -> tuple:
@@ -224,28 +225,25 @@ class LinkRows:
              block: np.ndarray) -> list[dict[int, float]]:
         """The received-power maps of ``sender``'s frames at ``tx`` dBm, one
         per row of ``block``: each frame's per-receiver shadowing in dB,
-        indexed by node id (a row of zeros for an unshadowed frame).
+        indexed by node id (a row of zeros for an unshadowed frame), which
+        is clipped at ±``SHADOW_CLIP`` sigma.
 
         A map holds the audible receivers, ascending by id; receivers below
         sensitivity can neither decode a frame nor disturb anyone else. Each
         power is ``(tx - loss) - shadowing`` on either path, so a map is the
         same bytes however many frames its block holds.
         """
-        sens = self._radio.sensitivity_dbm
-        # The row need only hold the receivers these frames could reach: cut
-        # past the loss at which even the block's most negative draw leaves a
-        # receiver below sensitivity, so locality needs no clip on shadowing.
-        smin = float(np.minimum.reduce(block, axis=None))
-        ids, loss = self.row(sender, loss_cap(tx, sens, smin))
+        sens, clip = self._radio.sensitivity_dbm, self._clip
+        ids, loss = self.row(sender, loss_cap(tx, sens, -clip))
         if len(block) == 1:
             # a 1-D gather and two masks cost less than the 2-D pass's
             # fixed calls when there is one frame to share them
-            rx = (tx - loss) - block[0][ids]
+            rx = (tx - loss) - block[0][ids].clip(-clip, clip)
             audible = rx >= sens
             return [dict(zip(ids[audible].tolist(), rx[audible].tolist()))]
         # one pass over the whole block; row-major nonzero lists each frame's
         # audible receivers in turn, ascending by id
-        rx = (tx - loss) - block.take(ids, axis=1)
+        rx = (tx - loss) - block.take(ids, axis=1).clip(-clip, clip)
         audible = rx >= sens
         frames, cols = audible.nonzero()
         maps = [{} for _ in range(len(block))]

@@ -4,17 +4,17 @@ A single heap-backed queue dispatches events in nondecreasing time order,
 breaking ties FIFO by insertion sequence. A pending event moves by a
 deferred move (``defer``), made for timers that are re-armed to a random
 delay far more often than they expire. The move gives the event a fresh
-sequence number, as a new event would, and owes the delay's draw instead
-of making it: it records the clock at the move, and files a heap entry
-under (bound, seq) only when the event's newest entry is later than
-``bound``, the earliest time the draw can give. An event's ``time`` is the
-time of its newest entry; every older entry is stale and dropped when
-popped. When the newest entry of an event that owes draws is popped, the
-event settles: its target's substream skips all owed draws but the last,
-the last gives the delay, and the event is re-filed under its settled
-(time, seq) unless that is the key just popped. The newest entry never
-sorts after the settled key, so events dispatch in the order, and draw the
-values, that making every move at once would give.
+sequence number, as a new event would, and marks it as owing the delay's
+draw instead of making it: it records the clock at the move, and files a
+heap entry under (bound, seq) only when the event's newest entry is later
+than ``bound``, the earliest time the draw can give. An event's ``time`` is
+the time of its newest entry; every older entry is stale and dropped when
+popped. When the newest entry of an event that owes a draw is popped, the
+event settles: the next draw of its target's substream gives the delay from
+its last move, one fresh draw however many moves came since it last
+settled, and the event is re-filed under its settled (time, seq) unless
+that is the key just popped. The newest entry never sorts after the
+settled key, so events dispatch in key order.
 
 All randomness flows through counter-based Philox substreams keyed by
 (seed, node id, stream name), so a node's draws depend only on its own
@@ -51,7 +51,9 @@ from typing import Any, Optional
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-RNG_NAME = "philox"
+# the draw scheme's version, in every output's meta line: Philox substreams,
+# shadowing clipped at 4 sigma, one fresh draw per settled deferred move
+RNG_NAME = "philox2"
 
 # Stable substream indices; also used for draws not owned by any node.
 _STREAMS = {"sleep": 0, "conn": 2, "shadow": 3, "deploy": 4}
@@ -170,7 +172,7 @@ class Event:
     cancelled: bool = False
     dispatched: bool = False
     filed: int = -1  # seq of the newest heap entry filed for this event
-    owed: int = 0  # draws owed by deferred moves since it last settled
+    owed: bool = False  # a deferred move came since it last settled
     since: float = 0.0  # the clock at its last deferred move
 
 
@@ -253,21 +255,6 @@ class Engine:
                 block = array("d", [u for u in block if u != 0.0])
         return block
 
-    def _skip(self, node_id: Optional[int], stream: str, n: int) -> None:
-        """Drop the substream's next ``n`` draws: the values ``n`` calls of
-        ``uniform`` would serve, zeros dropped alike."""
-        key = (node_id, stream)
-        if n and key not in self._rngs:
-            self._first(node_id, stream)
-            n -= 1
-        block = self._blocks.get(key)
-        while n:
-            if not block:
-                block = self._blocks[key] = self._refill(self._rngs[key])
-            k = min(n, len(block))
-            del block[len(block) - k:]
-            n -= k
-
     # -- dispatch ---------------------------------------------------------
 
     def handle(self, kind: EventKind, fn) -> None:
@@ -314,11 +301,10 @@ class Engine:
         """Move each pending event to ``since`` plus a delay drawn when it
         comes due, in order; an event listed twice is moved twice.
 
-        Each event takes the next sequence number and owes one draw of its
-        kind's ``deferrable`` stream; ``bound``, at or after the clock, must
-        not exceed ``since + delay(u)`` for any draw ``u``. Until an event
-        settles, its target's substream must be drawn by no one else. A
-        spent event stays spent: nothing filed for it dispatches.
+        Each event takes the next sequence number and owes a draw of its
+        kind's ``deferrable`` stream, made when it settles; ``bound``, at or
+        after the clock, must not exceed ``since + delay(u)`` for any draw
+        ``u``. A spent event stays spent: nothing filed for it dispatches.
         """
         if not bound >= self.clock:  # NaN too
             raise ClockViolationError(
@@ -326,7 +312,7 @@ class Engine:
         queue, seq = self._queue, self._next_seq
         for ev in events:
             ev.seq = seq
-            ev.owed += 1
+            ev.owed = True
             ev.since = since
             if ev.time > bound:
                 ev.time = bound
@@ -341,8 +327,7 @@ class Engine:
         if settle is None:
             raise ValueError(f"{ev.kind.value} events are not deferrable")
         stream, delay = settle
-        self._skip(ev.target, stream, ev.owed - 1)
-        ev.owed = 0
+        ev.owed = False
         time = ev.since + delay(self.uniform(ev.target, stream))
         if not time >= popped:  # a bound above the delay, or NaN
             raise ClockViolationError(

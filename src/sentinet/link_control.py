@@ -11,10 +11,11 @@ node in the timer-driven modes and None with link control off. Evidence
 arrives far more often than a timer expires, so re-arming is a deferred
 move (``ctx.defer_event``): the timers of one reply move to ``ctx.now`` plus
 a t_c that is drawn only when the timer comes due, and a piece of evidence
-costs a sequence number and an owed draw. The engine settles a timer with
-``t_c``, the rule every t_c is drawn by, and skips the draws that later
-evidence overrode, so the timer expires when, and the guard's draws are
-what, re-arming at once would give.
+costs a sequence number and marks a draw owed. The engine settles a timer
+when it comes due with one fresh draw through ``t_c``, the rule every t_c
+is drawn by, so each period is still one fresh uniform's t_c from the last
+piece of evidence; only which uniform it takes differs from re-arming at
+once.
 In piggybacked mode the same judgement is also applied to probe replies a
 guard receives from other guards, and those resets postpone the standalone
 rounds, which is where the control-overhead saving comes from: a guard

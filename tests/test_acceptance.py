@@ -2,7 +2,6 @@
 line. Scenario constants are pinned here; nothing is deferred to later
 calibration. Run with `pytest tests/test_acceptance.py -v -s`."""
 
-import dataclasses
 import math
 import time
 
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import after_each_event
+from conftest import after_each_event, zero_shadow
 from sentinet import (LinkControlMode, RunConfig, Simulation, WeibullParams,
                       run_simulation, write_outputs)
 from sentinet.channel import compute_lqi, rx_power_dbm
@@ -26,11 +25,6 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
         line += f"  ({detail})"
     print(line, flush=True)
     assert ok, line
-
-
-def zero_shadow(cfg: RunConfig) -> RunConfig:
-    return dataclasses.replace(
-        cfg, radio=dataclasses.replace(cfg.radio, shadowing_sigma_db=0.0))
 
 
 def table_one_config(**kw) -> RunConfig:

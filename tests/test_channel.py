@@ -3,9 +3,10 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sentinet.channel import (Frame, LinkRows, MessageKind, RadioConfig,
-                              compute_lqi, deliver, make_frame, overhearers,
-                              path_loss_db, rx_power_dbm, weak_link_floor)
+from sentinet.channel import (SHADOW_CLIP, Frame, LinkRows, MessageKind,
+                              RadioConfig, compute_lqi, deliver, make_frame,
+                              overhearers, path_loss_db, rx_power_dbm,
+                              weak_link_floor)
 
 RADIO = RadioConfig()
 # Replies are unicast, everything else is broadcast.
@@ -324,12 +325,14 @@ def test_delivery_matches_brute_force_scan(scene):
 
 
 def reference_frame(sent, xs, ys, awake_ids, radio, shadow=None):
-    """The frame computed at every node, then cut to the audible ones."""
+    """The frame computed at every node, its shadowing clipped at
+    ±SHADOW_CLIP sigma, then cut to the audible ones."""
     kind, sender, addressee, tx, start = sent
     d = np.hypot(xs - xs[sender], ys - ys[sender])
     rx = tx - path_loss_db(radio, d)
     if shadow is not None:
-        rx = rx - shadow
+        clip = SHADOW_CLIP * radio.shadowing_sigma_db
+        rx = rx - np.clip(shadow, -clip, clip)
     audible = rx >= radio.sensitivity_dbm
     audible[sender] = False
     idx = np.flatnonzero(audible)
@@ -351,7 +354,7 @@ def assert_same_frame(got, want):
 @st.composite
 def frame_sequences(draw):
     """A field, one set of link rows, and frames sent over it in turn; some
-    draws are planted far out in the tail so that rows must be rebuilt."""
+    draws are planted far out in either tail, past the clip."""
     sigma = draw(st.sampled_from([0.0, 4.0]))
     radio = RadioConfig(shadowing_sigma_db=sigma)
     n = draw(st.integers(2, 40))
@@ -370,7 +373,8 @@ def frame_sequences(draw):
             shadow = rng.normal(0.0, sigma, size=n)
             planted = draw(st.sets(st.integers(0, n - 1), max_size=3))
             for nid in planted:
-                shadow[nid] = -draw(st.floats(3.0, 8.0)) * sigma
+                shadow[nid] = draw(st.sampled_from([-1.0, 1.0])
+                                   ) * draw(st.floats(3.0, 8.0)) * sigma
         awake = draw(st.sets(st.integers(0, n - 1)))
         frames.append(((MessageKind.PROBE, sender, None, power, 0.0),
                        shadow, awake))
@@ -390,32 +394,60 @@ def test_frames_over_link_rows_match_the_full_field(scene):
         assert_same_frame(got, reference_frame(sent, xs, ys, awake, radio, shadow))
 
 
-def test_tail_draw_past_the_row_rebuilds_it():
-    # node 2 sits 60 m out: inaudible at -10 dBm unless its draw is -8 sigma
+@pytest.mark.oracle
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_draws_past_the_clip_map_as_draws_at_it(data):
+    # shadowing past ±SHADOW_CLIP sigma gives the same maps, bit for bit, as
+    # draws at the clip; a sender's row is built once per power level it
+    # sends at, and no draw, however far out, makes it rebuild
     radio = RadioConfig(shadowing_sigma_db=4.0)
-    xs, ys = np.array([0.0, 5.0, 60.0]), np.zeros(3)
+    clip = SHADOW_CLIP * radio.shadowing_sigma_db
+    n = data.draw(st.integers(2, 30))
+    coord = st.floats(0.0, 200.0)
+    xs = np.array(data.draw(st.lists(coord, min_size=n, max_size=n)))
+    ys = np.array(data.draw(st.lists(coord, min_size=n, max_size=n)))
     links = LinkRows(xs, ys, radio)
-    sent = (MessageKind.PROBE, 0, None, -10.0, 0.0)
-    calm = np.zeros(3)
-    assert list(frame_alone(sent, links, {1, 2}, radio, calm).rx_dbm) == [1]
-    assert links.row(0, -math.inf)[0].tolist() == [1]
-    tail = np.array([0.0, 0.0, -8.0 * radio.shadowing_sigma_db])
-    frame = frame_alone(sent, links, {1, 2}, radio, tail)
-    assert_same_frame(frame, reference_frame(sent, xs, ys, {1, 2}, radio, tail))
-    assert list(frame.rx_dbm) == [1, 2]
+    builds, build = [], links._build
+
+    def counted(sender, cap):
+        builds.append(sender)
+        return build(sender, cap)
+
+    links._build = counted
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for sender in data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                     max_size=4, unique=True)):
+        for tx in radio.power_levels:  # a sender's power only rises
+            k = data.draw(st.integers(1, 6))
+            block = rng.normal(0.0, radio.shadowing_sigma_db, size=(k, n))
+            cells = st.tuples(st.integers(0, k - 1), st.integers(0, n - 1))
+            for row, nid in data.draw(st.sets(cells, min_size=1, max_size=6)):
+                block[row, nid] = data.draw(st.sampled_from([-1.0, 1.0])) * (
+                    clip + data.draw(st.floats(0.0, 200.0)))
+            built = len(builds)
+            past = links.maps(sender, tx, block)
+            assert len(builds) - built <= 1  # a new level may cut a new row
+            at = links.maps(sender, tx, np.clip(block, -clip, clip))
+            again = links.maps(sender, tx, block)
+            assert len(builds) - built <= 1
+            for got in (at, again):
+                assert [[(nid, v.hex()) for nid, v in m.items()] for m in got] \
+                    == [[(nid, v.hex()) for nid, v in m.items()] for m in past]
+        assert builds.count(sender) <= len(radio.power_levels)
 
 
 @st.composite
 def block_sequences(draw):
     """A field, one set of link rows, and blocks of K frames from drawn
     senders, made in turn: each block's shadowing is drawn at once, some
-    draws planted far out in the tail so that rows must be rebuilt, and a
-    block may see its sender's power rise at one of its frames. A sender's
-    power never falls, from block to block either. Shadowed blocks may
-    hold silent frames, whose every draw is planted so far above the mean
-    that nobody hears them: the first, a middle, the last, every frame, or
-    any set of them."""
-    sigma = draw(st.sampled_from([0.0, 4.0]))
+    draws planted far out in either tail, past the clip, and a block may
+    see its sender's power rise at one of its frames. A sender's power
+    never falls, from block to block either. Under a 25 dB sigma, blocks
+    may hold silent frames, whose every draw is planted so far above the
+    mean that, clipped at 4 sigma, nobody hears them: the first, a middle,
+    the last, every frame, or any set of them."""
+    sigma = draw(st.sampled_from([0.0, 4.0, 25.0]))
     radio = RadioConfig(shadowing_sigma_db=sigma)
     n = draw(st.integers(2, 40))
     coord = st.floats(0.0, 200.0)
@@ -434,15 +466,16 @@ def block_sequences(draw):
             block = rng.normal(0.0, sigma, size=(k, n))
             cells = st.tuples(st.integers(0, k - 1), st.integers(0, n - 1))
             for row, nid in draw(st.sets(cells, max_size=4)):
-                block[row, nid] = -draw(st.floats(3.0, 8.0)) * sigma
+                block[row, nid] = draw(st.sampled_from([-1.0, 1.0])
+                                       ) * draw(st.floats(3.0, 8.0)) * sigma
+        silent = ()
+        if sigma * SHADOW_CLIP >= 100.0:
             silent = draw(st.sampled_from([(), (0,), (k // 2,), (k - 1,),
                                            tuple(range(k))])
                           | st.sets(st.integers(0, k - 1)))
-            # a draw of 100 dB or more leaves every receiver below
+            # clipped to 100 dB, such a draw leaves every receiver below
             # sensitivity, even at 1 cm and the highest power level
             block[sorted(silent)] = draw(st.floats(25.0, 50.0)) * sigma
-        else:
-            silent = ()
         rise = None  # the frame at which the sender's power rises
         if level + 1 < len(radio.power_levels):
             rise = draw(st.none() | st.integers(0, k - 1))

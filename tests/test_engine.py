@@ -221,12 +221,12 @@ def test_defer_later_files_no_entry_and_settles_when_due():
     eng.schedule(2.0, 2, EventKind.SLEEP_EXPIRED)
     assert eng.defer([handle], 1.5, 2.5) is None
     # a fresh sequence number and an owed draw; the 2.0 entry bounds it
-    assert (handle.time, handle.seq, handle.filed, handle.owed) == (2.0, 2, 0, 1)
+    assert (handle.time, handle.seq, handle.filed, handle.owed) == (2.0, 2, 0, True)
     assert len(eng._queue) == 2
     dispatched = eng.run_until(10.0)
     [u] = conn_draws(1, 1, 1)
     assert seen == [(2.0, 2, EventKind.SLEEP_EXPIRED), (1.5 + delay(u), 1, CONN)]
-    assert (handle.owed, handle.filed) == (0, 2)
+    assert (handle.owed, handle.filed) == (False, 2)
     assert sum(dispatched.values()) == 2 and eng._queue == []
 
 
@@ -251,24 +251,25 @@ def test_defer_earlier_files_one_entry_and_spent_handles_stay_spent():
     assert len(seen) == 1 and eng._queue == []
 
 
-def test_settling_skips_all_owed_draws_but_the_last():
-    # an event listed twice is moved twice; the skipped draws cross block
-    # refills, and the stream goes on after the last owed draw
-    for owed in (1, 2, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5):
+def test_settling_takes_one_draw_however_many_moves():
+    # an event listed twice is moved twice; however many moves came since it
+    # last settled, it settles with its target's next draw, once, and the
+    # stream goes on from there
+    for moves in (1, 2, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5):
         eng = Engine(seed=4)
         seen = collect(eng)
         delay = deferring(eng)
         handle = eng.schedule(50.0, 7, CONN)
-        for k in range(owed // 2):
+        for k in range(moves // 2):
             eng.defer([handle, handle], 0.5 * k, 0.5 * k + 1.0)
-        if owed % 2:
-            eng.defer([handle], 0.5 * (owed // 2), 0.5 * (owed // 2) + 1.0)
-        since = 0.5 * ((owed - 1) // 2)
-        assert (handle.owed, handle.since, handle.seq) == (owed, since, owed)
+        if moves % 2:
+            eng.defer([handle], 0.5 * (moves // 2), 0.5 * (moves // 2) + 1.0)
+        since = 0.5 * ((moves - 1) // 2)
+        assert (handle.owed, handle.since, handle.seq) == (True, since, moves)
         eng.run_until(100.0)
-        draws = conn_draws(4, 7, owed + 1)
-        assert seen == [(since + delay(draws[owed - 1]), 7, CONN)], owed
-        assert eng.uniform(7, "conn") == draws[owed], owed
+        first, second = conn_draws(4, 7, 2)
+        assert seen == [(since + delay(first), 7, CONN)], moves
+        assert eng.uniform(7, "conn") == second, moves
 
 
 def test_defer_bound_behind_the_clock_rejected():
@@ -278,7 +279,7 @@ def test_defer_bound_behind_the_clock_rejected():
     eng.run_until(7.0)
     with pytest.raises(ClockViolationError):
         eng.defer([handle], 6.0, 6.5)
-    assert (handle.time, handle.seq, handle.filed, handle.owed) == (8.0, 0, 0, 0)
+    assert (handle.time, handle.seq, handle.filed, handle.owed) == (8.0, 0, 0, False)
     assert eng._next_seq == 1
 
 
@@ -292,7 +293,7 @@ def test_defer_to_nan_bound_rejected():
     eng.schedule(7.0, 2, EventKind.SLEEP_EXPIRED)
     with pytest.raises(ClockViolationError):
         eng.defer([handle], 1.0, float("nan"))
-    assert (handle.time, handle.seq, handle.filed, handle.owed) == (5.0, 0, 0, 0)
+    assert (handle.time, handle.seq, handle.filed, handle.owed) == (5.0, 0, 0, False)
     assert not handle.cancelled and not handle.dispatched
     assert heap_keys(eng) == [(5.0, 0), (7.0, 1)]
     eng.run_until(10.0)
@@ -323,46 +324,58 @@ def heap_keys(engine):
 
 
 class ReferenceQueue:
-    """Cancel and schedule only: every event keeps its (time, seq) for good,
-    and a move draws its delay at once."""
+    """Cancel and schedule only: an event keeps its (time, seq) until it is
+    moved. A move cancels the event and schedules a stand-in for it at the
+    bound, or at its pending time if that is earlier, as the engine keeps an
+    earlier entry; when the stand-in comes due, the event draws its delay
+    once and is scheduled at its settled time under the stand-in's seq."""
 
     def __init__(self, seed, delay):
         self.clock = 0.0
         self.next_seq = 0
-        self.pending = {}  # seq -> (time, target, kind)
+        # seq -> [time, target, kind, since]; since is None once settled
+        self.pending = {}
         self.seen = []
         self.counts = Counter()
-        self.draws = Engine(seed=seed)  # the same substreams, drawn eagerly
+        self.draws = Engine(seed=seed)  # the same substreams
         self.delay = delay
 
     def schedule(self, time, target, kind):
         seq = self.next_seq
         self.next_seq += 1
-        self.pending[seq] = (time, target, kind)
+        self.pending[seq] = [time, target, kind, None]
         return seq
 
     def cancel(self, seq):
         self.pending.pop(seq, None)
 
-    def move(self, seq, since):
-        """Cancel and schedule anew at ``since`` plus a drawn delay; a spent
-        event takes a sequence number and stays spent."""
+    def move(self, seq, since, bound):
+        """Cancel, and schedule a stand-in owing a draw; a spent event takes
+        a sequence number and stays spent."""
         if seq not in self.pending:
             self.next_seq += 1
             return seq
-        _, target, kind = self.pending.pop(seq)
-        u = self.draws.uniform(target, "conn")
-        return self.schedule(since + self.delay(u), target, kind)
+        time, target, kind, _ = self.pending.pop(seq)
+        seq = self.schedule(min(time, bound), target, kind)
+        self.pending[seq][3] = since
+        return seq
 
     def run_until(self, t_end):
         while True:
-            due = [(t, s) for s, (t, _, _) in self.pending.items() if t <= t_end]
+            due = [(entry[0], s) for s, entry in self.pending.items()
+                   if entry[0] <= t_end]
             if not due:
                 break
-            time, target, kind = self.pending.pop(min(due)[1])
+            time, seq = min(due)
+            entry = self.pending[seq]
+            if entry[3] is not None:  # a stand-in: draw, and wait its turn
+                u = self.draws.uniform(entry[1], "conn")
+                entry[0], entry[3] = entry[3] + self.delay(u), None
+                continue
+            del self.pending[seq]
             self.clock = time
-            self.seen.append((time, target, kind))
-            self.counts[kind] += 1
+            self.seen.append((time, entry[1], entry[2]))
+            self.counts[entry[2]] += 1
         self.clock = t_end
 
 
@@ -380,10 +393,11 @@ def half_seconds(u):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_defer_dispatches_like_cancel_and_schedule(data):
-    # against a reference that only cancels and schedules, drawing each
-    # moved event's delay at the move: every pending event's newest entry
-    # is filed and keyed at or below the reference key, and at it once
-    # settled, after every step
+    # against a reference that only cancels and schedules, drawing a moved
+    # event's delay once, when its stand-in comes due: after every step each
+    # pending event's newest entry is filed at the reference time, under a
+    # seq at or below the reference seq and equal to it once settled, and
+    # it owes a draw exactly when the reference's stand-in does
     eng, ref = Engine(seed=1), ReferenceQueue(1, half_seconds)
     for kind in KINDS:
         eng.deferrable(kind, "conn", half_seconds)
@@ -392,7 +406,7 @@ def test_defer_dispatches_like_cancel_and_schedule(data):
     def handler(ev):
         # a stale entry must never get here: each event fires once, at
         # its current key, in key order, with nothing owed
-        assert not ev.cancelled and ev not in fired and ev.owed == 0
+        assert not ev.cancelled and ev not in fired and not ev.owed
         assert ev.time == eng.clock and (ev.time, ev.seq) > last_key[0]
         last_key[0] = (ev.time, ev.seq)
         fired.add(ev)
@@ -411,10 +425,11 @@ def test_defer_dispatches_like_cancel_and_schedule(data):
         since = eng.clock
         eng.defer([pair[0] for pair in pairs], since, since + 0.5)
         for pair in pairs:
-            pair[1] = ref.move(pair[1], since)
+            pair[1] = ref.move(pair[1], since, since + 0.5)
 
     # [engine handle, reference seq]; spent handles stay; each event has
-    # its own target, since a deferred event's substream is its alone
+    # its own target, so the order in which entries at one time settle does
+    # not change what each event draws
     handles = []
     for _ in range(data.draw(st.integers(1, 40))):
         op = data.draw(st.sampled_from(
@@ -445,10 +460,11 @@ def test_defer_dispatches_like_cancel_and_schedule(data):
         for ev, seq in handles:
             if seq not in ref.pending:
                 continue
-            key = (ref.pending[seq][0], seq)
+            time, _, _, since = ref.pending[seq]
             assert ev.seq == seq and (ev.time, ev.filed) in filed
-            assert (ev.time, ev.filed) <= key
-            assert ev.owed > 0 or (ev.time, ev.filed) == key
+            assert ev.time == time and ev.filed <= seq
+            assert ev.owed == (since is not None)
+            assert ev.owed or ev.filed == seq
     dispatched = eng.run_until(eng.clock + 10.0)
     ref.run_until(ref.clock + 10.0)
     assert seen == ref.seen
@@ -579,23 +595,6 @@ def test_block_draws_match_scalar_draws(seed, order, zeros):
         if key not in drawn:
             assert key not in eng._blocks
             drawn.add(key)
-
-
-@pytest.mark.oracle
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1),
-       steps=st.lists(st.integers(0, 3 * _BLOCK), min_size=1, max_size=12),
-       zeros=ZEROS)
-def test_skipped_draws_match_scalar_draws(seed, steps, zeros):
-    # skipping n draws passes over the values n uniform calls would serve,
-    # zeros skipped alike, from the first draw of a substream on
-    eng = PlantedEngine(seed, {(3, "conn"): zeros})
-    ref = scalar_draws(seed, 3, "conn", zeros)
-    for n in steps:
-        eng._skip(3, "conn", n)
-        for _ in range(n):
-            next(ref)
-        assert eng.uniform(3, "conn") == next(ref)
 
 
 # -- substream keys -----------------------------------------------------------

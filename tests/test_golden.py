@@ -48,51 +48,51 @@ GOLDEN_RUNS = {
 GOLDEN_SHA256 = {
     "table1_piggybacked": {
         "metrics.csv":
-            "449d41c50415fc6aa7fd3b1737cf41df9b562b270c2133031e8164e9d119080f",
+            "f63727a4584def07746c7357a1a992fd897252b9915e70a895e7037d80f65e99",
         "snapshot.json":
-            "ec0948b881cf2641a9da5dde56ea07fa310d700a096616258d89fa5dc48e0c96",
+            "0e426119362e835c1367e5cf698d29d667c684bc0c9f03e2f970646c4267d55e",
         "summary.json":
-            "29502176825964ce948c39317f0f16a739f71983d98d849ad8857b338e0a970a",
+            "ca8e7b176b4ed8045ba56c56665161f9ff44ba77a898aa606937f150b9cc7a9a",
     },
     "table1_standalone": {
         "metrics.csv":
-            "314bdd96acc024a54405b15abd9f467418b177395f5e6072d25020b4340f166c",
+            "1288456ace2868886b8970559889fcb198883ef15efbd98812b27bd4bed28ea7",
         "snapshot.json":
-            "8b1a9e6bdbabe2d516eb084d2a58d2b8c906e7c3fde6b9beefe3d8025c00f07b",
+            "163e89a0e11d56974fe7e3a52b0102a4e5305b90373abb8b48af0cfe7510a3d7",
         "summary.json":
-            "79da9b4e99702010ed46ab62a54b963e28ef448624bc1e0d10ed808d5ad328b3",
+            "1661d6e17ff97aea37ec8207585753e2d3acc2b069c439f9834befebcc30be7a",
     },
     "hazard_global": {
         "metrics.csv":
-            "bce815155cee5416d78a23d633d0616921a64c8b25757153d9d5d08378e1f160",
+            "e1b25e735758ba6813789bc441e515841218ed6ce9d0f45291cb58ea82da986b",
         "snapshot.json":
-            "9fcb2e3819a22baf67c5bb9de2482632d0f00577e291ca2c68a82b0c3ab5a276",
+            "71671edc4c96f4e2db5f7c33a0f444e3dc7f482309181b11d311f4f14588feac",
         "summary.json":
-            "bda33d5906b5625f9c20828e44ba2de28662e63612dd9cfca5e24798c4652069",
+            "6dbf5a9205ea9da8e6d9f72993efca98478be8edad572fb7206156eb5dbf7c04",
     },
     "sentinels_killed": {
         "metrics.csv":
-            "583d0706d1edd8ffa9bd8b1962c7f5b4803ec975964709b6e046c4e79fc3aad0",
+            "7217aeaeaada742774ac38a3b82833ccdc2875211fea81df80a9497586287461",
         "snapshot.json":
-            "c029fc9a9f5d8a8c0cfac4022779dfc9aa54c7b24f0e9072b8d75a916944e372",
+            "94a537cd8573f6d229165de93e880fa215892a99ac320262355429fd0818b086",
         "summary.json":
-            "26902c73215bd029d81bfe261d1425e83612074867e140aec7a5a9d4ca673410",
+            "4bb0c65acacf889cc0596157752e148cd1006f115596a373447f2a30f5c09e5c",
     },
     "shadowed_100_piggybacked": {
         "metrics.csv":
-            "2d44aaa092822bf5bf6d5b6f0e594cc5d5bd247daff1e7057648e465adeabd8f",
+            "e81df603185bc24fe58ac10b1c6d43391a9c9b785b0a5c6ae25e48fcb87f38d2",
         "snapshot.json":
-            "2b78be75e9f1ed53b1000758d50bf51ba12d896aa76118a492bcaacecc1ddd1f",
+            "de3c9985faa65652ad99a1e7ca7e160590811f021359dbe739c3e8b93b4fc01f",
         "summary.json":
-            "830ff41c24e13ecadd5c3b256c84bf7576a1d2bf626baf78ff617320bb5c5662",
+            "8c48ae4634495c4e60009155b2a0166a2d732b3856b1b1721f0fe4272150b9ac",
     },
     "shadowed_300_standalone": {
         "metrics.csv":
-            "e85f7eded7e345c1b1923ee079d128919fbacf4a47b05934f2e1672423192253",
+            "0767c48cfc0392d4e27c15bcbb2b0af1c138be637b32dbdd134f7a139710999f",
         "snapshot.json":
-            "3b95b566264d5440e53c6de02c708681152816977986d54a5c365a48378f6ccb",
+            "14850e70ec8ba0f7ce88ea9f7dd22da18967865fd3268e2e837d18439846d470",
         "summary.json":
-            "2e07aa847f64bff61726f64d9607e8c02e6d7ac963c760e01941bd656aec22a7",
+            "5cbd533900509b53baa2346f315521ed3f77a6a3064729a0a6655a557ae25398",
     },
 }
 

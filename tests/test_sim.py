@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import heapq
 import math
 import weakref
 from collections import Counter
@@ -13,11 +12,10 @@ from conftest import after_each_event, zero_shadow
 from sentinet import (LinkControlMode, RunConfig, Simulation, WeibullParams,
                       link_control, run_simulation, write_outputs)
 from sentinet import channel as chan_mod
-from sentinet import sim as sim_mod
 from sentinet.channel import (Frame, LinkRows, MessageKind, compute_lqi,
                               weak_link_floor)
 from sentinet.energy import TX
-from sentinet.engine import Engine, Event, EventKind
+from sentinet.engine import Event, EventKind
 from sentinet.metrics import sentinel_components
 from sentinet.protocol import NodeStatus
 from test_channel import UNICAST_KINDS
@@ -250,120 +248,6 @@ def test_invariants_hold_under_fuzz(run):
         sim.inject_sentinel_failure(at, count)
     result = sim.run()
     assert seen["events"] == sum(result.summary["totals"]["events"].values())
-
-
-class DeferringEngine(Engine):
-    """The engine, keeping every event it was asked to defer."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.deferred = set()
-
-    def defer(self, events, since, bound):
-        self.deferred.update(events)
-        super().defer(events, since, bound)
-
-
-class EagerEngine(Engine):
-    """The engine with every deferred move settled at once: each move draws
-    its delay and moves the event in place to its settled key. A move
-    earlier files one entry, a move later files none, and a stale entry is
-    re-filed under the event's key when popped as its newest entry."""
-
-    deferred = ()
-
-    def defer(self, events, since, bound):
-        assert bound >= self.clock
-        for ev in events:
-            # the simulation only ever defers a pending timer
-            assert not (ev.cancelled or ev.dispatched)
-            stream, delay = self._settle_by_kind[ev.kind.index]
-            time = since + delay(self.uniform(ev.target, stream))
-            assert bound <= time
-            seq = self._next_seq
-            if time < ev.time:
-                ev.filed = seq
-                heapq.heappush(self._queue, (time, seq, ev))
-            ev.time, ev.seq = time, seq
-            self._next_seq = seq + 1
-
-    def run_until(self, t_end):
-        queue = self._queue
-        while queue and queue[0][0] <= t_end:
-            _, seq, ev = heapq.heappop(queue)
-            if ev.cancelled:
-                continue
-            if seq != ev.seq:  # moved since this entry was filed
-                if seq == ev.filed:  # its newest entry: it moved later
-                    ev.filed = ev.seq
-                    heapq.heappush(queue, (ev.time, ev.seq, ev))
-                continue
-            self.clock = ev.time
-            ev.dispatched = True
-            self._counts[ev.kind.index] += 1
-            self.handler(ev)
-        self.clock = t_end
-        return Counter({kind: n for kind, n in zip(EventKind, self._counts) if n})
-
-
-def conn_draws_per_node(engine, node_count):
-    """Per node, the conn values its substream has served or skipped, plus
-    the draws deferred moves still owe."""
-    counts = [0] * node_count
-    for nid in range(node_count):
-        gen = engine._rngs.get((nid, "conn"))
-        if gen is not None:
-            state = gen.bit_generator.state
-            # Philox hands out 4 words per counter step
-            made = 4 * int(state["state"]["counter"][0]) - (4 - state["buffer_pos"])
-            counts[nid] = made - len(engine._blocks.get((nid, "conn"), ()))
-    for ev in engine.deferred:
-        counts[ev.target] += ev.owed
-    return counts
-
-
-def deferred_and_eager(cfg, kills=(), mass=()):
-    """The dispatched (time, kind, target) sequence, the metric rows and
-    the conn draws per node of one run, under each engine."""
-    out = []
-    original = sim_mod.Engine
-    for engine_cls in (DeferringEngine, EagerEngine):
-        seen = []
-        sim_mod.Engine = engine_cls
-        try:
-            sim = after_each_event(Simulation(cfg), lambda sim, ev: seen.append(
-                (ev.time, ev.kind, ev.target)))
-        finally:
-            sim_mod.Engine = original
-        for nid, at in kills:
-            sim.inject_failure(nid, at)
-        for at, count in mass:
-            sim.inject_sentinel_failure(at, count)
-        result = sim.run()
-        out.append((seen, result.rows, conn_draws_per_node(sim.engine, cfg.node_count)))
-    return out
-
-
-@pytest.mark.oracle
-@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
-def test_deferred_timers_settle_like_eager_moves_on_golden_runs(name):
-    # the deferred-timer oracle: settling a guard's timer when it comes due
-    # dispatches what moving it at every piece of evidence did, and the
-    # guards draw as often
-    flat, sentinel_failures = GOLDEN_RUNS[name]
-    cfg = RunConfig.from_flat(flat)
-    deferred, eager = deferred_and_eager(cfg, mass=sentinel_failures)
-    assert deferred == eager
-    if cfg.link_control.uses_conn_timer:
-        assert sum(deferred[2]) > cfg.node_count  # evidence drew
-
-
-@pytest.mark.oracle
-@settings(max_examples=40, deadline=None)
-@given(small_runs())
-def test_deferred_timers_settle_like_eager_moves_under_fuzz(run):
-    deferred, eager = deferred_and_eager(*run)
-    assert deferred == eager
 
 
 def test_every_transmission_is_addressed_by_its_kind():
@@ -677,7 +561,7 @@ def test_summary_carries_run_metadata():
     cfg = small_config()
     summary = run_simulation(cfg).summary
     assert summary["meta"]["seed"] == cfg.seed
-    assert summary["meta"]["rng"] == "philox"
+    assert summary["meta"]["rng"] == "philox2"
     assert summary["meta"]["config"] == cfg.config_hash()
     assert summary["config"] == cfg.to_flat()
     assert set(summary["totals"]) >= {"energy", "messages", "events", "census"}
