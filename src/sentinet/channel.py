@@ -160,7 +160,8 @@ class LinkRows:
     shrinks. Shadowing draws are clipped at ±``SHADOW_CLIP`` sigma, so the
     row a frame needs depends only on its power: it is cut where even the
     strongest clipped draw leaves a receiver below sensitivity, and a
-    sender's power only rises, so its row is built at most once per level.
+    sender's power only rises, so its frames build its row at most once per
+    level.
     ``next_map`` draws the shadowing of a sender's next max(1, 512 // N)
     frames at once from ``shadow(sender)``, the same values as frame by
     frame under Philox; rows read only for the guard graph need no source.

@@ -204,7 +204,7 @@ def test_invariants_hold_after_every_event(name):
     result = sim.run()
     assert seen["events"] == sum(result.summary["totals"]["events"].values())
     if cfg.link_control.uses_conn_timer:
-        # the checks saw guards, timers owing deferred draws, and deferred
+        # the checks saw guards, timers owing a deferred draw, and deferred
         # moves filed below an older entry
         assert seen["guard_checks"] > 0
         assert seen["deferred"] > 0 and seen["earlier"] > 0
