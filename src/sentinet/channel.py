@@ -140,11 +140,14 @@ def path_loss_db(radio: RadioConfig, distance: np.ndarray) -> np.ndarray:
 
 def loss_cap(tx: float, bound: float, smin: float = 0.0) -> float:
     """A path loss past which a ``tx`` dBm transmission arrives below
-    ``bound`` dBm under any shadowing draw of at least ``smin`` dB.
+    ``bound`` dBm under any shadowing draw of at least ``smin`` dB; inf for
+    a ``bound`` of -inf, which nothing arrives below.
 
     Past a cut at loss ``cap``, rx = (tx - L) - s <= (tx - cap) - smin, in
     floats too since rounding is monotone; the steps settle the rounding.
     """
+    if bound == -math.inf:
+        return math.inf
     cap = tx - bound - smin
     while (tx - cap) - smin >= bound:
         cap = math.nextafter(cap, math.inf)
@@ -155,19 +158,20 @@ class LinkRows:
     """Per-sender link rows over static node positions, and power maps.
 
     A sender's row holds the other nodes whose path loss from it is at most
-    the row's cap, ascending by id, with those losses. A row is built on its
-    first use and rebuilt to a larger cap when a caller needs more; it never
-    shrinks. Shadowing draws are clipped at ±``SHADOW_CLIP`` sigma, so the
-    row a frame needs depends only on its power: it is cut where even the
-    strongest clipped draw leaves a receiver below sensitivity, and a
-    sender's power only rises, so its frames build its row at most once per
-    level.
+    ``cap``, ascending by id, with those losses. ``cap`` is one loss for all
+    rows, set by the top power level so that it covers both readers: frames,
+    whose shadowing draws are clipped at ±``SHADOW_CLIP`` sigma, cut where
+    even the strongest clipped draw leaves a receiver below sensitivity, and
+    the guard graph cuts at the weak-link floor. A node's power only rises
+    and never passes the top level, so a row is built once, on first use,
+    and never changes.
     ``next_map`` draws the shadowing of a sender's next max(1, 512 // N)
-    frames at once from ``shadow(sender)``, the same values as frame by
-    frame under Philox; rows read only for the guard graph need no source.
-    ``maps`` makes all of a block's maps in one 2-D numpy pass, so a block
-    costs a fixed number of numpy calls however many frames it holds; a
-    one-frame block takes a 1-D path that costs less.
+    frames at once from ``shadow(sender)``: a block of one row of draws per
+    frame, one column per position in the sender's row, the same values as
+    frame by frame under Philox. Rows read only for the guard graph need no
+    source. ``maps`` makes all of a block's maps in one 2-D numpy pass, so a
+    block costs a fixed number of numpy calls however many frames it holds;
+    a one-frame block takes a 1-D path that costs less.
     """
 
     def __init__(self, xs, ys, radio: RadioConfig, shadow=None):
@@ -175,76 +179,85 @@ class LinkRows:
         self._ys = np.asarray(ys, dtype=float)
         self._radio, self._shadow, self._sigma = radio, shadow, radio.shadowing_sigma_db
         self._clip = SHADOW_CLIP * self._sigma
-        n = self._xs.size
-        self._rows: list[Optional[tuple]] = [None] * n
-        self._block_frames = max(1, 512 // max(n, 1))
-        self._zeros = np.zeros((1, n))  # every unshadowed block, never spent
-        self._pending: list = [None] * n  # by sender: [tx, block, maps left, last first]
-
-    def row(self, sender: int, cap: float) -> tuple[np.ndarray, np.ndarray]:
-        """Ids (ascending) and path losses of ``sender``'s row, which holds
-        every other node within loss ``cap`` of it, and maybe more."""
-        row = self._rows[sender]
-        if row is None or row[0] < cap:
-            row = self._rows[sender] = self._build(sender, cap)
-        return row[1], row[2]
-
-    def _build(self, sender: int, cap: float) -> tuple:
-        radio = self._radio
-        dx = self._xs - self._xs[sender]
-        dy = self._ys - self._ys[sender]
+        top, floor = radio.power_levels[-1], weak_link_floor(radio)
+        self.cap = loss_cap(top, radio.sensitivity_dbm, -self._clip)
+        if floor != -math.inf:  # else the guard graph links every pair, unread
+            self.cap = max(self.cap, loss_cap(top, floor))
         # loss grows with distance, so every node within loss `cap` lies
         # within `reach`; the margin covers rounding, and the exact cut is
         # made on the loss itself
-        reach = 1.001 * 10.0 ** min(
-            (cap - radio.reference_loss_db) / (10.0 * radio.path_loss_exponent),
+        self._reach = 1.001 * 10.0 ** min(
+            (self.cap - radio.reference_loss_db) / (10.0 * radio.path_loss_exponent),
             300.0)
-        near = np.flatnonzero(dx * dx + dy * dy <= reach * reach)
+        n = self._xs.size
+        self._rows: list[Optional[tuple]] = [None] * n
+        self._block_frames = max(1, 512 // max(n, 1))
+        self._pending: list = [None] * n  # by sender: [tx, block, maps left, last first]
+
+    def row(self, sender: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ids (ascending) and path losses of ``sender``'s row, which holds
+        exactly the other nodes within loss ``cap`` of it."""
+        row = self._rows[sender]
+        if row is None:
+            row = self._rows[sender] = self._build(sender)
+        return row
+
+    def _build(self, sender: int) -> tuple[np.ndarray, np.ndarray]:
+        dx = self._xs - self._xs[sender]
+        dy = self._ys - self._ys[sender]
+        near = np.flatnonzero(dx * dx + dy * dy <= self._reach * self._reach)
         near = near[near != sender]
-        loss = path_loss_db(radio, np.hypot(dx[near], dy[near]))
-        keep = loss <= cap
-        return cap, near[keep], loss[keep]
+        loss = path_loss_db(self._radio, np.hypot(dx[near], dy[near]))
+        keep = loss <= self.cap
+        return near[keep], loss[keep]
 
     def next_map(self, sender: int, tx: float) -> dict[int, float]:
         """The power map of ``sender``'s next frame, sent at ``tx`` dBm; a
-        power rise remakes the maps of its block's frames left."""
+        power rise remakes the maps of its block's frames left from the same
+        draws. Without shadowing the map at each power is made once and
+        shared."""
         pending = self._pending[sender]
         if pending is None or pending[0] != tx:
-            block = (pending[1][-len(pending[2]):] if pending
-                     else self._zeros if self._sigma == 0.0
+            block = (None if self._sigma == 0.0
+                     else pending[1][-len(pending[2]):] if pending
                      else self._shadow(sender).normal(
-                         0.0, self._sigma, size=(self._block_frames, self._xs.size)))
+                         0.0, self._sigma,
+                         size=(self._block_frames, len(self.row(sender)[0]))))
             # the last frame's map first, so each frame pops its own
             pending = self._pending[sender] = [tx, block,
                                                self.maps(sender, tx, block)[::-1]]
         maps = pending[2]
-        if len(maps) == 1 and self._sigma > 0.0:  # spent
+        if self._sigma == 0.0:  # never spent
+            return maps[0]
+        if len(maps) == 1:  # spent
             self._pending[sender] = None
-        return maps.pop() if self._sigma > 0.0 else maps[0]
+        return maps.pop()
 
     def maps(self, sender: int, tx: float,
-             block: np.ndarray) -> list[dict[int, float]]:
+             block: Optional[np.ndarray] = None) -> list[dict[int, float]]:
         """The received-power maps of ``sender``'s frames at ``tx`` dBm, one
-        per row of ``block``: each frame's per-receiver shadowing in dB,
-        indexed by node id (a row of zeros for an unshadowed frame), which
-        is clipped at ±``SHADOW_CLIP`` sigma.
+        per row of ``block``: each frame's per-receiver shadowing in dB, one
+        column per position in the sender's row, clipped at ±``SHADOW_CLIP``
+        sigma. Without a block, the one map of an unshadowed frame.
 
         A map holds the audible receivers, ascending by id; receivers below
-        sensitivity can neither decode a frame nor disturb anyone else. Each
-        power is ``(tx - loss) - shadowing`` on either path, so a map is the
-        same bytes however many frames its block holds.
+        sensitivity can neither decode a frame nor disturb anyone else. The
+        row reaches every receiver at the top power level, so the
+        sensitivity mask alone cuts a frame at its own power. Each power is
+        ``(tx - loss) - shadowing`` on either path, so a map is the same
+        bytes however many frames its block holds.
         """
         sens, clip = self._radio.sensitivity_dbm, self._clip
-        ids, loss = self.row(sender, loss_cap(tx, sens, -clip))
-        if len(block) == 1:
-            # a 1-D gather and two masks cost less than the 2-D pass's
-            # fixed calls when there is one frame to share them
-            rx = (tx - loss) - block[0][ids].clip(-clip, clip)
+        ids, loss = self.row(sender)
+        if block is None or len(block) == 1:
+            # two masks cost less than the 2-D pass's fixed calls when there
+            # is one frame to share them
+            rx = tx - loss if block is None else (tx - loss) - block[0].clip(-clip, clip)
             audible = rx >= sens
             return [dict(zip(ids[audible].tolist(), rx[audible].tolist()))]
         # one pass over the whole block; row-major nonzero lists each frame's
         # audible receivers in turn, ascending by id
-        rx = (tx - loss) - block.take(ids, axis=1).clip(-clip, clip)
+        rx = (tx - loss) - block.clip(-clip, clip)
         audible = rx >= sens
         frames, cols = audible.nonzero()
         maps = [{} for _ in range(len(block))]

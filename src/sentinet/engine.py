@@ -52,8 +52,9 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 # the draw scheme's version, in every output's meta line: Philox substreams,
-# shadowing clipped at 4 sigma, one fresh draw per settled deferred move
-RNG_NAME = "philox2"
+# shadowing clipped at 4 sigma and drawn over the sender's link row, one
+# fresh draw per settled deferred move
+RNG_NAME = "philox3"
 
 # Stable substream indices; also used for draws not owned by any node.
 _STREAMS = {"sleep": 0, "conn": 2, "shadow": 3, "deploy": 4}

@@ -98,8 +98,9 @@ def guard_components(xs, ys, tx_dbm, radio: RadioConfig, ids=None,
     Guards are linked when each hears the other at LQI >= threshold (zero
     shadowing). ``xs``/``ys`` are node positions and the guards are the
     nodes ``ids`` (ascending; by default every node), with powers
-    ``tx_dbm``. ``links``, link rows over the same positions, lets the rows
-    outlive the call; by default rows are built for it.
+    ``tx_dbm`` among the radio's levels. ``links``, link rows over the same
+    positions and radio, lets the rows outlive the call; by default rows are
+    built for it.
     """
     n_guards = len(tx_dbm)
     if not n_guards:
@@ -112,11 +113,13 @@ def guard_components(xs, ys, tx_dbm, radio: RadioConfig, ids=None,
     if links is None:
         links = LinkRows(xs, ys, radio)
     powers = [float(p) for p in tx_dbm]
+    # a row reaches the guard links of the top power level, so each guard's
+    # row is cut at its own power's cap
     caps = {p: loss_cap(p, floor) for p in set(powers)}
     near_ids, near_loss = [], []
     for g, p in zip(ids, powers):
-        row_ids, row_loss = links.row(g, caps[p])
-        near = row_loss <= caps[p]  # frames may have cut the row far wider
+        row_ids, row_loss = links.row(g)
+        near = row_loss <= caps[p]
         near_ids.append(row_ids[near])
         near_loss.append(row_loss[near])
     slot = np.full(len(xs), -1)  # each node's index among the guards

@@ -1,12 +1,14 @@
 import math
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sentinet.channel import (SHADOW_CLIP, Frame, LinkRows, MessageKind,
-                              RadioConfig, compute_lqi, deliver, make_frame,
-                              overhearers, path_loss_db, rx_power_dbm,
-                              weak_link_floor)
+                              RadioConfig, compute_lqi, deliver, loss_cap,
+                              make_frame, overhearers, path_loss_db,
+                              rx_power_dbm, weak_link_floor)
+from sentinet.engine import Engine
 
 RADIO = RadioConfig()
 # Replies are unicast, everything else is broadcast.
@@ -108,6 +110,24 @@ def test_weak_link_floor_matches_lqi(noise, snr_min, span, threshold, offsets):
         assert (rx < floor) == (compute_lqi(radio, rx) < threshold), rx
 
 
+@settings(max_examples=200, deadline=None)
+@given(tx=st.floats(-40.0, 20.0),
+       bound=st.floats(-130.0, -40.0) | st.sampled_from([-math.inf, math.inf]),
+       smin=st.floats(-40.0, 0.0))
+@example(tx=-5.0, bound=-math.inf, smin=0.0)
+@example(tx=-5.0, bound=math.inf, smin=0.0)
+def test_loss_cap_cuts_below_the_bound(tx, bound, smin):
+    # past the cap even a draw of smin dB arrives below the bound; nothing
+    # arrives below -inf, so no loss is past that cap, and every loss is
+    # past a finite cap for +inf
+    cap = loss_cap(tx, bound, smin)
+    if bound == -math.inf:
+        assert cap == math.inf
+    else:
+        assert math.isfinite(cap)
+        assert (tx - cap) - smin < bound
+
+
 # -- frame delivery ----------------------------------------------------------
 
 
@@ -122,9 +142,11 @@ def _broadcast(sender, t, power=-5.0):
 
 def frame_alone(sent, links, awake, radio, shadow, on_air=()):
     """The frame ``sent`` makes when its block holds it alone: ``shadow``
-    is its per-receiver shadowing, indexed by node id."""
+    is its per-receiver shadowing, indexed by node id, and the block holds
+    each receiver's draw at its position in the sender's row."""
     _, sender, _, tx, _ = sent
-    [rx_map] = links.maps(sender, tx, shadow[np.newaxis])
+    ids, _ = links.row(sender)
+    [rx_map] = links.maps(sender, tx, shadow[ids][np.newaxis])
     return make_frame(*sent, rx_map, awake, radio, on_air=on_air)
 
 
@@ -399,8 +421,8 @@ def test_frames_over_link_rows_match_the_full_field(scene):
 @given(st.data())
 def test_draws_past_the_clip_map_as_draws_at_it(data):
     # shadowing past ±SHADOW_CLIP sigma gives the same maps, bit for bit, as
-    # draws at the clip; a sender's row is built once per power level it
-    # sends at, and no draw, however far out, makes it rebuild
+    # draws at the clip, and both equal the full field with the same draws;
+    # a sender's row is built once, and no draw, however far out, rebuilds it
     radio = RadioConfig(shadowing_sigma_db=4.0)
     clip = SHADOW_CLIP * radio.shadowing_sigma_db
     n = data.draw(st.integers(2, 30))
@@ -410,9 +432,9 @@ def test_draws_past_the_clip_map_as_draws_at_it(data):
     links = LinkRows(xs, ys, radio)
     builds, build = [], links._build
 
-    def counted(sender, cap):
+    def counted(sender):
         builds.append(sender)
-        return build(sender, cap)
+        return build(sender)
 
     links._build = counted
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -420,21 +442,25 @@ def test_draws_past_the_clip_map_as_draws_at_it(data):
                                      max_size=4, unique=True)):
         for tx in radio.power_levels:  # a sender's power only rises
             k = data.draw(st.integers(1, 6))
-            block = rng.normal(0.0, radio.shadowing_sigma_db, size=(k, n))
+            # the draws by node id, laid out at each receiver's row position
+            field = rng.normal(0.0, radio.shadowing_sigma_db, size=(k, n))
             cells = st.tuples(st.integers(0, k - 1), st.integers(0, n - 1))
             for row, nid in data.draw(st.sets(cells, min_size=1, max_size=6)):
-                block[row, nid] = data.draw(st.sampled_from([-1.0, 1.0])) * (
+                field[row, nid] = data.draw(st.sampled_from([-1.0, 1.0])) * (
                     clip + data.draw(st.floats(0.0, 200.0)))
-            built = len(builds)
+            block = field[:, links.row(sender)[0]]
             past = links.maps(sender, tx, block)
-            assert len(builds) - built <= 1  # a new level may cut a new row
             at = links.maps(sender, tx, np.clip(block, -clip, clip))
             again = links.maps(sender, tx, block)
-            assert len(builds) - built <= 1
             for got in (at, again):
                 assert [[(nid, v.hex()) for nid, v in m.items()] for m in got] \
                     == [[(nid, v.hex()) for nid, v in m.items()] for m in past]
-        assert builds.count(sender) <= len(radio.power_levels)
+            sent = (MessageKind.PROBE, sender, None, tx, 0.0)
+            for rx_map, shadow in zip(past, field):
+                assert_same_frame(make_frame(*sent, rx_map, set(), radio),
+                                  reference_frame(sent, xs, ys, set(), radio,
+                                                  shadow))
+        assert builds.count(sender) == 1
 
 
 @st.composite
@@ -487,12 +513,15 @@ def block_sequences(draw):
 
 class BlockSource:
     """Stands in for the engine's shadow substreams: each ``normal`` draw
-    hands out the next queued (sender, block), checking that the sender
-    drawing it and the draw's shape are the ones it was made for."""
+    hands out the next queued (sender, block), a block of draws by node id,
+    with each receiver's draws at its position in ``row(sender)``; it
+    checks that the sender drawing it and the draw's shape are the ones it
+    was made for."""
 
     def __init__(self, sigma):
         self.sigma = sigma
         self.queue = []
+        self.row = None  # LinkRows.row of the rows it draws for
 
     def __call__(self, sender):
         self.sender = sender
@@ -500,9 +529,10 @@ class BlockSource:
 
     def normal(self, loc, scale, size):
         sender, block = self.queue.pop(0)
+        ids, _ = self.row(sender)
         assert (self.sender, loc, scale, size) == \
-            (sender, 0.0, self.sigma, block.shape)
-        return block
+            (sender, 0.0, self.sigma, (len(block), len(ids)))
+        return block[:, ids]
 
 
 @pytest.mark.oracle
@@ -518,6 +548,7 @@ def test_power_map_blocks_match_frame_by_frame(scene):
     shadowed = radio.shadowing_sigma_db > 0.0
     source = BlockSource(radio.shadowing_sigma_db)
     links = LinkRows(xs, ys, radio, source)
+    source.row = links.row
     links._block_frames = len(blocks[0][2])
     last = {}  # sender -> (power, map) of its last frame
     for sender, level, block, rise, awake, silent in blocks:
@@ -538,36 +569,80 @@ def test_power_map_blocks_match_frame_by_frame(scene):
         assert not source.queue  # the block was drawn, and when it was due
 
 
+@pytest.mark.oracle
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_maps_do_not_depend_on_the_block_size(data):
+    # the maps next_map hands out, drawn from the engine's shadow streams,
+    # are the same bytes whether a block holds 1, 2, 7 or 512 // N frames,
+    # power rises mid-block included: a frame's draws sit at its receivers'
+    # row positions whichever block holds them, and a rise remakes the
+    # block's frames left from the same draws
+    radio = RadioConfig(shadowing_sigma_db=data.draw(st.sampled_from([4.0, 25.0])))
+    n = data.draw(st.integers(2, 40))
+    coord = st.floats(0.0, 200.0)
+    xs = np.array(data.draw(st.lists(coord, min_size=n, max_size=n)))
+    ys = np.array(data.draw(st.lists(coord, min_size=n, max_size=n)))
+    senders = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
+                                 unique=True))
+    top = len(radio.power_levels) - 1
+    levels = dict.fromkeys(senders, 0)
+    sends = []  # (sender, power): each sender's power never falls
+    for sender, rise in data.draw(st.lists(
+            st.tuples(st.sampled_from(senders), st.booleans()),
+            min_size=1, max_size=40)):
+        levels[sender] = min(levels[sender] + rise, top)
+        sends.append((sender, radio.power_levels[levels[sender]]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    sizes = sorted({1, 2, 7, 512 // n})
+    handed = {}
+    for k in sizes:
+        links = LinkRows(xs, ys, radio,
+                         partial(Engine(seed=seed).rng, stream="shadow"))
+        links._block_frames = k
+        handed[k] = [[(nid, v.hex()) for nid, v in links.next_map(*sent).items()]
+                     for sent in sends]
+    assert all(handed[k] == handed[1] for k in sizes)
+
+
+def _row_radio(top, sigma, threshold):
+    return RadioConfig(power_levels=(top - 5.0, top), shadowing_sigma_db=sigma,
+                       lqi_threshold=threshold)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 50.0)),
                 min_size=1, max_size=20),
-       st.floats(40.0, 110.0),
+       st.builds(_row_radio, st.floats(-40.0, 0.0), st.sampled_from([0.0, 4.0]),
+                 st.sampled_from([0, 2, 7])),
        st.lists(st.tuples(st.floats(0.97, 1.03), st.floats(0.0, 2.0 * math.pi)),
                 max_size=10),
-       st.lists(st.floats(-3.0, 3.0), max_size=4),
        st.booleans())
-def test_link_row_holds_every_other_node_within_its_cap(points, cap, rim, later,
-                                                         twin):
-    # rim nodes sit within a few percent of the distance at which the path
-    # loss from node 0 reaches `cap`, where the build's distance filter
-    # cuts; a twin shares node 0's position
+def test_link_row_holds_every_other_node_within_its_cap(points, radio, rim, twin):
+    # one cap for every row, from the top power level: the wider of the
+    # frames' cut (sensitivity under a -4 sigma draw) and the guard graph's
+    # (the weak-link floor, which at threshold 0 links every pair and is
+    # left out); rim nodes sit within a few percent of the distance at
+    # which the path loss from node 0 reaches it, where the build's
+    # distance filter cuts; a twin shares node 0's position
+    top = radio.power_levels[-1]
+    cap = loss_cap(top, radio.sensitivity_dbm,
+                   -SHADOW_CLIP * radio.shadowing_sigma_db)
+    if radio.lqi_threshold > 0:
+        cap = max(cap, loss_cap(top, weak_link_floor(radio)))
     x0, y0 = points[0]
-    d_cap = 10.0 ** ((cap - RADIO.reference_loss_db)
-                     / (10.0 * RADIO.path_loss_exponent))
+    d_cap = 10.0 ** ((cap - radio.reference_loss_db)
+                     / (10.0 * radio.path_loss_exponent))
     points = points + [(x0 + f * d_cap * math.cos(a), y0 + f * d_cap * math.sin(a))
                        for f, a in rim] + [(x0, y0)] * twin
     xs = np.array([p[0] for p in points])
     ys = np.array([p[1] for p in points])
-    full = path_loss_db(RADIO, np.hypot(xs - xs[0], ys - ys[0]))
-    links = LinkRows(xs, ys, RADIO)
-    # a build keeps exactly the nodes the full field puts within its cap
-    _, built_ids, built_loss = links._build(0, cap)
-    assert built_ids.tolist() == [j for j in range(1, len(points)) if full[j] <= cap]
-    assert built_loss.tolist() == full[built_ids].tolist()
-    for c in [cap] + [cap + dc for dc in later]:
-        ids, loss = links.row(0, c)
-        assert 0 not in ids.tolist()
-        assert ids.tolist() == sorted(set(ids.tolist()))
-        assert loss.tolist() == full[ids].tolist()
-        within = [j for j in range(1, len(points)) if full[j] <= c]
-        assert set(within) <= set(ids.tolist())
+    full = path_loss_db(radio, np.hypot(xs - xs[0], ys - ys[0]))
+    links = LinkRows(xs, ys, radio)
+    assert links.cap == cap
+    # the row keeps exactly the nodes the full field puts within the cap,
+    # built once
+    ids, loss = links.row(0)
+    assert ids.tolist() == [j for j in range(1, len(points)) if full[j] <= cap]
+    assert loss.tolist() == full[ids].tolist()
+    assert links.row(0) is links.row(0)

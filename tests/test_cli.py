@@ -540,7 +540,7 @@ def test_snapshot_schema(tmp_path):
     assert len(snapshot["nodes"]) == 8
     node = snapshot["nodes"][0]
     assert set(node) == {"id", "x", "y", "status", "tx_dbm", "energy_j"}
-    assert snapshot["meta"]["rng"] == "philox2"
+    assert snapshot["meta"]["rng"] == "philox3"
 
 
 def test_summary_schema(tmp_path):

@@ -382,11 +382,15 @@ class ReferenceQueue:
 KINDS = (EventKind.SLEEP_EXPIRED, CONN, EventKind.WAIT_EXPIRED)
 # half-second steps so equal times, and equal old and new times, are common
 STEPS = st.integers(0, 6).map(lambda k: 0.5 * k)
+# how far past a move its bound lies: up to the least delay, so a run step
+# can leave a moved event owing its draw when the next move comes, at a
+# later clock
+BOUNDS = st.sampled_from([0.5, 1.0, 1.5])
 
 
 def half_seconds(u):
-    """A delay in half seconds from 0.5 to 2.5, so settled times tie."""
-    return 0.5 * (1 + int(u * 5))
+    """A delay in half seconds from 1.5 to 3.5, so settled times tie."""
+    return 0.5 * (3 + int(u * 5))
 
 
 @pytest.mark.oracle
@@ -397,7 +401,8 @@ def test_defer_dispatches_like_cancel_and_schedule(data):
     # event's delay once, when its stand-in comes due: after every step each
     # pending event's newest entry is filed at the reference time, under a
     # seq at or below the reference seq and equal to it once settled, and
-    # it owes a draw exactly when the reference's stand-in does
+    # it owes a draw exactly when the reference's stand-in does; an event
+    # moved again before it settles counts from the last move
     eng, ref = Engine(seed=1), ReferenceQueue(1, half_seconds)
     for kind in KINDS:
         eng.deferrable(kind, "conn", half_seconds)
@@ -423,9 +428,10 @@ def test_defer_dispatches_like_cancel_and_schedule(data):
         # one deferred move of 1-3 handles, a handle possibly listed twice;
         # pending and spent handles alike
         since = eng.clock
-        eng.defer([pair[0] for pair in pairs], since, since + 0.5)
+        bound = since + data.draw(BOUNDS)
+        eng.defer([pair[0] for pair in pairs], since, bound)
         for pair in pairs:
-            pair[1] = ref.move(pair[1], since, since + 0.5)
+            pair[1] = ref.move(pair[1], since, bound)
 
     # [engine handle, reference seq]; spent handles stay; each event has
     # its own target, so the order in which entries at one time settle does

@@ -48,51 +48,51 @@ GOLDEN_RUNS = {
 GOLDEN_SHA256 = {
     "table1_piggybacked": {
         "metrics.csv":
-            "f63727a4584def07746c7357a1a992fd897252b9915e70a895e7037d80f65e99",
+            "8c689c66ac8f1a59fda099e6d9bf85b63caa6ceaab2428ad203f3abad2f29305",
         "snapshot.json":
-            "0e426119362e835c1367e5cf698d29d667c684bc0c9f03e2f970646c4267d55e",
+            "c29a12938a82ecd68c8394a3cdab090cdcb209eb4813d2bfc88f4c710fe09292",
         "summary.json":
-            "ca8e7b176b4ed8045ba56c56665161f9ff44ba77a898aa606937f150b9cc7a9a",
+            "1ffb2735a44aa56073ff6d73d0e26aa240ea3738beaa73fe83123eb866d6d0ad",
     },
     "table1_standalone": {
         "metrics.csv":
-            "1288456ace2868886b8970559889fcb198883ef15efbd98812b27bd4bed28ea7",
+            "64b198ce956d3db1ddc4a4535369562b2ee562285c9716ef709483c6fef200f5",
         "snapshot.json":
-            "163e89a0e11d56974fe7e3a52b0102a4e5305b90373abb8b48af0cfe7510a3d7",
+            "91e747a765e6cd78dd825aa391ef820913e3c982847099200b11a23b29c2778c",
         "summary.json":
-            "1661d6e17ff97aea37ec8207585753e2d3acc2b069c439f9834befebcc30be7a",
+            "d90c90f274777b5a6b98a23b1398d1cb0463697a501939cfa1ccd4d453dc4ee3",
     },
     "hazard_global": {
         "metrics.csv":
-            "e1b25e735758ba6813789bc441e515841218ed6ce9d0f45291cb58ea82da986b",
+            "a98fa119dec596086e5de4161d404c4f2cfb12ad15bdb002edda68a74657ef43",
         "snapshot.json":
-            "71671edc4c96f4e2db5f7c33a0f444e3dc7f482309181b11d311f4f14588feac",
+            "5233f596278c635214448e2e1796cec8c4a77cbffc87813ecbf753fe1b57f42d",
         "summary.json":
-            "6dbf5a9205ea9da8e6d9f72993efca98478be8edad572fb7206156eb5dbf7c04",
+            "d98db4f34a00aa8b1975a5bc5c7f9b9f2d6e73f244dc507619b3f6dcea772d17",
     },
     "sentinels_killed": {
         "metrics.csv":
-            "7217aeaeaada742774ac38a3b82833ccdc2875211fea81df80a9497586287461",
+            "fcd236b40e9a1f8f4e3d55457067b620c08d7aa19d61f9b110600f5c6203413a",
         "snapshot.json":
-            "94a537cd8573f6d229165de93e880fa215892a99ac320262355429fd0818b086",
+            "f698ab56ac1e064ae45d276480797cf78c451c29a7bb305a4f5a8f3e3f6a4e8a",
         "summary.json":
-            "4bb0c65acacf889cc0596157752e148cd1006f115596a373447f2a30f5c09e5c",
+            "919cbb3861c22ed1e8fa24139c243366ced611a196d4b947c2e942ed3f5e4895",
     },
     "shadowed_100_piggybacked": {
         "metrics.csv":
-            "e81df603185bc24fe58ac10b1c6d43391a9c9b785b0a5c6ae25e48fcb87f38d2",
+            "e404676f82f4078b5249e5f589b21304ebbffd9d8045ee89be63f7518e33515e",
         "snapshot.json":
-            "de3c9985faa65652ad99a1e7ca7e160590811f021359dbe739c3e8b93b4fc01f",
+            "bd585343a59f9d914722ca0025e416115c7d260f164d5d6e94cabf942c6471de",
         "summary.json":
-            "8c48ae4634495c4e60009155b2a0166a2d732b3856b1b1721f0fe4272150b9ac",
+            "62058060ecd5a0bba868b84259606de816041927f41054d6857ef11b226e92a8",
     },
     "shadowed_300_standalone": {
         "metrics.csv":
-            "0767c48cfc0392d4e27c15bcbb2b0af1c138be637b32dbdd134f7a139710999f",
+            "2ce2399436f32e1f08eeab2c1fb9f875fb7100c65138a971ef853ecaad9fc80f",
         "snapshot.json":
-            "14850e70ec8ba0f7ce88ea9f7dd22da18967865fd3268e2e837d18439846d470",
+            "8fe3e6c3165a9f7d7a38d636c96f92045df582ccc44e126ee836edfc23821477",
         "summary.json":
-            "5cbd533900509b53baa2346f315521ed3f77a6a3064729a0a6655a557ae25398",
+            "74cb425595451eeae84c82391cb9c979124b025eec252491a80709ae2043e3e0",
     },
 }
 

@@ -3,8 +3,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sentinet.channel import (LinkRows, RadioConfig, compute_lqi, path_loss_db,
-                              weak_link_floor)
+from sentinet.channel import (SHADOW_CLIP, LinkRows, RadioConfig, compute_lqi,
+                              loss_cap, path_loss_db, weak_link_floor)
+from sentinet.config import RunConfig
+from sentinet.sim import Simulation
 from sentinet import metrics
 from sentinet.metrics import (CSV_HEADER, CoverageGrid, coverage_fraction,
                               format_row, guard_components, meta_line,
@@ -310,11 +312,12 @@ def test_rewrite_replaces_the_whole_file(tmp_path):
 
 # -- oracle: union-find over link rows against the dense matrix ---------------
 
-# thresholds <= 0 link every pair; a sensitivity above the LQI boundary
-# (-87 dBm at threshold 7) cuts frame rows short of the guard graph's needs
+# thresholds <= 0 link every pair; without shadowing, a sensitivity above
+# the LQI boundary (-87 dBm at threshold 7) cuts frames' rows short of the
+# guard graph's needs, so the guard links decide the rows' cap
 RADIOS = [RADIO, RadioConfig(lqi_threshold=0), RadioConfig(lqi_threshold=-3),
           RadioConfig(lqi_threshold=10), RadioConfig(lqi_threshold=11),
-          RadioConfig(sensitivity_dbm=-80.0),
+          RadioConfig(sensitivity_dbm=-80.0, shadowing_sigma_db=0.0),
           RadioConfig(power_levels=(-10.0, -5.0, 0.0), lqi_threshold=3)]
 
 
@@ -345,8 +348,8 @@ def test_guard_components_match_dense_bfs(radio, points, rim, data):
     powers = [radio.power_levels[p[2] % len(radio.power_levels)] for p in points]
     want = components_from_adjacency(reference_adjacency(xs, ys, powers, radio))
     assert guard_components(xs, ys, powers, radio) == want
-    # the same guards inside a larger field, over rows kept between calls
-    # and first cut for frames at the sensitivity
+    # the same guards inside a larger field, over rows built before the
+    # call and kept between calls
     extra = data.draw(st.integers(0, 10))
     all_x = np.concatenate([xs, np.linspace(0.0, 60.0, extra)])
     all_y = np.concatenate([ys, np.linspace(60.0, 0.0, extra)])
@@ -355,10 +358,46 @@ def test_guard_components_match_dense_bfs(radio, points, rim, data):
     node_x[order], node_y[order] = all_x, all_y
     links = LinkRows(node_x, node_y, radio)
     for nid in range(len(all_x)):
-        links.row(nid, radio.power_levels[0] - radio.sensitivity_dbm)
+        links.row(nid)
     ids = order[:len(points)]
     by_id = np.argsort(ids)
     got = guard_components(node_x, node_y, [powers[i] for i in by_id], radio,
                            ids=sorted(ids.tolist()), links=links)
     relabeled = sorted(sorted(int(by_id[i]) for i in comp) for comp in got)
     assert relabeled == sorted(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sigma=st.sampled_from([0.0, 0.25]), threshold=st.sampled_from([1, 2, 7]),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_guard_graph_over_the_simulation_rows_matches_pairwise_lqi(
+        sigma, threshold, seed, data):
+    # the rows a run's frames built, at the one cap of the top power level,
+    # serve the guard graph too; at thresholds 1 and 2 the weak-link floor
+    # lies below sensitivity, further than a small sigma's clipped draw
+    # reaches, so the guard links decide the cap
+    cfg = RunConfig.from_flat({"nodes": "40", "field": "100x100",
+                               "duration": "40", "seed": str(seed),
+                               "shadowing_sigma": str(sigma),
+                               "lqi_threshold": str(threshold),
+                               "grid_step": "10", "metric_interval": "10"})
+    radio = cfg.radio
+    sim = Simulation(cfg)
+    sim.run()
+    links, xs, ys = sim._links, sim._xs, sim._ys
+    top = radio.power_levels[-1]
+    frame_cap = loss_cap(top, radio.sensitivity_dbm,
+                         -SHADOW_CLIP * radio.shadowing_sigma_db)
+    guard_cap = loss_cap(top, weak_link_floor(radio))
+    assert links.cap == max(frame_cap, guard_cap)
+    assert (guard_cap > frame_cap) == (threshold <= 2)
+    # the run's guards at their powers, then every node at drawn powers
+    guard_ids = sorted(sim._guard_ids)
+    drawn = data.draw(st.lists(st.sampled_from(radio.power_levels),
+                               min_size=len(xs), max_size=len(xs)))
+    for ids, powers in ((guard_ids, [sim.nodes[g].tx_power for g in guard_ids]),
+                        (list(range(len(xs))), drawn)):
+        want = components_from_adjacency(
+            reference_adjacency(xs[ids], ys[ids], powers, radio))
+        got = guard_components(xs, ys, powers, radio, ids=ids, links=links)
+        assert sorted(got) == sorted(want)
