@@ -1,7 +1,7 @@
 """sentinet: discrete-event simulator of a self-healing, sleep-scheduled
 wireless sensor network with guard-to-guard link adaptation."""
 
-from .channel import Frame, MessageKind, RadioConfig, compute_lqi, rx_power_dbm
+from .channel import Frame, MessageKind, RadioConfig, compute_lqi
 from .config import LinkControlMode, RunConfig
 from .energy import EnergyConfig, EnergyLedger, summarize, tx_cost
 from .engine import ClockViolationError, Engine, Event, EventKind
@@ -18,6 +18,6 @@ __all__ = [
     "NodeStatus", "ProtocolViolationError", "RadioConfig", "RunConfig",
     "RunResult", "Simulation", "WeibullParams", "compute_lqi",
     "coverage_fraction", "hazard_rate", "healing_report", "run_simulation",
-    "rx_power_dbm", "sample_sleep_time", "sentinel_components", "summarize",
-    "tx_cost", "update_probe_rate", "write_outputs",
+    "sample_sleep_time", "sentinel_components", "summarize", "tx_cost",
+    "update_probe_rate", "write_outputs",
 ]

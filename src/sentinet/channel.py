@@ -89,14 +89,6 @@ def _floats(value):
         yield value
 
 
-def rx_power_dbm(radio: RadioConfig, tx_power: float, distance: float,
-                 shadowing_db: float = 0.0) -> float:
-    """Received power under log-distance path loss plus a shadowing term."""
-    d = max(distance, MIN_DISTANCE_M)
-    loss = radio.reference_loss_db + 10.0 * radio.path_loss_exponent * math.log10(d)
-    return tx_power - (loss + shadowing_db)
-
-
 def compute_lqi(radio: RadioConfig, rx_dbm: float) -> int:
     """Map SNR above the noise floor onto the 0..10 link-quality scale."""
     snr = rx_dbm - radio.noise_floor_dbm
@@ -193,6 +185,10 @@ class LinkRows:
         self._rows: list[Optional[tuple]] = [None] * n
         self._block_frames = max(1, 512 // max(n, 1))
         self._pending: list = [None] * n  # by sender: [tx, block, maps left, last first]
+
+    def __len__(self) -> int:
+        """The number of nodes."""
+        return len(self._rows)
 
     def row(self, sender: int) -> tuple[np.ndarray, np.ndarray]:
         """Ids (ascending) and path losses of ``sender``'s row, which holds

@@ -84,9 +84,10 @@ def on_conn_received(node: Node, frame, ctx) -> None:
 
 def on_link_evidence(evidence, ctx) -> None:
     """Act on one reply's judged receivers, (node, weak) pairs in order: a
-    weak link escalates a guard's power below the top level, and every
-    guard's timer resets to a fresh t_c from now, in one deferred move.
-    t_c is never below ``t_c_range[0]``, so now plus that bounds the move."""
+    weak link escalates a guard's power below the top level, told to
+    ``ctx.note_power_rise``, and every guard's timer resets to a fresh t_c
+    from now, in one deferred move. t_c is never below ``t_c_range[0]``, so
+    now plus that bounds the move."""
     config, active = ctx.config, NodeStatus.ACTIVE
     top = config.radio.power_levels[-1]
     timers = []
@@ -94,6 +95,7 @@ def on_link_evidence(evidence, ctx) -> None:
         if node.status is active:
             if weak and node.tx_power != top:
                 escalate_power(node, config.radio)
+                ctx.note_power_rise(node)
             timers.append(node.timer)
     if timers and config.link_control.uses_conn_timer:
         now = ctx.now

@@ -1,14 +1,17 @@
 """Observability: coverage fraction, guard connectivity, CSV/JSON outputs.
 
-The metrics take the guards' positions (and, for connectivity, their
-transmit powers) as arrays, so a caller passes just the guards it keeps.
+A simulation keeps both metrics current as guards change: ``CoverageGrid``
+counts the guards over each cell and the cells some guard covers, and
+``GuardGraph`` keeps the guard graph's components by union-find as guards
+join, raise their power and die, so a sample reads two counters.
+``coverage_fraction`` and ``guard_components`` compute the same from the
+guards' positions (and, for connectivity, their transmit powers) as arrays.
 The connectivity graph deliberately uses deterministic (zero-shadowing)
 received power at the nodes' current transmit levels so the metric is
 stable run to run; the stochastic per-frame LQI stays a protocol-runtime
-signal only. Its links are read from the channel's per-sender link rows,
-each guard's row cut where its power falls below the weak-link floor, the
-same LQI decision the link control makes, and joined by union-find; a
-simulation passes the rows its frames already built.
+signal only. Its links are read from the channel's per-sender link rows
+and judged against the weak-link floor, the same LQI decision the link
+control makes; a simulation passes the rows its frames already built.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import os
 
 import numpy as np
 
-from .channel import LinkRows, RadioConfig, loss_cap, weak_link_floor
+from .channel import LinkRows, RadioConfig, weak_link_floor
 
 CSV_HEADER = ("time_s,n_sleep,n_probe,n_active,n_dead,coverage,components,"
               "isolated,msgs_probe,msgs_probe_reply,msgs_conn,msgs_conn_reply,"
@@ -35,11 +38,11 @@ def _grid_centers(extent: float, step: float) -> np.ndarray:
 
 class CoverageGrid:
     """Grid cell centers over the field, each with the number of guards
-    within sensing range of it.
+    within sensing range of it, and how many cells some guard covers.
 
     A guard's cells are found once when it is added and once when it is
-    removed, within its bounding box, so the covered fraction is one count
-    over the cells.
+    removed, within its bounding box, and the covered count changes by
+    what changed there, so the covered fraction is one division.
     """
 
     def __init__(self, field_width: float, field_height: float,
@@ -51,6 +54,7 @@ class CoverageGrid:
         self._cy = _grid_centers(field_height, grid_step)[None, :]
         self._r2 = sensing_range * sensing_range
         self.counts = np.zeros((self._cx.size, self._cy.size), dtype=np.int32)
+        self.covered = 0  # cells with a nonzero count
 
     def _reach(self, x: float, y: float) -> tuple[tuple[slice, slice], np.ndarray]:
         """The bounding box of the cells within range of (x, y), and which
@@ -68,16 +72,21 @@ class CoverageGrid:
         return (box_x, box_y), dx2[box_x] + dy2[:, box_y] <= self._r2
 
     def add(self, x: float, y: float) -> None:
-        box, reach = self._reach(x, y)
-        self.counts[box] += reach
+        self._update(x, y, np.add)
 
     def remove(self, x: float, y: float) -> None:
+        self._update(x, y, np.subtract)
+
+    def _update(self, x: float, y: float, op) -> None:
         box, reach = self._reach(x, y)
-        self.counts[box] -= reach
+        cells = self.counts[box]  # a view: the update lands in counts
+        before = np.count_nonzero(cells)
+        op(cells, reach, out=cells)
+        self.covered += int(np.count_nonzero(cells) - before)
 
     def fraction(self) -> float:
         """Fraction of cell centers within sensing range of some guard."""
-        return int(np.count_nonzero(self.counts)) / self.counts.size
+        return self.covered / self.counts.size
 
 
 def coverage_fraction(xs, ys, field_width: float, field_height: float,
@@ -90,65 +99,136 @@ def coverage_fraction(xs, ys, field_width: float, field_height: float,
     return grid.fraction()
 
 
-def guard_components(xs, ys, tx_dbm, radio: RadioConfig, ids=None,
-                     links: LinkRows | None = None) -> list[list[int]]:
-    """Connected components of the guard graph, as lists of indices into
-    the guard arrays.
+class GuardGraph:
+    """The guard graph's component and isolated-guard counts, kept as guards
+    join, raise their power and die.
 
-    Guards are linked when each hears the other at LQI >= threshold (zero
-    shadowing). ``xs``/``ys`` are node positions and the guards are the
-    nodes ``ids`` (ascending; by default every node), with powers
-    ``tx_dbm`` among the radio's levels. ``links``, link rows over the same
-    positions and radio, lets the rows outlive the call; by default rows are
-    built for it.
+    A union-find over node ids (Tarjan, "Efficiency of a good but not
+    linear set union algorithm", JACM 1975) that counts its components and
+    its singletons. Two guards are linked when each hears the other at the
+    weak-link ``floor`` or above with zero shadowing: ``min(p_g, p_h) - loss
+    >= floor``, the loss read from ``links``, whose rows reach every pair
+    that can be linked at the top power level. The rule itself cuts a row
+    at a guard's own power, so no cap is searched for. A floor of -inf
+    links every pair.
+
+    Between deaths guards only join and powers only rise, so links are only
+    added: ``add`` scans the joining guard's row against the current guards,
+    and ``rise`` scans the guard's row again at its new power. ``remove``
+    marks the graph stale, and the next ``counts`` rebuilds it from the
+    surviving guards through ``add``.
     """
-    n_guards = len(tx_dbm)
-    if not n_guards:
-        return []
-    floor = weak_link_floor(radio)
-    if floor == -math.inf:  # any LQI qualifies, at any distance
-        return [list(range(n_guards))]
-    if ids is None:
-        ids = range(n_guards)
-    if links is None:
-        links = LinkRows(xs, ys, radio)
-    powers = [float(p) for p in tx_dbm]
-    # a row reaches the guard links of the top power level, so each guard's
-    # row is cut at its own power's cap
-    caps = {p: loss_cap(p, floor) for p in set(powers)}
-    near_ids, near_loss = [], []
-    for g, p in zip(ids, powers):
-        row_ids, row_loss = links.row(g)
-        near = row_loss <= caps[p]
-        near_ids.append(row_ids[near])
-        near_loss.append(row_loss[near])
-    slot = np.full(len(xs), -1)  # each node's index among the guards
-    slot[list(ids)] = np.arange(n_guards)
-    # (guard, other guard, loss) over the rows; each pair once, from its
-    # lower index, whose row holds it whenever the pair can be linked
-    src = np.repeat(np.arange(n_guards), [a.size for a in near_ids])
-    dst = slot[np.concatenate(near_ids)]
-    loss = np.concatenate(near_loss)
-    pair = dst > src
-    src, dst, loss = src[pair], dst[pair], loss[pair]
-    # LQI falls with the power, so the weaker direction decides the link
-    tx = np.array(powers)
-    linked = np.minimum(tx[src], tx[dst]) - loss >= floor
-    parent = list(range(n_guards))
 
-    def root(a: int) -> int:
+    def __init__(self, links: LinkRows, floor: float):
+        self._links, self._floor = links, floor
+        n = len(links)
+        self._power = np.full(n, -math.inf)  # -inf: not a joined guard
+        self._parent = list(range(n))
+        self._size = [1] * n
+        self._anchor = None  # with a floor of -inf, the guard all join
+        self._stale = False
+        self._components = self._isolated = 0
+
+    def add(self, guard: int, power: float) -> None:
+        """``guard`` joins at ``power`` dBm, linked to the current guards."""
+        self._power[guard] = power
+        if self._stale:  # the rebuild joins it
+            return
+        self._parent[guard] = guard
+        self._size[guard] = 1
+        self._components += 1
+        self._isolated += 1
+        self._scan(guard)
+
+    def rise(self, guard: int, power: float) -> None:
+        """``guard``'s power rose to ``power`` dBm."""
+        self._power[guard] = power
+        if not self._stale:
+            self._scan(guard)
+
+    def remove(self, guard: int) -> None:
+        """``guard`` died: its links go at the next rebuild."""
+        self._power[guard] = -math.inf
+        self._stale = True
+
+    def counts(self) -> tuple[int, int]:
+        """How many components there are, and how many of them hold one
+        guard."""
+        if self._stale:
+            guards = np.flatnonzero(self._power != -math.inf)
+            powers = self._power[guards].tolist()
+            self._power[guards] = -math.inf
+            self._stale = False
+            self._components = self._isolated = 0
+            for guard, power in zip(guards.tolist(), powers):
+                self.add(guard, power)
+        return self._components, self._isolated
+
+    def groups(self) -> list[list[int]]:
+        """The components as ascending id lists, by their least id."""
+        self.counts()
+        groups: dict[int, list[int]] = {}
+        for guard in np.flatnonzero(self._power != -math.inf).tolist():
+            groups.setdefault(self._root(guard), []).append(guard)
+        return list(groups.values())
+
+    def _scan(self, guard: int) -> None:
+        if self._floor == -math.inf:  # any LQI qualifies, at any distance
+            anchor = self._anchor
+            if anchor is None or self._power[anchor] == -math.inf:
+                self._anchor = guard
+            else:
+                self._union(guard, anchor)
+            return
+        ids, loss = self._links.row(guard)
+        # LQI falls with the power, so the weaker direction decides the
+        # link; a node that is not a guard has power -inf
+        power = self._power
+        for other in ids[np.minimum(power[ids], power[guard]) - loss
+                         >= self._floor].tolist():
+            self._union(guard, other)
+
+    def _root(self, a: int) -> int:
+        parent = self._parent
         while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
         return a
 
-    for a, b in zip(src[linked].tolist(), dst[linked].tolist()):
-        a, b = root(a), root(b)
-        parent[max(a, b)] = min(a, b)
-    comps: dict[int, list[int]] = {}
-    for a in range(n_guards):
-        comps.setdefault(root(a), []).append(a)
-    return list(comps.values())
+    def _union(self, a: int, b: int) -> None:
+        a, b = self._root(a), self._root(b)
+        if a == b:
+            return
+        size = self._size
+        if size[a] < size[b]:
+            a, b = b, a
+        self._isolated -= (size[a] == 1) + (size[b] == 1)
+        self._parent[b] = a
+        size[a] += size[b]
+        self._components -= 1
+
+
+def guard_components(xs, ys, tx_dbm, radio: RadioConfig, ids=None,
+                     links: LinkRows | None = None) -> list[list[int]]:
+    """Connected components of the guard graph, as lists of indices into
+    the guard arrays, each ascending, ordered by their least index.
+
+    Guards are linked when each hears the other at LQI >= threshold (zero
+    shadowing), by ``GuardGraph``'s rule. ``xs``/``ys`` are node positions
+    and the guards are the nodes ``ids`` (ascending; by default every node),
+    with powers ``tx_dbm`` among the radio's levels. ``links``, link rows
+    over the same positions and radio, lets the rows outlive the call; by
+    default rows are built for it.
+    """
+    if ids is None:
+        ids = range(len(tx_dbm))
+    if links is None:
+        links = LinkRows(xs, ys, radio)
+    graph = GuardGraph(links, weak_link_floor(radio))
+    for guard, power in zip(ids, tx_dbm):
+        graph.add(guard, float(power))
+    slot = {guard: k for k, guard in enumerate(ids)}
+    return [[slot[guard] for guard in group] for group in graph.groups()]
 
 
 def sentinel_components(xs, ys, tx_dbm, radio: RadioConfig, ids=None,

@@ -15,8 +15,10 @@ schedule_event(time, target, kind), cancel_event(handle),
 defer_event(handles, since, bound) (moves pending timers to ``since`` plus
 a t_c drawn when each comes due; ``bound`` is ``since`` plus the least
 t_c), send(node, kind, addressee, delay), note_transition(node, old, new),
-on_became_active(node). Timer times are absolute engine times, each
-computed as ``ctx.now + delay`` at the call; ``send`` takes its slot delay.
+on_became_active(node), note_power_rise(node) (after each rise of a
+guard's ``tx_power``, so the simulation's guard graph follows it). Timer
+times are absolute engine times, each computed as ``ctx.now + delay`` at
+the call; ``send`` takes its slot delay.
 
 A node holds at most one pending timer, ``Node.timer``, the one its status
 owns: the sleep expiry in SLEEP, the wait expiry in PROBE, the

@@ -7,6 +7,8 @@ dispatch table once, so all node behaviour is serialized through the
 engine's event loop; anything that watches dispatch wraps ``engine.handler``.
 The draws and timers of that surface are the engine's own methods, bound once.
 Frames get their power maps, shadowing included, from ``channel.LinkRows``.
+What a metrics sample reads is kept as nodes change status or power: the
+status census, the coverage grid and the guard graph.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ class Simulation:
         self._base_power = config.radio.power_levels[0]
         self._weak_floor = chan.weak_link_floor(config.radio)
         self._piggyback = config.link_control.uses_piggyback
-        self._component_cache: tuple = (None, None)
 
         if positions is None:
             # node k at draws 2k (x) and 2k+1 (y): one block, the same values
@@ -88,6 +89,10 @@ class Simulation:
                                     partial(self.engine.rng, stream="shadow"))
         self._awake_ids: set[int] = set()
         self._guard_ids: set[int] = set()
+        self._graph = metrics_mod.GuardGraph(self._links, self._weak_floor)
+        # how many nodes are in each status, by NodeStatus.index
+        self._census = [0] * len(NodeStatus)
+        self._census[NodeStatus.SLEEP.index] = config.node_count
         self.energy = energy_mod.EnergyLedger(config.energy, config.node_count)
         self._coverage = metrics_mod.CoverageGrid(
             config.field_width, config.field_height, config.sensing_range,
@@ -111,6 +116,8 @@ class Simulation:
         # the node accrues at its old status up to now, then at the new one
         energy_mod.accrue_node(self.energy, node.id, self.now)
         energy_mod.set_status(self.energy, node.id, new)
+        self._census[old.index] -= 1
+        self._census[new.index] += 1
         if new in (NodeStatus.PROBE, NodeStatus.ACTIVE):
             self._awake_ids.add(node.id)
         else:
@@ -118,14 +125,19 @@ class Simulation:
         if new is NodeStatus.ACTIVE:
             self._guard_ids.add(node.id)
             self._coverage.add(node.x, node.y)
+            self._graph.add(node.id, node.tx_power)
         elif old is NodeStatus.ACTIVE:
             self._guard_ids.discard(node.id)
             self._coverage.remove(node.x, node.y)
+            self._graph.remove(node.id)
         if self.transition_hook is not None:
             self.transition_hook(self, node, old, new)
 
     def on_became_active(self, node: Node) -> None:
         link_control.on_active_entered(node, self)
+
+    def note_power_rise(self, node: Node) -> None:
+        self._graph.rise(node.id, node.tx_power)
 
     # -- failure injection --------------------------------------------------
 
@@ -235,7 +247,7 @@ class Simulation:
 
     def census(self) -> list[int]:
         """How many nodes are in each status, by ``NodeStatus.index``."""
-        return np.bincount(self.energy.status, minlength=len(NodeStatus)).tolist()
+        return list(self._census)
 
     def snapshot(self) -> dict:
         """The current node states, as written to snapshot.json."""
@@ -249,18 +261,10 @@ class Simulation:
     def _sample_metrics(self, ev: Event) -> None:
         index = ev.payload
         energy_mod.accrue(self.energy, self.now)
-        # guard set and powers change rarely; reuse the components when
-        # they are unchanged since the last sample
-        guards = sorted(self._guard_ids)
-        powers = [self.nodes[g].tx_power for g in guards]
-        if self._component_cache[0] != (guards, powers):
-            self._component_cache = ((guards, powers), metrics_mod.sentinel_components(
-                self._xs, self._ys, powers, self.config.radio,
-                ids=guards, links=self._links))
-        comps = self._component_cache[1]
+        components, isolated = self._graph.counts()
         totals = energy_mod.summarize(self.energy)
         # both lists run in their enum's declaration order
-        n_sleep, n_probe, n_active, n_dead = self.census()
+        n_sleep, n_probe, n_active, n_dead = self._census
         probe, probe_reply, conn, conn_reply = self.counters
         self.rows.append({
             "time_s": self.now,
@@ -269,8 +273,8 @@ class Simulation:
             "n_active": n_active,
             "n_dead": n_dead,
             "coverage": self._coverage.fraction(),
-            "components": comps["component_count"],
-            "isolated": comps["isolated_count"],
+            "components": components,
+            "isolated": isolated,
             "msgs_probe": probe,
             "msgs_probe_reply": probe_reply,
             "msgs_conn": conn,

@@ -28,6 +28,7 @@ class FakeCtx:
         self.sent = []
         self.transitions = []
         self.activated = []
+        self.raised = []  # (node id, new power) per note_power_rise call
 
     def draw(self, node_id, stream):
         return self.u
@@ -62,6 +63,9 @@ class FakeCtx:
 
     def note_transition(self, node, old, new):
         self.transitions.append((node.id, old, new))
+
+    def note_power_rise(self, node):
+        self.raised.append((node.id, node.tx_power))
 
     def on_became_active(self, node):
         from sentinet import link_control

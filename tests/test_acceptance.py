@@ -12,11 +12,12 @@ from scipy import stats
 from conftest import after_each_event, zero_shadow
 from sentinet import (LinkControlMode, RunConfig, Simulation, WeibullParams,
                       run_simulation, write_outputs)
-from sentinet.channel import compute_lqi, rx_power_dbm
+from sentinet.channel import compute_lqi
 from sentinet.engine import EventKind
 from sentinet.metrics import guard_components
 from sentinet.protocol import ALLOWED_TRANSITIONS, NodeStatus
 from sentinet.weibull import hazard_rate, sample_sleep_time
+from test_channel import rx_power_dbm
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -7,12 +7,20 @@ from hypothesis import example, given, settings, strategies as st
 from sentinet.channel import (SHADOW_CLIP, Frame, LinkRows, MessageKind,
                               RadioConfig, compute_lqi, deliver, loss_cap,
                               make_frame, overhearers, path_loss_db,
-                              rx_power_dbm, weak_link_floor)
+                              weak_link_floor)
 from sentinet.engine import Engine
 
 RADIO = RadioConfig()
 # Replies are unicast, everything else is broadcast.
 UNICAST_KINDS = frozenset({MessageKind.PROBE_REPLY, MessageKind.CONN_REPLY})
+
+
+def rx_power_dbm(radio, tx_power, distance, shadowing_db=0.0):
+    """Received power under log-distance path loss plus a shadowing term,
+    one link at a time: the tests' reference for ``path_loss_db``."""
+    d = max(distance, 0.01)
+    loss = radio.reference_loss_db + 10.0 * radio.path_loss_exponent * math.log10(d)
+    return tx_power - (loss + shadowing_db)
 
 
 def test_radio_config_validation():
@@ -44,6 +52,12 @@ def test_rx_power_linear_in_tx_power():
 
 def test_rx_power_clamps_colocated_nodes():
     assert rx_power_dbm(RADIO, -5.0, 0.0) == rx_power_dbm(RADIO, -5.0, 0.01)
+
+
+@given(st.floats(0.0, 1000.0), st.sampled_from(RADIO.power_levels))
+def test_path_loss_db_matches_the_scalar_reference(d, tx):
+    got = tx - path_loss_db(RADIO, d)
+    assert got == pytest.approx(rx_power_dbm(RADIO, tx, d), rel=1e-12)
 
 
 @given(st.floats(0.01, 1000.0), st.floats(0.011, 1000.0))

@@ -123,6 +123,7 @@ def test_one_reply_is_one_deferred_move_for_its_guards(ctx):
     ctx.now = 4.0
     on_link_evidence([(first, True), (prober, True), (second, True)], ctx)
     assert (first.tx_power, second.tx_power, prober.tx_power) == (-5.0, -5.0, -10.0)
+    assert ctx.raised == [(1, -5.0)]  # the one guard whose power rose
     assert ctx.deferrals == [([first.timer, second.timer], 4.0,
                               4.0 + ctx.config.t_c_range[0])]
     assert ctx.moved == [first.timer, second.timer]
@@ -142,6 +143,7 @@ def test_weak_evidence_escalates_one_level(ctx):
     node = armed_guard(ctx)
     on_link_evidence([(node, True)], ctx)
     assert node.tx_power == -5.0
+    assert ctx.raised == [(node.id, -5.0)]
 
 
 def test_weak_evidence_at_top_level_saturates(ctx):
@@ -149,6 +151,7 @@ def test_weak_evidence_at_top_level_saturates(ctx):
     on_link_evidence([(node, True)], ctx)
     assert node.tx_power == -5.0
     assert ctx.moved == [node.timer]  # timer still reset
+    assert ctx.raised == []  # nothing rose
 
 
 def test_threshold_boundary_is_strong(ctx):
@@ -177,6 +180,8 @@ def test_power_stays_in_configured_domain(ctx):
         on_link_evidence([(node, True)], ctx)
         assert node.tx_power in ctx.config.radio.power_levels
     assert node.tx_power == max(ctx.config.radio.power_levels)
+    # one notice per rise, none once saturated
+    assert ctx.raised == [(node.id, p) for p in ctx.config.radio.power_levels[1:]]
 
 
 def test_power_never_decreases(ctx):

@@ -8,8 +8,9 @@ from sentinet.channel import (SHADOW_CLIP, LinkRows, RadioConfig, compute_lqi,
 from sentinet.config import RunConfig
 from sentinet.sim import Simulation
 from sentinet import metrics
-from sentinet.metrics import (CSV_HEADER, CoverageGrid, coverage_fraction,
-                              format_row, guard_components, meta_line,
+from sentinet.metrics import (CSV_HEADER, CoverageGrid, GuardGraph,
+                              coverage_fraction, format_row,
+                              guard_components, meta_line,
                               read_metrics_csv, sentinel_components,
                               write_json, write_metrics_csv)
 
@@ -129,6 +130,7 @@ def test_coverage_grid_tracks_guard_set(step, sensing, ops):
             grid.remove(*present.pop(op[1] % len(present)))
         want = brute_counts(present, sensing, step, 20.0)
         assert grid.counts.ravel().tolist() == want
+        assert grid.covered == np.count_nonzero(grid.counts)
         assert grid.fraction() == brute_coverage(present, sensing, step, 20.0)
 
 
@@ -401,3 +403,46 @@ def test_guard_graph_over_the_simulation_rows_matches_pairwise_lqi(
             reference_adjacency(xs[ids], ys[ids], powers, radio))
         got = guard_components(xs, ys, powers, radio, ids=ids, links=links)
         assert sorted(got) == sorted(want)
+
+
+@pytest.mark.oracle
+@settings(max_examples=200, deadline=None)
+@given(threshold=st.sampled_from([0, 1, 2, 7]), sigma=st.sampled_from([0.0, 4.0]),
+       points=st.lists(st.tuples(st.floats(0.0, 60.0), st.floats(0.0, 60.0)),
+                       min_size=1, max_size=25),
+       steps=st.lists(st.lists(st.tuples(st.sampled_from(["join", "rise", "die"]),
+                                         st.integers(0, 1000)),
+                               min_size=1, max_size=4),
+                      max_size=15))
+def test_guard_graph_follows_joins_rises_and_deaths(threshold, sigma, points,
+                                                     steps):
+    # a step is what happens between two samples: guards join at the base
+    # power, raise it a level, or die for good; after each step the kept
+    # counts equal the dense recount over the live guards
+    radio = RadioConfig(lqi_threshold=threshold, shadowing_sigma_db=sigma)
+    levels = radio.power_levels
+    xs = np.array([p[0] for p in points])
+    ys = np.array([p[1] for p in points])
+    graph = GuardGraph(LinkRows(xs, ys, radio), weak_link_floor(radio))
+    reserve, live = list(range(len(points))), {}  # live: id -> power
+    for step in steps:
+        for op, k in step:
+            if op == "join" and reserve:
+                guard = reserve.pop(k % len(reserve))
+                live[guard] = levels[0]
+                graph.add(guard, levels[0])
+            elif op == "rise":
+                below = sorted(g for g, p in live.items() if p != levels[-1])
+                if below:
+                    guard = below[k % len(below)]
+                    live[guard] = levels[levels.index(live[guard]) + 1]
+                    graph.rise(guard, live[guard])
+            elif op == "die" and live:
+                guard = sorted(live)[k % len(live)]
+                del live[guard]
+                graph.remove(guard)
+        ids = sorted(live)
+        want = components_from_adjacency(reference_adjacency(
+            xs[ids], ys[ids], [live[g] for g in ids], radio))
+        assert graph.counts() == (len(want), sum(len(c) == 1 for c in want))
+        assert graph.groups() == [[ids[i] for i in comp] for comp in want]
