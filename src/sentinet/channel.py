@@ -158,10 +158,10 @@ class LinkRows:
     and never passes the top level, so a row is built once, on first use,
     and never changes.
     ``next_map`` draws the shadowing of a sender's next max(1, 512 // N)
-    frames at once from ``shadow(sender)``: a block of one row of draws per
-    frame, one column per position in the sender's row, the same values as
-    frame by frame under Philox. Rows read only for the guard graph need no
-    source. ``maps`` makes all of a block's maps in one 2-D numpy pass, so a
+    frames at once from the generator ``shadow(sender)`` returns, asked for
+    once per sender and kept: a block of one row of draws per frame, one
+    column per position in the sender's row, the same values as frame by
+    frame under Philox. Rows read only for the guard graph need no source. ``maps`` makes all of a block's maps in one 2-D numpy pass, so a
     block costs a fixed number of numpy calls however many frames it holds;
     a one-frame block takes a 1-D path that costs less.
     """
@@ -185,6 +185,7 @@ class LinkRows:
         self._rows: list[Optional[tuple]] = [None] * n
         self._block_frames = max(1, 512 // max(n, 1))
         self._pending: list = [None] * n  # by sender: [tx, block, maps left, last first]
+        self._sources: list = [None] * n  # by sender: shadow(sender), once asked
 
     def __len__(self) -> int:
         """The number of nodes."""
@@ -214,11 +215,16 @@ class LinkRows:
         shared."""
         pending = self._pending[sender]
         if pending is None or pending[0] != tx:
-            block = (None if self._sigma == 0.0
-                     else pending[1][-len(pending[2]):] if pending
-                     else self._shadow(sender).normal(
-                         0.0, self._sigma,
-                         size=(self._block_frames, len(self.row(sender)[0]))))
+            if self._sigma == 0.0:
+                block = None
+            elif pending:
+                block = pending[1][-len(pending[2]):]
+            else:
+                gen = self._sources[sender]
+                if gen is None:
+                    gen = self._sources[sender] = self._shadow(sender)
+                block = gen.normal(0.0, self._sigma, size=(
+                    self._block_frames, len(self.row(sender)[0])))
             # the last frame's map first, so each frame pops its own
             pending = self._pending[sender] = [tx, block,
                                                self.maps(sender, tx, block)[::-1]]
@@ -245,15 +251,19 @@ class LinkRows:
         """
         sens, clip = self._radio.sensitivity_dbm, self._clip
         ids, loss = self.row(sender)
+        if block is not None:
+            # the ufuncs, not ndarray.clip, whose Python-level wrapper costs
+            # more than the clip on blocks this small
+            block = np.minimum(np.maximum(block, -clip), clip)
         if block is None or len(block) == 1:
             # two masks cost less than the 2-D pass's fixed calls when there
             # is one frame to share them
-            rx = tx - loss if block is None else (tx - loss) - block[0].clip(-clip, clip)
+            rx = tx - loss if block is None else (tx - loss) - block[0]
             audible = rx >= sens
             return [dict(zip(ids[audible].tolist(), rx[audible].tolist()))]
         # one pass over the whole block; row-major nonzero lists each frame's
         # audible receivers in turn, ascending by id
-        rx = (tx - loss) - block.clip(-clip, clip)
+        rx = (tx - loss) - block
         audible = rx >= sens
         frames, cols = audible.nonzero()
         maps = [{} for _ in range(len(block))]
@@ -339,7 +349,5 @@ def overhearers(frame: Frame, listener_ids) -> list[int]:
     Only listeners among the frame's audible receivers awake at its start
     can receive it, so the scan covers those rather than every listener.
     """
-    addressee = frame.addressee
-    return [nid for nid in sorted(frame.awake_at_start.intersection(listener_ids)
-                                  - frame.jammed)
-            if nid != addressee]
+    return sorted(frame.awake_at_start.intersection(listener_ids)
+                  .difference(frame.jammed, (frame.addressee,)))

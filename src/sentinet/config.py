@@ -109,7 +109,9 @@ class RunConfig:
             raise ValueError(f"t_c_range min exceeds max: {self.t_c_range}")
         if self.t_c_range[0] < 0.0:
             raise ValueError("t_c_range must be non-negative")
-        slots, width = reply_slots(self)
+        # not a field: every reply's slot delay reads it
+        object.__setattr__(self, "reply_slots", reply_slots(self))
+        slots, width = self.reply_slots
         if slots < 2:  # with one slot, every guard hearing a probe replies at once
             frame = self.radio.tx_duration_s
             raise ValueError(f"tw={self.t_w!r} must exceed two frames of tx_duration="

@@ -1,21 +1,21 @@
 """Guard-to-guard link control: connectivity rounds and power escalation.
 
 Every guard runs a random connectivity timer t_c; on expiry it broadcasts a
-connectivity frame and peers answer by unicast. The simulation judges each
-reply's LQI against the configured threshold, by comparing its power with
-the weak-link floor (``channel.weak_link_floor``), and passes the verdicts
-of all the reply's receivers on at once: a weak link bumps the guard's
-transmit power one level up (never down), and every judged reply re-arms
-the timer. The timer is the guard's ``Node.timer``, pending in every ACTIVE
-node in the timer-driven modes and None with link control off. Evidence
-arrives far more often than a timer expires, so re-arming is a deferred
-move (``ctx.defer_event``): the timers of one reply move to ``ctx.now`` plus
-a t_c that is drawn only when the timer comes due, and a piece of evidence
-costs a sequence number and marks a draw owed. The engine settles a timer
-when it comes due with one fresh draw through ``t_c``, the rule every t_c
-is drawn by, so each period is still one fresh uniform's t_c from the last
-piece of evidence; only which uniform it takes differs from re-arming at
-once.
+connectivity frame and peers answer by unicast. The simulation hands link
+control the ids that received a reply, all at once, and link control judges
+each guard's link: the reply's LQI against the configured threshold, by
+comparing its power with the weak-link floor (``channel.weak_link_floor``).
+A weak link bumps the guard's transmit power one level up (never down), and
+every reply a guard receives re-arms the timer. The timer is the guard's
+``Node.timer``, pending in every ACTIVE node in the timer-driven modes and
+None with link control off. Evidence arrives far more often than a timer
+expires, so re-arming is a deferred move (``ctx.defer_event``): the timers
+of one reply move to ``ctx.now`` plus a t_c that is drawn only when the
+timer comes due, and a piece of evidence costs a sequence number and marks
+a draw owed. The engine settles a timer when it comes due with one fresh
+draw through ``t_c``, the rule every t_c is drawn by, so each period is
+still one fresh uniform's t_c from the last piece of evidence; only which
+uniform it takes differs from re-arming at once.
 In piggybacked mode the same judgement is also applied to probe replies a
 guard receives from other guards, and those resets postpone the standalone
 rounds, which is where the control-overhead saving comes from: a guard
@@ -82,19 +82,30 @@ def on_conn_received(node: Node, frame, ctx) -> None:
     ctx.send(node, MessageKind.CONN_REPLY, frame.sender, delay)
 
 
-def on_link_evidence(evidence, ctx) -> None:
-    """Act on one reply's judged receivers, (node, weak) pairs in order: a
-    weak link escalates a guard's power below the top level, told to
-    ``ctx.note_power_rise``, and every guard's timer resets to a fresh t_c
-    from now, in one deferred move. t_c is never below ``t_c_range[0]``, so
-    now plus that bounds the move."""
-    config, active = ctx.config, NodeStatus.ACTIVE
-    top = config.radio.power_levels[-1]
+def on_link_evidence(ids, frame, ctx) -> None:
+    """Act on one reply, received by the nodes ``ids`` in order: each guard's
+    timer resets to a fresh t_c from now, in one deferred move, and a guard
+    below the top level whose link is weak escalates its power, told to
+    ``ctx.note_power_rise``. t_c is never below ``t_c_range[0]``, so now
+    plus that bounds the move.
+
+    A reply carries its transmit power, so a guard judges the path itself,
+    normalized to the base power (``ctx.base_power``), not the momentary
+    reception: a guard that escalated first would otherwise mask the weak
+    link from its peer. LQI never falls as the power grows, so the link is
+    weak exactly when the normalized power is below the weak-link floor
+    (``ctx.weak_floor``). The order of these float operations is part of
+    the output bytes.
+    """
+    config, nodes, active = ctx.config, ctx.nodes, NodeStatus.ACTIVE
+    radio, base, floor = config.radio, ctx.base_power, ctx.weak_floor
+    rx, tx, top = frame.rx_dbm, frame.tx_power_dbm, radio.power_levels[-1]
     timers = []
-    for node, weak in evidence:
+    for rid in ids:
+        node = nodes[rid]
         if node.status is active:
-            if weak and node.tx_power != top:
-                escalate_power(node, config.radio)
+            if node.tx_power != top and (rx[rid] - tx) + base < floor:
+                escalate_power(node, radio)
                 ctx.note_power_rise(node)
             timers.append(node.timer)
     if timers and config.link_control.uses_conn_timer:

@@ -16,7 +16,9 @@ defer_event(handles, since, bound) (moves pending timers to ``since`` plus
 a t_c drawn when each comes due; ``bound`` is ``since`` plus the least
 t_c), send(node, kind, addressee, delay), note_transition(node, old, new),
 on_became_active(node), note_power_rise(node) (after each rise of a
-guard's ``tx_power``, so the simulation's guard graph follows it). Timer
+guard's ``tx_power``, so the simulation's guard graph follows it), and for
+link evidence nodes (id -> Node), base_power (the lowest power level) and
+weak_floor (``channel.weak_link_floor`` of the radio). Timer
 times are absolute engine times, each computed as ``ctx.now + delay`` at
 the call; ``send`` takes its slot delay.
 
@@ -51,6 +53,10 @@ ALLOWED_TRANSITIONS = frozenset({
     (NodeStatus.PROBE, NodeStatus.DEAD),
     (NodeStatus.ACTIVE, NodeStatus.DEAD),
 })
+# whether ALLOWED_TRANSITIONS holds (old, new), at [old.index][new.index]:
+# a set lookup would hash two members through the Python-level Enum.__hash__
+_LEGAL = [[(old, new) in ALLOWED_TRANSITIONS for new in NodeStatus]
+          for old in NodeStatus]
 
 
 class ProtocolViolationError(RuntimeError):
@@ -72,7 +78,7 @@ def reply_slot_delay(node_id: int, config) -> float:
     Repliers share the probe-delivery instant, so id-keyed slots keep their
     frames disjoint unless ids clash modulo the slot count.
     """
-    slots, width = reply_slots(config)
+    slots, width = config.reply_slots  # reply_slots(config), made once
     return (node_id % slots) * width
 
 
@@ -101,7 +107,7 @@ class Node:
 
 def set_status(node: Node, new: NodeStatus, ctx) -> None:
     old = node.status
-    if (old, new) not in ALLOWED_TRANSITIONS:
+    if not _LEGAL[old.index][new.index]:
         raise ProtocolViolationError(f"node {node.id}: {old.value} -> {new.value}")
     node.status = new
     ctx.note_transition(node, old, new)

@@ -68,8 +68,9 @@ class Simulation:
         self.counters = [0] * len(chan.MessageKind)  # by MessageKind.index
         self.rows: list[dict] = []
         self.failure_log: list[dict] = []
-        self._base_power = config.radio.power_levels[0]
-        self._weak_floor = chan.weak_link_floor(config.radio)
+        # every reply's link is judged against these, made once per run
+        self.base_power = config.radio.power_levels[0]
+        self.weak_floor = chan.weak_link_floor(config.radio)
         self._piggyback = config.link_control.uses_piggyback
 
         if positions is None:
@@ -83,13 +84,13 @@ class Simulation:
                 [positions[nid] for nid in range(config.node_count)], dtype=float).T.copy()
         self.nodes: dict[int, Node] = {
             nid: Node(id=nid, x=x, y=y, deploy_weibull=config.weibull,
-                      tx_power=self._base_power)
+                      tx_power=self.base_power)
             for nid, (x, y) in enumerate(zip(self._xs.tolist(), self._ys.tolist()))}
         self._links = chan.LinkRows(self._xs, self._ys, config.radio,
                                     partial(self.engine.rng, stream="shadow"))
         self._awake_ids: set[int] = set()
         self._guard_ids: set[int] = set()
-        self._graph = metrics_mod.GuardGraph(self._links, self._weak_floor)
+        self._graph = metrics_mod.GuardGraph(self._links, self.weak_floor)
         # how many nodes are in each status, by NodeStatus.index
         self._census = [0] * len(NodeStatus)
         self._census[NodeStatus.SLEEP.index] = config.node_count
@@ -195,7 +196,8 @@ class Simulation:
             return
         # A reply reaches its addressee at most: a probe answer to a prober,
         # else link evidence for the addressed guard, and for a probe reply
-        # that evidence only in piggybacked mode, then for its overhearers.
+        # that evidence only in piggybacked mode, then for its overhearers;
+        # link control judges the link of each guard among them.
         if kind is chan.MessageKind.PROBE_REPLY:
             if received and nodes[received[0]].status is NodeStatus.PROBE:
                 protocol.on_probe_reply_received(nodes[received[0]], frame, self)
@@ -203,18 +205,8 @@ class Simulation:
             if not self._piggyback:
                 return
             received = received + chan.overhearers(frame, self._guard_ids)
-        # A reply carries its transmit power, so a guard judges the path
-        # itself, normalized to the base power, not the momentary reception:
-        # a guard that escalated first would otherwise mask the weak link
-        # from its peer. LQI never falls as the power grows, so the link is
-        # weak exactly when the normalized power is below the weak-link
-        # floor. The order of these float operations is part of the bytes.
         if received:
-            rx, tx = frame.rx_dbm, frame.tx_power_dbm
-            base, floor = self._base_power, self._weak_floor
-            link_control.on_link_evidence(
-                [(nodes[rid], (rx[rid] - tx) + base < floor) for rid in received],
-                self)
+            link_control.on_link_evidence(received, frame, self)
 
     # -- failures -----------------------------------------------------------
 

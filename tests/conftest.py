@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from sentinet.channel import weak_link_floor
 from sentinet.config import RunConfig
 from sentinet.engine import EventKind
 
@@ -29,6 +30,11 @@ class FakeCtx:
         self.transitions = []
         self.activated = []
         self.raised = []  # (node id, new power) per note_power_rise call
+        # what link evidence reads: the receivers by id, and the run's
+        # base power and weak-link floor
+        self.nodes = {}
+        self.base_power = self.config.radio.power_levels[0]
+        self.weak_floor = weak_link_floor(self.config.radio)
 
     def draw(self, node_id, stream):
         return self.u

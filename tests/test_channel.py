@@ -1,5 +1,7 @@
 import math
+from collections import Counter
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -526,25 +528,27 @@ def block_sequences(draw):
 
 
 class BlockSource:
-    """Stands in for the engine's shadow substreams: each ``normal`` draw
-    hands out the next queued (sender, block), a block of draws by node id,
-    with each receiver's draws at its position in ``row(sender)``; it
-    checks that the sender drawing it and the draw's shape are the ones it
-    was made for."""
+    """Stands in for the engine's shadow substreams: ``source(sender)`` hands
+    out that sender's stream, counted in ``asked``. Each ``normal`` draw of a
+    stream hands out the next queued (sender, block), a block of draws by
+    node id, with each receiver's draws at its position in ``row(sender)``;
+    it checks that the stream's sender is the one the block was made for,
+    and the draw's shape."""
 
     def __init__(self, sigma):
         self.sigma = sigma
         self.queue = []
         self.row = None  # LinkRows.row of the rows it draws for
+        self.asked = Counter()  # streams handed out, by sender
 
     def __call__(self, sender):
-        self.sender = sender
-        return self
+        self.asked[sender] += 1
+        return SimpleNamespace(normal=partial(self.normal, sender))
 
-    def normal(self, loc, scale, size):
+    def normal(self, drawer, loc, scale, size):
         sender, block = self.queue.pop(0)
         ids, _ = self.row(sender)
-        assert (self.sender, loc, scale, size) == \
+        assert (drawer, loc, scale, size) == \
             (sender, 0.0, self.sigma, (len(block), len(ids)))
         return block[:, ids]
 
@@ -581,6 +585,9 @@ def test_power_map_blocks_match_frame_by_frame(scene):
             assert_same_frame(make_frame(*sent, rx_map, awake, radio),
                               reference_frame(sent, xs, ys, awake, radio, shadow))
         assert not source.queue  # the block was drawn, and when it was due
+    # each sender's stream is asked for once, by its first block, and kept
+    want = {sender for sender, *_ in blocks} if shadowed else set()
+    assert source.asked == Counter(dict.fromkeys(want, 1))
 
 
 @pytest.mark.oracle

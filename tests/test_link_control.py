@@ -1,10 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FakeCtx
-from sentinet.channel import Frame, MessageKind, compute_lqi, weak_link_floor
+from sentinet.channel import (Frame, MessageKind, RadioConfig, compute_lqi,
+                              weak_link_floor)
 from sentinet.config import LinkControlMode, RunConfig
+from sentinet.energy import EnergyConfig
 from sentinet.engine import EventKind
 from sentinet.link_control import (draw_t_c, escalate_power,
                                    on_active_entered, on_conn_received,
@@ -28,6 +31,22 @@ def armed_guard(ctx, node_id=0, power=-10.0):
 
 def ctx_with(mode, **kw):
     return FakeCtx(config=RunConfig(link_control=mode, **kw))
+
+
+def reply(ctx, *links, tx=-10.0):
+    """Hand link control one probe reply sent at ``tx`` dBm and received,
+    in order, by the node of each (node, weak) in ``links``: a weak link's
+    power, normalized to the base power, lies 3 dB below the weak-link
+    floor, a strong one's 3 dB above it."""
+    base, floor = ctx.base_power, ctx.weak_floor
+    rx = {}
+    for node, weak in links:
+        ctx.nodes[node.id] = node
+        rx[node.id] = floor - base + tx + (-3.0 if weak else 3.0)
+        assert ((rx[node.id] - tx) + base < floor) is weak
+    frame = Frame(MessageKind.PROBE_REPLY, 99, links[0][0].id, tx, ctx.now,
+                  ctx.now + 0.004, rx_dbm=rx)
+    on_link_evidence([node.id for node, _ in links], frame, ctx)
 
 
 def test_t_c_drawn_inside_configured_range(ctx):
@@ -91,7 +110,7 @@ def test_strong_evidence_keeps_power_and_resets_timer(ctx):
     node = armed_guard(ctx)
     timer = node.timer
     ctx.now = 9.0
-    on_link_evidence([(node, False)], ctx)
+    reply(ctx, (node, False))
     assert node.tx_power == -10.0
     # the pending timer moved in place to a fresh t_c from now
     assert node.timer is timer and ctx.moved == [timer]
@@ -106,7 +125,7 @@ def test_evidence_draws_t_c_as_draw_t_c_does():
         ctx.u = u
         node = armed_guard(ctx)
         ctx.now = 9.7
-        on_link_evidence([(node, False)], ctx)
+        reply(ctx, (node, False))
         assert node.timer.time == 9.7 + draw_t_c(node, ctx), u
         assert node.timer.time == 9.7 + (0.3 + u * (7.1 - 0.3)), u
         # the deferred move is bounded by the least t_c from now
@@ -121,7 +140,7 @@ def test_one_reply_is_one_deferred_move_for_its_guards(ctx):
     prober = make_node(node_id=3, status=NodeStatus.PROBE)
     prober.tx_power = -10.0
     ctx.now = 4.0
-    on_link_evidence([(first, True), (prober, True), (second, True)], ctx)
+    reply(ctx, (first, True), (prober, True), (second, True))
     assert (first.tx_power, second.tx_power, prober.tx_power) == (-5.0, -5.0, -10.0)
     assert ctx.raised == [(1, -5.0)]  # the one guard whose power rose
     assert ctx.deferrals == [([first.timer, second.timer], 4.0,
@@ -134,42 +153,48 @@ def test_evidence_moves_no_timer_when_off():
     ctx = ctx_with(LinkControlMode.OFF)
     node = armed_guard(ctx)
     assert node.timer is None
-    on_link_evidence([(node, True)], ctx)
+    reply(ctx, (node, True))
     assert node.tx_power == -5.0  # escalation does not need the timer
     assert ctx.deferrals == [] and ctx.scheduled == []
 
 
 def test_weak_evidence_escalates_one_level(ctx):
     node = armed_guard(ctx)
-    on_link_evidence([(node, True)], ctx)
+    reply(ctx, (node, True))
     assert node.tx_power == -5.0
     assert ctx.raised == [(node.id, -5.0)]
 
 
 def test_weak_evidence_at_top_level_saturates(ctx):
     node = armed_guard(ctx, power=-5.0)
-    on_link_evidence([(node, True)], ctx)
+    reply(ctx, (node, True))
     assert node.tx_power == -5.0
     assert ctx.moved == [node.timer]  # timer still reset
     assert ctx.raised == []  # nothing rose
 
 
 def test_threshold_boundary_is_strong(ctx):
-    # a reply at the weak-link floor has the threshold LQI: it is not weak,
-    # and a reply an ulp below the floor is
-    radio = ctx.config.radio
-    floor = weak_link_floor(radio)
+    # a reply whose normalized power is at the weak-link floor has the
+    # threshold LQI: it is not weak, and one an ulp below the floor is
+    radio, floor = ctx.config.radio, ctx.weak_floor
+    below = math.nextafter(floor, -math.inf)
     assert compute_lqi(radio, floor) == radio.lqi_threshold
-    assert compute_lqi(radio, math.nextafter(floor, -math.inf)) < radio.lqi_threshold
+    assert compute_lqi(radio, below) < radio.lqi_threshold
     node = armed_guard(ctx)
-    on_link_evidence([(node, False)], ctx)
-    assert node.tx_power == -10.0
+    ctx.nodes[node.id] = node
+    tx = base = ctx.base_power  # sent at the base power: judged as received
+    assert (floor - tx) + base == floor and (below - tx) + base == below
+    for rx, power in ((floor, -10.0), (below, -5.0)):
+        frame = Frame(MessageKind.CONN_REPLY, 1, node.id, tx, 0.0, 0.004,
+                      rx_dbm={node.id: rx})
+        on_link_evidence([node.id], frame, ctx)
+        assert node.tx_power == power, rx
 
 
 def test_evidence_ignored_for_non_guards(ctx):
     node = make_node(status=NodeStatus.PROBE)
     node.tx_power = -10.0
-    on_link_evidence([(node, True)], ctx)
+    reply(ctx, (node, True))
     assert node.tx_power == -10.0
     assert ctx.scheduled == [] and ctx.moved == []
 
@@ -177,7 +202,7 @@ def test_evidence_ignored_for_non_guards(ctx):
 def test_power_stays_in_configured_domain(ctx):
     node = armed_guard(ctx)
     for _ in range(5):
-        on_link_evidence([(node, True)], ctx)
+        reply(ctx, (node, True))
         assert node.tx_power in ctx.config.radio.power_levels
     assert node.tx_power == max(ctx.config.radio.power_levels)
     # one notice per rise, none once saturated
@@ -188,7 +213,7 @@ def test_power_never_decreases(ctx):
     node = armed_guard(ctx)
     seen = [node.tx_power]
     for weak in (False, True, False, True, False):
-        on_link_evidence([(node, weak)], ctx)
+        reply(ctx, (node, weak))
         seen.append(node.tx_power)
     assert seen == sorted(seen)
 
@@ -200,3 +225,79 @@ def test_escalate_power_walks_the_ladder():
     assert node.tx_power == -5.0
     assert escalate_power(node, radio) is False
     assert node.tx_power == -5.0
+
+
+def pair_form(evidence, ctx):
+    """Link evidence as (node, weak) pairs, each judged before any is acted
+    on: the reference for ``on_link_evidence``, which judges as it goes."""
+    config, active = ctx.config, NodeStatus.ACTIVE
+    top = config.radio.power_levels[-1]
+    timers = []
+    for node, weak in evidence:
+        if node.status is active:
+            if weak and node.tx_power != top:
+                escalate_power(node, config.radio)
+                ctx.note_power_rise(node)
+            timers.append(node.timer)
+    if timers and config.link_control.uses_conn_timer:
+        now = ctx.now
+        ctx.defer_event(timers, now, now + config.t_c_range[0])
+
+
+@pytest.mark.oracle
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_link_evidence_matches_the_pair_form(data):
+    # one reply's receivers, drawn with mixed statuses at either power
+    # level, repeated ids, and powers within a few ulps of the weak-link
+    # floor once normalized: judging each guard's link as the loop reaches
+    # it escalates, tells and defers exactly as judging every receiver
+    # first, as (rx - tx) + base < floor, in the same order
+    tenths = st.integers(-200, -10).map(lambda k: k / 10.0)
+    levels = data.draw(st.sampled_from([(-10.0, -5.0), (-12.7, -3.1)])
+                       | st.tuples(tenths, tenths).filter(lambda p: p[0] < p[1]))
+    config = RunConfig(
+        link_control=data.draw(st.sampled_from(list(LinkControlMode))),
+        radio=RadioConfig(power_levels=levels,
+                          lqi_threshold=data.draw(st.integers(1, 10))),
+        energy=EnergyConfig(tx_draw_w=tuple((p, 0.04) for p in levels)))
+    base, floor = levels[0], weak_link_floor(config.radio)
+    tx = data.draw(st.sampled_from(levels))
+    n = data.draw(st.integers(1, 6))
+    # mostly guards below the top level at the floor: the receivers whose
+    # verdict counts, where the order of the float operations shows
+    statuses = [NodeStatus.ACTIVE] * 3 + list(NodeStatus)
+    kinds = data.draw(st.lists(st.tuples(st.sampled_from(statuses),
+                                         st.sampled_from((base,) + levels)),
+                               min_size=n, max_size=n))
+    rx = {}
+    for nid in range(n):
+        power = floor - base + tx + data.draw(st.sampled_from([0.0, 0.0, -3.0, 3.0]))
+        for _ in range(data.draw(st.integers(0, 4))):
+            power = math.nextafter(power, data.draw(st.sampled_from(
+                [-math.inf, math.inf])))
+        rx[nid] = power
+    ids = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=10))
+    frame = Frame(MessageKind.PROBE_REPLY, n, ids[0], tx, 0.0, 0.004, rx_dbm=rx)
+
+    def world():
+        ctx = FakeCtx(config=config, now=2.5)
+        for nid, (status, power) in enumerate(kinds):
+            node = ctx.nodes[nid] = make_node(node_id=nid, status=status)
+            node.tx_power = power
+            if status is NodeStatus.ACTIVE:
+                on_active_entered(node, ctx)
+        return ctx
+
+    def seen(ctx):
+        return ([node.tx_power for node in ctx.nodes.values()], ctx.raised,
+                [([h.target for h in handles], since, bound)
+                 for handles, since, bound in ctx.deferrals],
+                [(h.target, h.time) for h in ctx.moved])
+
+    want = world()
+    pair_form([(want.nodes[rid], (rx[rid] - tx) + base < floor) for rid in ids],
+              want)
+    got = world()
+    on_link_evidence(ids, frame, got)
+    assert seen(got) == seen(want)

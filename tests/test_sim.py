@@ -434,12 +434,19 @@ def test_a_run_where_every_lqi_qualifies_finishes():
 
 
 def link_verdicts(sim, frame):
-    """The (receiver, weak) link evidence that resolving ``frame`` hands to
-    the link control, in order, in one call for the whole frame."""
+    """The link evidence that resolving ``frame`` hands to the link control,
+    in one call for the whole frame: each receiving id, in order, with
+    whether the link control raised its guard's power."""
     calls = []
     original = link_control.on_link_evidence
-    link_control.on_link_evidence = lambda evidence, ctx: calls.append(
-        [(node.id, weak) for node, weak in evidence])
+
+    def spy(ids, frame, ctx):
+        before = [ctx.nodes[rid].tx_power for rid in ids]
+        original(ids, frame, ctx)
+        calls.append([(rid, ctx.nodes[rid].tx_power != power)
+                      for rid, power in zip(ids, before)])
+
+    link_control.on_link_evidence = spy
     try:
         sim.frames.append(frame)
         sim._resolve_frame(Event(sim.now, -1, None, EventKind.MSG_DELIVERY, frame))
@@ -450,10 +457,13 @@ def link_verdicts(sim, frame):
 
 
 def standing_guards(sim, *ids):
+    """Nodes ``ids`` stand guard at the base power, each with its armed
+    connectivity timer."""
     for nid in ids:
         node = sim.nodes[nid]
         node.status = NodeStatus.ACTIVE  # bypass protocol: stand guard
         sim.note_transition(node, NodeStatus.SLEEP, NodeStatus.ACTIVE)
+        sim.on_became_active(node)
 
 
 @settings(max_examples=200, deadline=None)
@@ -484,14 +494,14 @@ def test_weak_link_verdict_normalizes_as_rx_minus_tx_plus_base():
     radio = dataclasses.replace(RunConfig().radio, power_levels=(-12.7, -3.1))
     energy = dataclasses.replace(RunConfig().energy,
                                  tx_draw_w=((-12.7, 0.040), (-3.1, 0.046)))
-    sim = Simulation(small_config(radio=radio, energy=energy))
-    standing_guards(sim, 0, 2, 3)
     tx, base, floor = -3.1, -12.7, weak_link_floor(radio)
     rx = float.fromhex("-0x1.359999999999ap+6")  # -77.4
     assert (rx - tx) + base < floor <= rx + (base - tx)
     assert compute_lqi(radio, (rx - tx) + base) < radio.lqi_threshold
     for kind, want in ((MessageKind.CONN_REPLY, [0]),
                        (MessageKind.PROBE_REPLY, [0, 2, 3])):
+        sim = Simulation(small_config(radio=radio, energy=energy))
+        standing_guards(sim, 0, 2, 3)
         frame = Frame(kind, 1, 0, tx, 0.0, radio.tx_duration_s,
                       rx_dbm={0: rx, 2: rx, 3: rx}, awake_at_start={0, 2, 3})
         assert link_verdicts(sim, frame) == [(nid, True) for nid in want]
