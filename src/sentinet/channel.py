@@ -161,9 +161,10 @@ class LinkRows:
     frames at once from the generator ``shadow(sender)`` returns, asked for
     once per sender and kept: a block of one row of draws per frame, one
     column per position in the sender's row, the same values as frame by
-    frame under Philox. Rows read only for the guard graph need no source. ``maps`` makes all of a block's maps in one 2-D numpy pass, so a
-    block costs a fixed number of numpy calls however many frames it holds;
-    a one-frame block takes a 1-D path that costs less.
+    frame under Philox. Rows read only for the guard graph need no source.
+    ``maps`` makes all of a block's maps in one 2-D numpy pass, so a block
+    costs a fixed number of numpy calls however many frames it holds; a
+    one-frame block takes a 1-D path that costs less.
     """
 
     def __init__(self, xs, ys, radio: RadioConfig, shadow=None):
@@ -284,12 +285,14 @@ class Frame:
     it over whole runs, so a frame does not check it again. ``rx_dbm`` maps
     the audible receivers, ascending by id, to their received power,
     whatever their state; without shadowing, the frames a sender sends at
-    one power share one such map, so nothing may change it.
-    ``awake_at_start`` holds those of them that were awake when the frame
-    started. Nobody else can receive the frame. ``jammed`` holds the nodes
-    that hear, or send, another frame overlapping this one: none of them
-    can receive it. Frames compare by identity, so one can be removed from
-    a list of frames on the air.
+    one power share one such map, so nothing may change it. Nobody asleep
+    when the frame started can receive it: a broadcast frame keeps, in
+    ``awake_at_start``, its audible receivers that were awake then, and a
+    unicast frame keeps one fact alone, in ``addressee_awake``: whether its
+    addressee was audible and awake then. ``jammed`` holds the nodes that
+    hear, or send, another frame overlapping this one: none of them can
+    receive it. Frames compare by identity, so one can be removed from a
+    list of frames on the air.
     """
 
     kind: MessageKind
@@ -299,8 +302,12 @@ class Frame:
     start: float
     end: float
     rx_dbm: dict[int, float] = field(default_factory=dict)
-    awake_at_start: AbstractSet[int] = frozenset()
+    awake_at_start: AbstractSet[int] = frozenset()  # broadcast only
     jammed: set[int] = field(default_factory=set)
+    addressee_awake: bool = False  # unicast only
+
+
+_NOBODY = frozenset()  # a unicast frame's awake_at_start
 
 
 def make_frame(kind: MessageKind, sender: int, addressee: Optional[int],
@@ -313,7 +320,8 @@ def make_frame(kind: MessageKind, sender: int, addressee: Optional[int],
     ``on_air`` holds frames that started no later than this one; each of
     them still on the air when this one starts adds its audible receivers
     and its sender to this frame's ``jammed`` set, and this frame's to its
-    own.
+    own. Of ``awake_ids``, the nodes awake now, a broadcast frame keeps its
+    audible receivers, and a unicast frame whether its addressee is one.
     """
     jammed = set()
     for other in on_air:
@@ -323,31 +331,41 @@ def make_frame(kind: MessageKind, sender: int, addressee: Optional[int],
             jammed.add(other.sender)
             other.jammed.update(rx_dbm)
             other.jammed.add(sender)
-    return Frame(kind, sender, addressee, tx_power_dbm, start,
-                 start + radio.tx_duration_s, rx_dbm, rx_dbm.keys() & awake_ids,
-                 jammed)
+    end = start + radio.tx_duration_s
+    if addressee is None:
+        return Frame(kind, sender, None, tx_power_dbm, start, end, rx_dbm,
+                     rx_dbm.keys() & awake_ids, jammed)
+    return Frame(kind, sender, addressee, tx_power_dbm, start, end, rx_dbm,
+                 _NOBODY, jammed, addressee in rx_dbm and addressee in awake_ids)
 
 
 def deliver(frame: Frame, awake_now) -> list[int]:
     """Resolve a frame at its end time; returns the receiving ids, ascending.
 
-    Candidate receivers are the audible ones awake for the whole frame
-    (broadcast) or the addressee alone (unicast); a link row never holds
-    its sender. A candidate receives the frame unless it is jammed.
+    Candidate receivers are the audible ones awake at the frame's start and
+    at its end (broadcast), or the addressee alone, tested by membership
+    (unicast); a link row never holds its sender. A candidate receives the
+    frame unless it is jammed.
     """
-    heard = frame.awake_at_start.intersection(awake_now) - frame.jammed
     addressee = frame.addressee
     if addressee is None:
-        return sorted(heard)
-    return [addressee] if addressee in heard else []
+        return sorted(frame.awake_at_start.intersection(awake_now) - frame.jammed)
+    if (frame.addressee_awake and addressee in awake_now
+            and addressee not in frame.jammed):
+        return [addressee]
+    return []
 
 
 def overhearers(frame: Frame, listener_ids) -> list[int]:
     """Ids of the listeners other than the addressee that receive a unicast
     frame (same rules), ascending.
 
-    Only listeners among the frame's audible receivers awake at its start
-    can receive it, so the scan covers those rather than every listener.
+    Precondition: every listener was awake at the frame's start, so the
+    scan covers its audible receivers among the listeners and keeps no
+    awake set. The simulation's listeners are the guards at the frame's
+    end, and a node is a guard only after probing for ``t_w``, which
+    ``RunConfig`` keeps above four frame times (two frames and two reply
+    slots): a guard at a frame's end was awake at its start.
     """
-    return sorted(frame.awake_at_start.intersection(listener_ids)
+    return sorted((frame.rx_dbm.keys() & listener_ids)
                   .difference(frame.jammed, (frame.addressee,)))

@@ -276,9 +276,10 @@ def test_loss_free_three_node_line_without_collisions():
 @st.composite
 def air_scenes(draw):
     """A small field with 1-3 frames, some overlapping in time, plus the
-    awake sets at each frame's start and at resolution time. The frames
-    are made in start order, ties in drawn order, each with the frames
-    made before it on the air."""
+    awake sets at each frame's start and at resolution time, and each
+    frame's listeners, drawn from the nodes awake at its start as
+    ``overhearers`` requires. The frames are made in start order, ties in
+    drawn order, each with the frames made before it on the air."""
     n = draw(st.integers(2, 10))
     coord = st.floats(0.0, 30.0)
     xs = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
@@ -299,15 +300,18 @@ def air_scenes(draw):
         start = draw(st.sampled_from([0.0, 0.001, 0.002, 0.004, 0.006]))
         shadow = np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=n,
                                         max_size=n)))
+        awake = draw(node_sets)
+        listeners = awake - draw(st.sets(st.integers(0, n - 1)))
         drawn.append(((kind, sender, addressee, power, start), shadow,
-                      draw(node_sets)))
+                      awake, listeners))
     drawn.sort(key=lambda item: item[0][4])
     frames = []
-    for sent, shadow, awake in drawn:
+    for sent, shadow, awake, _ in drawn:
         frames.append(frame_alone(sent, links, awake, RADIO, shadow,
                                   on_air=list(frames)))
-    awake_at = [awake for _, _, awake in drawn]
-    return n, frames, awake_at, draw(node_sets), draw(node_sets)
+    awake_at = [awake for _, _, awake, _ in drawn]
+    listeners_at = [listeners for *_, listeners in drawn]
+    return n, frames, awake_at, draw(node_sets), listeners_at
 
 
 def _reference_receives(frame, nid, frames):
@@ -351,8 +355,8 @@ def _reference_overhearers(n, frame, frames, awake_start, listeners):
 @settings(max_examples=300, deadline=None)
 @given(air_scenes())
 def test_delivery_matches_brute_force_scan(scene):
-    n, frames, awake_at, awake_now, listeners = scene
-    for frame, awake_start in zip(frames, awake_at):
+    n, frames, awake_at, awake_now, listeners_at = scene
+    for frame, awake_start, listeners in zip(frames, awake_at, listeners_at):
         assert deliver(frame, awake_now) == \
             _reference_deliver(n, frame, frames, awake_start, awake_now)
         assert overhearers(frame, listeners) == \
@@ -364,7 +368,8 @@ def test_delivery_matches_brute_force_scan(scene):
 
 def reference_frame(sent, xs, ys, awake_ids, radio, shadow=None):
     """The frame computed at every node, its shadowing clipped at
-    ±SHADOW_CLIP sigma, then cut to the audible ones."""
+    ±SHADOW_CLIP sigma, then cut to the audible ones; a broadcast frame
+    keeps those awake, a unicast one whether its addressee is among them."""
     kind, sender, addressee, tx, start = sent
     d = np.hypot(xs - xs[sender], ys - ys[sender])
     rx = tx - path_loss_db(radio, d)
@@ -375,8 +380,13 @@ def reference_frame(sent, xs, ys, awake_ids, radio, shadow=None):
     audible[sender] = False
     idx = np.flatnonzero(audible)
     rx_map = dict(zip(idx.tolist(), rx[idx].tolist()))
+    heard = rx_map.keys() & set(awake_ids)
+    if addressee is None:
+        return Frame(kind, sender, addressee, tx, start,
+                     start + radio.tx_duration_s, rx_dbm=rx_map,
+                     awake_at_start=heard)
     return Frame(kind, sender, addressee, tx, start, start + radio.tx_duration_s,
-                 rx_dbm=rx_map, awake_at_start=rx_map.keys() & awake_ids)
+                 rx_dbm=rx_map, addressee_awake=addressee in heard)
 
 
 def assert_same_frame(got, want):
@@ -384,6 +394,7 @@ def assert_same_frame(got, want):
     assert [(k, v.hex()) for k, v in got.rx_dbm.items()] == \
         [(k, v.hex()) for k, v in want.rx_dbm.items()]
     assert set(got.awake_at_start) == set(want.awake_at_start)
+    assert got.addressee_awake is want.addressee_awake
     assert (got.kind, got.sender, got.addressee, got.tx_power_dbm) == \
         (want.kind, want.sender, want.addressee, want.tx_power_dbm)
     assert (got.start, got.end) == (want.start, want.end)
@@ -391,8 +402,8 @@ def assert_same_frame(got, want):
 
 @st.composite
 def frame_sequences(draw):
-    """A field, one set of link rows, and frames sent over it in turn; some
-    draws are planted far out in either tail, past the clip."""
+    """A field, one set of link rows, and frames of every kind sent over it
+    in turn; some draws are planted far out in either tail, past the clip."""
     sigma = draw(st.sampled_from([0.0, 4.0]))
     radio = RadioConfig(shadowing_sigma_db=sigma)
     n = draw(st.integers(2, 40))
@@ -405,6 +416,10 @@ def frame_sequences(draw):
     frames = []
     for _ in range(draw(st.integers(1, 6))):
         sender = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(MessageKind))
+        addressee = None
+        if kind in UNICAST_KINDS:
+            addressee = draw(st.integers(0, n - 1).filter(lambda a: a != sender))
         power = draw(st.sampled_from(radio.power_levels))
         shadow = None
         if sigma > 0.0:
@@ -414,8 +429,7 @@ def frame_sequences(draw):
                 shadow[nid] = draw(st.sampled_from([-1.0, 1.0])
                                    ) * draw(st.floats(3.0, 8.0)) * sigma
         awake = draw(st.sets(st.integers(0, n - 1)))
-        frames.append(((MessageKind.PROBE, sender, None, power, 0.0),
-                       shadow, awake))
+        frames.append(((kind, sender, addressee, power, 0.0), shadow, awake))
     return radio, xs, ys, frames
 
 

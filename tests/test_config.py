@@ -120,6 +120,25 @@ def test_tw_must_exceed_two_frames():
         RunConfig(radio=slow)
 
 
+@given(tx_s=st.floats(1e-6, 0.1),
+       ratio=st.floats(0.0, 10.0) | st.sampled_from([1.0, 4.0, 4.1]),
+       ulps=st.integers(-2, 2))
+def test_every_accepted_tw_outlasts_a_frame(tx_s, ratio, ulps):
+    # overhearers reads a reply's audible guards without an awake set: a
+    # node stands guard t_w after it wakes, so a guard at a frame's end was
+    # awake at its start only while t_w exceeds a frame. The reply-slot
+    # rule keeps that: every config that constructs has it
+    tw = ratio * tx_s
+    for _ in range(abs(ulps)):
+        tw = math.nextafter(tw, math.copysign(math.inf, ulps))
+    radio = dataclasses.replace(RadioConfig(), tx_duration_s=tx_s)
+    try:
+        cfg = RunConfig(t_w=tw, radio=radio)
+    except ValueError:
+        return
+    assert cfg.t_w > cfg.radio.tx_duration_s
+
+
 def test_negative_shadowing_sigma_rejected():
     with pytest.raises(ValueError, match="shadowing_sigma_db must be >= 0"):
         RunConfig.from_flat({"shadowing_sigma": "-4"})

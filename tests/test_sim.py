@@ -290,6 +290,80 @@ def test_every_transmission_is_addressed_by_its_kind():
     assert all(seen[kind] > 0 for kind in MessageKind)
 
 
+@pytest.mark.oracle
+def test_replies_resolve_as_the_awake_set_intersections(monkeypatch):
+    # a unicast frame keeps only whether its addressee was audible and
+    # awake at its start, and overhearers reads the guards among its
+    # audible receivers; over whole runs both equal the rule they replace
+    # (awake at the frame's start and at its end, not jammed), and every
+    # guard at a frame's end was awake at its start: over the golden runs,
+    # a run with single kills and a guard kill, and one at the least t_w
+    # that RunConfig accepts
+    tx_s = RunConfig().radio.tx_duration_s
+    least = 2.0 * tx_s + 2.0 * (1.05 * tx_s)  # as test_config pins it
+    runs = [(RunConfig.from_flat(flat), (), failures)
+            for flat, failures in GOLDEN_RUNS.values()]
+    runs.append((RunConfig.from_flat({
+        "nodes": "60", "field": "80x80", "duration": "150", "seed": "3",
+        "lambda": "0.05", "grid_step": "5", "metric_interval": "10"}),
+        ((4, 30.0), (17, 60.0), (41, 90.0)), ((100.0, None),)))
+    runs.append((RunConfig.from_flat({
+        "nodes": "60", "field": "80x80", "duration": "150", "seed": "5",
+        "tw": repr(least), "link_control": "piggybacked", "grid_step": "5",
+        "metric_interval": "10"}), (), ()))
+    awake_at = {}  # frame -> every node awake as it was made
+    seen = Counter()
+    make_frame, deliver = chan_mod.make_frame, chan_mod.deliver
+    overhearers = chan_mod.overhearers
+
+    def before(frame, now_ids):
+        # the old rule's candidates: audible and awake at the frame's
+        # start, awake at its end, not jammed
+        return (frame.rx_dbm.keys() & awake_at[frame]) \
+            .intersection(now_ids) - frame.jammed
+
+    def made(kind, sender, addressee, tx, start, rx_dbm, awake_ids, *args):
+        frame = make_frame(kind, sender, addressee, tx, start, rx_dbm,
+                           awake_ids, *args)
+        awake_at[frame] = frozenset(awake_ids)
+        return frame
+
+    def delivered(frame, awake_now):
+        got = deliver(frame, awake_now)
+        heard = before(frame, awake_now)
+        if frame.addressee is None:
+            assert got == sorted(heard)
+        else:
+            assert got == ([frame.addressee] if frame.addressee in heard
+                           else [])
+            seen["unicast"] += 1
+            seen["received"] += bool(got)
+        assert sim._guard_ids <= awake_at[frame]
+        seen["guards"] += len(sim._guard_ids)
+        return got
+
+    def overheard(frame, listener_ids):
+        got = overhearers(frame, listener_ids)
+        assert got == sorted(before(frame, listener_ids) - {frame.addressee})
+        seen["overheard"] += len(got)
+        return got
+
+    monkeypatch.setattr(chan_mod, "make_frame", made)
+    monkeypatch.setattr(chan_mod, "deliver", delivered)
+    monkeypatch.setattr(chan_mod, "overhearers", overheard)
+    for cfg, kills, mass in runs:
+        sim = Simulation(cfg)
+        for nid, at in kills:
+            sim.inject_failure(nid, at)
+        for at, count in mass:
+            sim.inject_sentinel_failure(at, count)
+        sim.run()
+        awake_at.clear()
+    assert sim.config.t_w == least
+    assert all(seen[key] > 0 for key in ("unicast", "received", "guards",
+                                         "overheard"))
+
+
 def test_rows_strictly_increasing_in_time():
     result = run_simulation(small_config())
     times = [row["time_s"] for row in result.rows]
@@ -481,7 +555,7 @@ def test_weak_link_verdict_matches_the_normalized_lqi(threshold, tx, offset, ulp
     for _ in range(abs(ulps)):
         rx = math.nextafter(rx, math.copysign(math.inf, ulps))
     frame = Frame(MessageKind.CONN_REPLY, 1, 0, tx, 0.0, radio.tx_duration_s,
-                  rx_dbm={0: rx}, awake_at_start={0})
+                  rx_dbm={0: rx}, addressee_awake=True)
     lqi = compute_lqi(radio, rx - tx + base)
     assert link_verdicts(sim, frame) == [(0, lqi < threshold)]
 
@@ -503,7 +577,7 @@ def test_weak_link_verdict_normalizes_as_rx_minus_tx_plus_base():
         sim = Simulation(small_config(radio=radio, energy=energy))
         standing_guards(sim, 0, 2, 3)
         frame = Frame(kind, 1, 0, tx, 0.0, radio.tx_duration_s,
-                      rx_dbm={0: rx, 2: rx, 3: rx}, awake_at_start={0, 2, 3})
+                      rx_dbm={0: rx, 2: rx, 3: rx}, addressee_awake=True)
         assert link_verdicts(sim, frame) == [(nid, True) for nid in want]
 
 
