@@ -24,6 +24,10 @@ class EnergyConfig:
 
     def __post_init__(self):
         require_finite(self, "energy")
+        levels = [level for level, _ in self.tx_draw_w]
+        for level in levels:  # tx_draw reads only the first of a repeat
+            if levels.count(level) > 1:
+                raise ValueError(f"tx_draw lists {level} dBm twice")
         draws = [self.sleep_draw_w, self.probe_awake_draw_w, self.active_draw_w]
         draws += [w for _, w in self.tx_draw_w]
         if any(w < 0.0 for w in draws):

@@ -6,15 +6,16 @@ deferred move (``defer``), made for timers that are re-armed to a random
 delay far more often than they expire. The move gives the event a fresh
 sequence number, as a new event would, and marks it as owing the delay's
 draw instead of making it: it records the clock at the move, and files a
-heap entry under (bound, seq) only when the event's newest entry is later
-than ``bound``, the earliest time the draw can give. An event's ``time`` is
-the time of its newest entry; every older entry is stale and dropped when
-popped. When the newest entry of an event that owes a draw is popped, the
-event settles: the next draw of its target's substream gives the delay from
-its last move, one fresh draw however many moves came since it last
-settled, and the event is re-filed under its settled (time, seq) unless
-that is the key just popped. The newest entry never sorts after the
-settled key, so events dispatch in key order.
+heap entry under (bound, seq) only when the event's live entry is later
+than ``bound``, the earliest time the draw can give. An event's ``time``
+and ``filed`` are the time and seq of its live entry; other entries are
+stale, dropped when popped. Once cancelled or dispatched an event is spent:
+``filed`` is -1, so no entry of it is live. When the live entry of an event
+that owes a draw is popped, the event settles: the next draw of its
+target's substream gives the delay from its last move, one fresh draw
+however many moves came since it last settled, and the event is re-filed
+under its settled (time, seq) unless that is the key just popped. The live
+entry never sorts after the settled key, so events dispatch in key order.
 
 All randomness flows through counter-based Philox substreams keyed by
 (seed, node id, stream name), so a node's draws depend only on its own
@@ -170,11 +171,8 @@ class Event:
     target: Optional[int]  # None = system-wide
     kind: EventKind
     payload: Any = None
-    cancelled: bool = False
-    dispatched: bool = False
-    filed: int = -1  # seq of the newest heap entry filed for this event
-    owed: bool = False  # a deferred move came since it last settled
-    since: float = 0.0  # the clock at its last deferred move
+    filed: int = -1  # live entry's seq; -1 once spent (cancelled/dispatched)
+    since: Optional[float] = None  # last move's clock while a draw is owed
 
 
 class Engine:
@@ -281,15 +279,16 @@ class Engine:
             raise ClockViolationError(
                 f"cannot schedule {kind.value} at {time} behind clock {self.clock}")
         seq = self._next_seq
-        ev = Event(time, seq, target, kind, payload, False, False, seq)
+        ev = Event(time, seq, target, kind, payload, seq)
         self._next_seq = seq + 1
         heapq.heappush(self._queue, (time, seq, ev))
         return ev
 
     def cancel(self, event: Event) -> bool:
-        if event.cancelled or event.dispatched:
+        """Spend a pending event; False if it was cancelled or dispatched."""
+        if event.filed < 0:
             return False
-        event.cancelled = True
+        event.filed = -1
         return True
 
     def deferrable(self, kind: EventKind, stream: str, delay) -> None:
@@ -305,7 +304,7 @@ class Engine:
         Each event takes the next sequence number and owes a draw of its
         kind's ``deferrable`` stream, made when it settles; ``bound``, at or
         after the clock, must not exceed ``since + delay(u)`` for any draw
-        ``u``. A spent event stays spent: nothing filed for it dispatches.
+        ``u``. A spent event takes a sequence number; nothing is filed for it.
         """
         if not bound >= self.clock:  # NaN too
             raise ClockViolationError(
@@ -313,12 +312,12 @@ class Engine:
         queue, seq = self._queue, self._next_seq
         for ev in events:
             ev.seq = seq
-            ev.owed = True
-            ev.since = since
-            if ev.time > bound:
-                ev.time = bound
-                ev.filed = seq
-                heapq.heappush(queue, (bound, seq, ev))
+            if ev.filed >= 0:
+                ev.since = since
+                if ev.time > bound:
+                    ev.time = bound
+                    ev.filed = seq
+                    heapq.heappush(queue, (bound, seq, ev))
             seq += 1
         self._next_seq = seq
 
@@ -328,8 +327,8 @@ class Engine:
         if settle is None:
             raise ValueError(f"{ev.kind.value} events are not deferrable")
         stream, delay = settle
-        ev.owed = False
         time = ev.since + delay(self.uniform(ev.target, stream))
+        ev.since = None
         if not time >= popped:  # a bound above the delay, or NaN
             raise ClockViolationError(
                 f"{ev.kind.value} settled at {time}, before its bound {popped}")
@@ -346,16 +345,16 @@ class Engine:
         owner = self._owner()
         while queue and queue[0][0] <= t_end:
             time, seq, ev = heapq.heappop(queue)
-            if ev.cancelled or seq != ev.filed:  # spent, or a stale entry
+            if seq != ev.filed:  # spent, or a stale entry
                 continue
-            if ev.owed:
+            if ev.since is not None:
                 ev.time = self._settled(ev, time)
                 if ev.time != time or ev.seq != seq:
                     ev.filed = ev.seq
                     heapq.heappush(queue, (ev.time, ev.seq, ev))
                     continue
             self.clock = time
-            ev.dispatched = True
+            ev.filed = -1
             index = ev.kind.index
             counts[index] += 1
             handlers[index](owner, ev)

@@ -9,18 +9,19 @@ Handlers are sans-IO: they mutate the node and talk to a context object
 (`ctx`) for time, configuration, randomness, timers, and transmissions, so
 they run identically under the real simulation or a test double. A handler
 for a received frame takes the ``channel.Frame`` record itself and reads
-its fields (``frame.sender``). The ctx
-surface used here and by link_control: now, config, draw(node_id, stream),
-schedule_event(time, target, kind), cancel_event(handle),
-defer_event(handles, since, bound) (moves pending timers to ``since`` plus
-a t_c drawn when each comes due; ``bound`` is ``since`` plus the least
-t_c), send(node, kind, addressee, delay), note_transition(node, old, new),
-on_became_active(node), note_power_rise(node) (after each rise of a
-guard's ``tx_power``, so the simulation's guard graph follows it), and for
-link evidence nodes (id -> Node), base_power (the lowest power level) and
-weak_floor (``channel.weak_link_floor`` of the radio). Timer
-times are absolute engine times, each computed as ``ctx.now + delay`` at
-the call; ``send`` takes its slot delay.
+its fields (``frame.sender``). The ctx surface used here and by
+link_control: now, config, draw(node_id, stream), schedule_event(time,
+target, kind), cancel_event(handle) (spends a pending timer, so it never
+fires; a spent one, cancelled or fired, stays spent), defer_event(handles,
+since, bound) (moves pending timers to ``since`` plus a t_c drawn when each
+comes due; ``bound`` is ``since`` plus the least t_c), send(node, kind,
+addressee, delay), note_transition(node, old, new), on_became_active(node),
+note_power_rise(node) (after each rise of a guard's ``tx_power``, so the
+simulation's guard graph follows it), and for link evidence nodes
+(id -> Node), base_power (the lowest power level) and weak_floor
+(``channel.weak_link_floor`` of the radio). Timer times are absolute engine
+times, each computed as ``ctx.now + delay`` at the call; ``send`` takes its
+slot delay.
 
 A node holds at most one pending timer, ``Node.timer``, the one its status
 owns: the sleep expiry in SLEEP, the wait expiry in PROBE, the
@@ -87,18 +88,13 @@ class Node:
     id: int
     x: float
     y: float
-    deploy_weibull: WeibullParams
     tx_power: float
-    weibull: WeibullParams = None  # current sampling params, post-updates
+    weibull: WeibullParams  # current sampling params, post-updates
     status: NodeStatus = NodeStatus.SLEEP
     rcv_msg: bool = False
     deployed_at: float = 0.0
     sleep_cycle_start: float = 0.0
     timer: Optional[object] = None  # the pending timer its status owns
-
-    def __post_init__(self):
-        if self.weibull is None:
-            self.weibull = self.deploy_weibull
 
     @property
     def alive(self) -> bool:
@@ -167,10 +163,10 @@ def on_wait_expired(node: Node, ctx) -> None:
     if node.rcv_msg:
         feedback = ctx.config.hazard_feedback
         if feedback == "global":
-            node.weibull = update_probe_rate(node.deploy_weibull,
+            node.weibull = update_probe_rate(ctx.config.weibull,
                                              ctx.now - node.deployed_at)
         elif feedback == "cycle":
-            node.weibull = update_probe_rate(node.deploy_weibull,
+            node.weibull = update_probe_rate(ctx.config.weibull,
                                              ctx.now - node.sleep_cycle_start)
         set_status(node, NodeStatus.SLEEP, ctx)
         node.sleep_cycle_start = ctx.now

@@ -83,8 +83,8 @@ class Simulation:
             self._xs, self._ys = np.array(
                 [positions[nid] for nid in range(config.node_count)], dtype=float).T.copy()
         self.nodes: dict[int, Node] = {
-            nid: Node(id=nid, x=x, y=y, deploy_weibull=config.weibull,
-                      tx_power=self.base_power)
+            nid: Node(id=nid, x=x, y=y, tx_power=self.base_power,
+                      weibull=config.weibull)
             for nid, (x, y) in enumerate(zip(self._xs.tolist(), self._ys.tolist()))}
         self._links = chan.LinkRows(self._xs, self._ys, config.radio,
                                     partial(self.engine.rng, stream="shadow"))

@@ -241,6 +241,15 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "warp_factor" in capsys.readouterr().err
 
 
+def test_power_level_with_two_draws_rejected(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("nodes=5\ntx_draw=-10:0.04,-10:0.05,-5:0.046\n")
+    out = tmp_path / "x"
+    assert run_cli("run", "--config", str(bad), "--out", str(out)) == 2
+    assert "tx_draw lists -10.0 dBm twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_layout_and_aggregate(tmp_path):
     out = tmp_path / "sw"
     code = run_cli("sweep", *FAST, "--out", str(out),

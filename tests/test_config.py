@@ -157,6 +157,16 @@ def test_power_levels_need_energy_draws():
         RunConfig(radio=radio)
 
 
+def test_power_level_with_two_draws_rejected():
+    # tx_draw would read the first draw and never the second
+    for text in ("-10:0.04,-10:0.05,-5:0.046", "-5:0.046,-10:0.04,-10.0:0.04"):
+        with pytest.raises(ValueError, match=r"tx_draw lists -10\.0 dBm twice"):
+            RunConfig.from_flat({"tx_draw": text})
+    # two levels may share a draw
+    energy = RunConfig.from_flat({"tx_draw": "-10:0.04,-5:0.04"}).energy
+    assert (energy.tx_draw(-10.0), energy.tx_draw(-5.0)) == (0.04, 0.04)
+
+
 def test_config_hash_tracks_content():
     a, b = RunConfig(seed=1), RunConfig(seed=1)
     assert a.config_hash() == b.config_hash()

@@ -221,18 +221,19 @@ def test_defer_later_files_no_entry_and_settles_when_due():
     eng.schedule(2.0, 2, EventKind.SLEEP_EXPIRED)
     assert eng.defer([handle], 1.5, 2.5) is None
     # a fresh sequence number and an owed draw; the 2.0 entry bounds it
-    assert (handle.time, handle.seq, handle.filed, handle.owed) == (2.0, 2, 0, True)
+    assert (handle.time, handle.seq, handle.filed, handle.since) == (2.0, 2, 0, 1.5)
     assert len(eng._queue) == 2
     dispatched = eng.run_until(10.0)
     [u] = conn_draws(1, 1, 1)
     assert seen == [(2.0, 2, EventKind.SLEEP_EXPIRED), (1.5 + delay(u), 1, CONN)]
-    assert (handle.owed, handle.filed) == (False, 2)
+    assert (handle.since, handle.filed) == (None, -1)  # settled, then spent
     assert sum(dispatched.values()) == 2 and eng._queue == []
 
 
 def test_defer_earlier_files_one_entry_and_spent_handles_stay_spent():
     # a move whose bound is earlier than the newest entry files one entry
-    # at the bound; deferring a dispatched or cancelled handle is inert
+    # at the bound; deferring a dispatched or cancelled handle takes a
+    # sequence number and files nothing
     eng = Engine(seed=1)
     seen = collect(eng)
     delay = deferring(eng, lo=0.5, hi=0.75)
@@ -242,11 +243,13 @@ def test_defer_earlier_files_one_entry_and_spent_handles_stay_spent():
     assert heap_keys(eng) == [(3.5, 1), (5.0, 0)]  # the 5.0 entry is stale
     eng.run_until(4.5)
     [u, _] = conn_draws(1, 1, 2)
-    assert seen == [(3.0 + delay(u), 1, CONN)] and handle.dispatched
+    assert seen == [(3.0 + delay(u), 1, CONN)] and handle.filed == -1
     cancelled = eng.schedule(8.0, 2, CONN)
-    eng.cancel(cancelled)
+    assert eng.cancel(cancelled) is True and cancelled.filed == -1
     eng.defer([handle, cancelled], 4.5, 5.0)
-    assert not handle.cancelled and cancelled.cancelled
+    assert (handle.seq, cancelled.seq) == (3, 4) and eng._next_seq == 5
+    assert handle.filed == cancelled.filed == -1
+    assert heap_keys(eng) == [(5.0, 0), (8.0, 2)]  # stale entries only
     eng.run_until(20.0)
     assert len(seen) == 1 and eng._queue == []
 
@@ -265,7 +268,7 @@ def test_settling_takes_one_draw_however_many_moves():
         if moves % 2:
             eng.defer([handle], 0.5 * (moves // 2), 0.5 * (moves // 2) + 1.0)
         since = 0.5 * ((moves - 1) // 2)
-        assert (handle.owed, handle.since, handle.seq) == (True, since, moves)
+        assert (handle.since, handle.seq) == (since, moves)
         eng.run_until(100.0)
         first, second = conn_draws(4, 7, 2)
         assert seen == [(since + delay(first), 7, CONN)], moves
@@ -279,7 +282,7 @@ def test_defer_bound_behind_the_clock_rejected():
     eng.run_until(7.0)
     with pytest.raises(ClockViolationError):
         eng.defer([handle], 6.0, 6.5)
-    assert (handle.time, handle.seq, handle.filed, handle.owed) == (8.0, 0, 0, False)
+    assert (handle.time, handle.seq, handle.filed, handle.since) == (8.0, 0, 0, None)
     assert eng._next_seq == 1
 
 
@@ -293,8 +296,8 @@ def test_defer_to_nan_bound_rejected():
     eng.schedule(7.0, 2, EventKind.SLEEP_EXPIRED)
     with pytest.raises(ClockViolationError):
         eng.defer([handle], 1.0, float("nan"))
-    assert (handle.time, handle.seq, handle.filed, handle.owed) == (5.0, 0, 0, False)
-    assert not handle.cancelled and not handle.dispatched
+    # still pending, at its old key
+    assert (handle.time, handle.seq, handle.filed, handle.since) == (5.0, 0, 0, None)
     assert heap_keys(eng) == [(5.0, 0), (7.0, 1)]
     eng.run_until(10.0)
     assert seen == [(5.0, 1, CONN), (7.0, 2, EventKind.SLEEP_EXPIRED)]
@@ -347,7 +350,8 @@ class ReferenceQueue:
         return seq
 
     def cancel(self, seq):
-        self.pending.pop(seq, None)
+        """Whether the event was pending."""
+        return self.pending.pop(seq, None) is not None
 
     def move(self, seq, since, bound):
         """Cancel, and schedule a stand-in owing a draw; a spent event takes
@@ -398,20 +402,24 @@ def half_seconds(u):
 @given(st.data())
 def test_defer_dispatches_like_cancel_and_schedule(data):
     # against a reference that only cancels and schedules, drawing a moved
-    # event's delay once, when its stand-in comes due: after every step each
-    # pending event's newest entry is filed at the reference time, under a
-    # seq at or below the reference seq and equal to it once settled, and
-    # it owes a draw exactly when the reference's stand-in does; an event
-    # moved again before it settles counts from the last move
+    # event's delay once, when its stand-in comes due: after every step
+    # exactly the events the reference holds pending are live, each live
+    # event's newest entry is filed at the reference time, under a seq at
+    # or below the reference seq and equal to it once settled, and it owes
+    # a draw from the same move's clock exactly when the reference's
+    # stand-in does; an event moved again before it settles counts from
+    # the last move; cancel succeeds exactly on a pending event
     eng, ref = Engine(seed=1), ReferenceQueue(1, half_seconds)
     for kind in KINDS:
         eng.deferrable(kind, "conn", half_seconds)
-    seen, last_key, fired = [], [(-1.0, -1)], set()  # fired keeps events alive
+    # fired and cancelled keep events alive
+    seen, last_key, fired, cancelled = [], [(-1.0, -1)], set(), set()
 
     def handler(ev):
-        # a stale entry must never get here: each event fires once, at
-        # its current key, in key order, with nothing owed
-        assert not ev.cancelled and ev not in fired and not ev.owed
+        # a stale entry must never get here: each event fires once, spent,
+        # at its current key, in key order, with nothing owed
+        assert ev not in cancelled and ev not in fired
+        assert ev.filed == -1 and ev.since is None
         assert ev.time == eng.clock and (ev.time, ev.seq) > last_key[0]
         last_key[0] = (ev.time, ev.seq)
         fired.add(ev)
@@ -448,8 +456,10 @@ def test_defer_dispatches_like_cancel_and_schedule(data):
                             ref.schedule(time, target, kind)])
         elif op == "cancel":
             pair = data.draw(st.sampled_from(handles))
-            eng.cancel(pair[0])
-            ref.cancel(pair[1])
+            pending = ref.cancel(pair[1])
+            assert eng.cancel(pair[0]) is pending
+            if pending:
+                cancelled.add(pair[0])
         elif op == "defer":
             move(data.draw(st.lists(st.sampled_from(handles), min_size=1,
                                     max_size=3)))
@@ -464,24 +474,25 @@ def test_defer_dispatches_like_cancel_and_schedule(data):
             run(eng.clock + data.draw(STEPS))
         filed = set(heap_keys(eng))
         for ev, seq in handles:
+            assert (ev.filed >= 0) == (seq in ref.pending)
             if seq not in ref.pending:
                 continue
             time, _, _, since = ref.pending[seq]
             assert ev.seq == seq and (ev.time, ev.filed) in filed
             assert ev.time == time and ev.filed <= seq
-            assert ev.owed == (since is not None)
-            assert ev.owed or ev.filed == seq
+            assert ev.since == since
+            assert since is not None or ev.filed == seq
     dispatched = eng.run_until(eng.clock + 10.0)
     ref.run_until(ref.clock + 10.0)
     assert seen == ref.seen
     assert dispatched == ref.counts and eng.clock == ref.clock
     assert eng._next_seq == ref.next_seq  # sequence numbers used up alike
     assert eng._queue == [] and not ref.pending
-    # every event not cancelled drew what the reference drew
+    # every event drew what the reference drew; a cancelled one never
+    # settles on either side
     for ev, _ in handles:
-        if not ev.cancelled:
-            assert eng.uniform(ev.target, "conn") == \
-                ref.draws.uniform(ev.target, "conn")
+        assert eng.uniform(ev.target, "conn") == \
+            ref.draws.uniform(ev.target, "conn")
 
 
 # -- randomness ---------------------------------------------------------------

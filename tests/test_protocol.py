@@ -12,12 +12,13 @@ from sentinet.protocol import (ALLOWED_TRANSITIONS, Node, NodeStatus,
                                on_probe_received, on_probe_reply_received,
                                on_sleep_expired, on_wait_expired,
                                reply_slot_delay, set_status)
-from sentinet.weibull import WeibullParams, sample_sleep_time, update_probe_rate
+from sentinet.weibull import sample_sleep_time, update_probe_rate
 
 
 def make_node(node_id=0, status=NodeStatus.SLEEP, **kw):
-    node = Node(id=node_id, x=0.0, y=0.0,
-                deploy_weibull=WeibullParams(0.05, 2.0), tx_power=-10.0, **kw)
+    # deployed with the default config's Weibull, as the simulation deploys
+    node = Node(id=node_id, x=0.0, y=0.0, tx_power=-10.0,
+                weibull=RunConfig().weibull, **kw)
     node.status = status
     return node
 
@@ -105,15 +106,18 @@ def test_wait_expiry_with_reply_returns_to_sleep(ctx):
     [timer] = ctx.of_kind(EventKind.SLEEP_EXPIRED)
     assert node.timer is timer
     assert timer.time == 40.0 + sample_sleep_time(node.weibull, ctx.u)
-    assert node.weibull == node.deploy_weibull  # feedback off by default
+    assert node.weibull == ctx.config.weibull  # feedback off by default
 
 
 def test_wait_expiry_updates_rate_under_global_feedback():
     ctx = FakeCtx(config=RunConfig(hazard_feedback="global"), now=100.0)
     node = make_node(status=NodeStatus.PROBE)
+    # the rate an earlier reply left; the update starts from the deployment
+    # Weibull, not from this one
+    node.weibull = update_probe_rate(ctx.config.weibull, 60.0)
     node.rcv_msg = True
     on_wait_expired(node, ctx)
-    assert node.weibull == update_probe_rate(node.deploy_weibull, 100.0)
+    assert node.weibull == update_probe_rate(ctx.config.weibull, 100.0)
     [timer] = ctx.of_kind(EventKind.SLEEP_EXPIRED)
     assert timer.time == 100.0 + sample_sleep_time(node.weibull, ctx.u)
 
@@ -122,9 +126,10 @@ def test_wait_expiry_updates_rate_under_cycle_feedback():
     ctx = FakeCtx(config=RunConfig(hazard_feedback="cycle"), now=25.0)
     node = make_node(status=NodeStatus.PROBE)
     node.rcv_msg = True
+    node.weibull = update_probe_rate(ctx.config.weibull, 8.0)  # as above
     node.sleep_cycle_start = 10.0
     on_wait_expired(node, ctx)
-    assert node.weibull == update_probe_rate(node.deploy_weibull, 15.0)
+    assert node.weibull == update_probe_rate(ctx.config.weibull, 15.0)
 
 
 def test_wait_expiry_without_reply_stands_guard(ctx):

@@ -142,9 +142,9 @@ def invariant_checker(cfg):
         guards = by_status[NodeStatus.ACTIVE]
         assert sim._guard_ids == guards
         assert sim._awake_ids == by_status[NodeStatus.PROBE] | guards
-        keys = {}
+        keys = {}  # the heap entries of each live event
         for time, seq, queued in sim.engine._queue:
-            if not queued.cancelled:
+            if queued.filed >= 0:
                 keys.setdefault(queued, []).append((time, seq))
         pending = [queued.payload for queued in keys
                    if queued.kind is EventKind.MSG_DELIVERY]
@@ -160,13 +160,13 @@ def invariant_checker(cfg):
                 assert timer is None
                 continue
             assert timer.kind is owned[node.status] and timer.target == node.id
-            assert not timer.cancelled and not timer.dispatched
+            assert timer.filed >= 0
             timers.add(timer)
             if timer.kind is not EventKind.CONN_TIMER_EXPIRED:
                 # sleep and wait timers never move
                 assert keys[timer] == [(timer.time, timer.seq)]
-        assert timers == {queued for queued in keys if not queued.dispatched
-                          and queued.kind in owned.values()}
+        assert timers == {queued for queued in keys
+                          if queued.kind in owned.values()}
         if timer_driven and guards:
             for gid in guards:
                 timer = sim.nodes[gid].timer
@@ -178,10 +178,10 @@ def invariant_checker(cfg):
                 [newest] = [key for key in keys[timer] if key[1] == timer.filed]
                 assert newest == (timer.time, timer.filed) <= current
                 assert keys[timer].count(current) == (newest == current)
-                assert timer.owed > 0 or newest == current
+                assert timer.since is not None or newest == current
                 assert all(key[1] < timer.filed for key in keys[timer]
                            if key != newest)
-                seen["deferred"] += timer.owed > 0
+                seen["deferred"] += timer.since is not None
                 seen["earlier"] += len(keys[timer]) > 1
             seen["guard_checks"] += 1
         if ev.kind is EventKind.METRIC_SAMPLE:
@@ -761,7 +761,7 @@ def test_a_wrapped_engine_handler_sees_each_event_once_in_order():
         seen = []
 
         def watch(sim, ev, seen=seen):
-            assert sim.now == ev.time and ev.dispatched
+            assert sim.now == ev.time and ev.filed == -1
             seen.append((ev.time, ev.seq, ev.kind.value, ev.target))
 
         after_each_event(sim, watch)
