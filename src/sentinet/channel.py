@@ -22,6 +22,7 @@ that power, and their ``rx_dbm`` is shared and read-only.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field, fields
 from typing import AbstractSet, Optional
 
@@ -112,15 +113,19 @@ def weak_link_floor(radio: RadioConfig) -> float:
     if threshold > 10:
         return math.inf
     # LQI >= t exactly when rx >= noise + snr_min + span * (t - 0.5) / 10;
-    # the steps settle the rounding at that boundary
+    # rounding moves that edge by a few ulps of the terms, so the search
+    # starts from the first of these powers where the LQI falls short
     span = radio.lqi_snr_max_db - radio.lqi_snr_min_db
-    floor = (radio.noise_floor_dbm + radio.lqi_snr_min_db
-             + span * (math.ceil(threshold) - 0.5) / 10.0)
-    while compute_lqi(radio, floor) < threshold:
-        floor = math.nextafter(floor, math.inf)
-    while compute_lqi(radio, math.nextafter(floor, -math.inf)) >= threshold:
-        floor = math.nextafter(floor, -math.inf)
-    return floor
+    edge = (radio.noise_floor_dbm + radio.lqi_snr_min_db
+            + span * (math.ceil(threshold) - 0.5) / 10.0)
+    terms = abs(radio.noise_floor_dbm) + abs(radio.lqi_snr_min_db) + span + abs(edge)
+    below = (edge, math.nextafter(edge, -math.inf), edge - 16.0 * math.ulp(terms),
+             -math.inf)
+
+    def holds(rx: float) -> bool:
+        return compute_lqi(radio, rx) >= threshold
+
+    return least_float(holds, next(rx for rx in below if not holds(rx)))
 
 
 def path_loss_db(radio: RadioConfig, distance: np.ndarray) -> np.ndarray:
@@ -136,14 +141,56 @@ def loss_cap(tx: float, bound: float, smin: float = 0.0) -> float:
     a ``bound`` of -inf, which nothing arrives below.
 
     Past a cut at loss ``cap``, rx = (tx - L) - s <= (tx - cap) - smin, in
-    floats too since rounding is monotone; the steps settle the rounding.
+    floats too since rounding is monotone; the search settles the rounding
+    from the cut in exact arithmetic up.
     """
     if bound == -math.inf:
         return math.inf
-    cap = tx - bound - smin
-    while (tx - cap) - smin >= bound:
-        cap = math.nextafter(cap, math.inf)
-    return cap
+    return least_float(lambda cap: (tx - cap) - smin < bound, tx - bound - smin)
+
+
+_SIGN = 1 << 63
+
+
+def _order(x: float) -> int:
+    """A double's place in the integer order of all doubles; 0.0 and -0.0
+    share place 0."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & (_SIGN - 1))
+
+
+def _double(place: int) -> float:
+    """The double at an integer place (``_order``'s inverse)."""
+    bits = place if place >= 0 else -place | _SIGN
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_INF_PLACE = _order(math.inf)
+
+
+def least_float(holds, start: float) -> float:
+    """The least double at or above ``start`` where ``holds``, a predicate
+    that stays true once true as its argument grows; +inf when no finite
+    one does.
+
+    Gallops up from ``start`` by doubling steps over the integer order of
+    doubles, then bisects the last step: at most about 130 calls of
+    ``holds``, and no NaN is ever passed, since the gallop stops at +inf.
+    """
+    if holds(start):
+        return start
+    lo = _order(start)  # holds fails here
+    step, hi = 1, min(lo + 1, _INF_PLACE)
+    while hi < _INF_PLACE and not holds(_double(hi)):
+        lo, step = hi, 2 * step
+        hi = min(lo + step, _INF_PLACE)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(_double(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return _double(hi)
 
 
 class LinkRows:

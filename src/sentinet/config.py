@@ -127,6 +127,11 @@ class RunConfig:
             raise ValueError(f"hazard_feedback must be one of {HAZARD_FEEDBACK_MODES}")
         for level in self.radio.power_levels:
             self.energy.tx_draw(level)  # raises if a level has no draw
+        for level, _ in self.energy.tx_draw_w:  # else no frame ever reads it
+            if level not in self.radio.power_levels:
+                levels = ",".join(repr(float(p)) for p in self.radio.power_levels)
+                raise ValueError(f"tx_draw lists {float(level)!r} dBm, which "
+                                 f"tx_levels={levels} does not list")
 
     # -- echo / hashing ----------------------------------------------------
 

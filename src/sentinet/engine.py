@@ -27,10 +27,15 @@ SeedSequence is built per key: ``substream_keys`` takes the pool of one
 of the two spawn words of many keys into one vectorized pass, so an engine
 that knows its node count derives every node's keys at construction and
 builds each generator straight from its key.
-``uniform`` serves a substream's draws after its first from blocks of
-``gen.random(k)``: Philox gives the same values in a block as in k scalar
-calls, and zeros are dropped from a block as the scalar retry skips them,
-so the values are those of scalar draws.
+``uniform`` serves a substream's draws from blocks of ``gen.random(k)``:
+Philox gives the same values in a block as in k scalar calls, and zeros are
+dropped from a block as the scalar retry skips them, so the values are
+those of scalar draws. Philox is counter-based, so ``philox_first`` ports
+its first block, four words, to one numpy pass over many keys, and
+``prime`` makes every node's first block of a stream from it: the sleep
+draws every node makes at deployment cost no generator, and a node builds
+one, past that block, only on its fifth draw. An unprimed substream's first
+draw is a scalar one, so a stream drawn once costs no block.
 
 Dispatch is a table of plain functions ``fn(owner, event)``, one per
 ``EventKind.index`` (``handle``). The engine holds its owner by a weak
@@ -70,6 +75,14 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _U32, _SHIFT, _HIGH = np.uint64(_MASK), np.uint64(16), np.uint64(32)
 _MIX_L64, _MIX_R64 = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+
+# Philox4x64-10's round multipliers, as 32-bit halves, and its key bumps
+# (Salmon et al., SC'11), one row per multiplied counter word
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_M0, _PHILOX_M1 = _PHILOX_M & _U32, _PHILOX_M >> _HIGH
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_PHILOX_ROUNDS = 10
+_DOUBLE_SHIFT = np.uint64(11)  # random() keeps a word's top 53 bits
 
 
 def _hash_consts(start: int, mult: int, n: int) -> list[int]:
@@ -121,6 +134,32 @@ def substream_keys(seed: int, nodes, streams) -> np.ndarray:
     out = (p ^ _OUT_XOR) * _OUT_MUL & _U32
     out ^= out >> _SHIFT
     return np.stack([out[0] | out[1] << _HIGH, out[2] | out[3] << _HIGH], axis=-1)
+
+
+def philox_first(keys) -> np.ndarray:
+    """The four outputs of numpy's ``Philox(key=k)`` for each key ``k`` of
+    an (n, 2) uint64 table, shape (n, 4): the block at counter (1, 0, 0, 0),
+    since Philox bumps its counter before its first block.
+
+    The high word of each 64 x 64-bit product is summed from products of
+    32-bit halves, which never overflow. The counter words multiplied,
+    (c0, c2), form one row pair and the words passed on, (c1, c3), another,
+    so each round is one pass over both.
+    """
+    key = np.asarray(keys, dtype=np.uint64).T.copy()  # (k0, k1)
+    mul, kept = np.zeros_like(key), np.zeros_like(key)  # (c0, c2), (c1, c3)
+    mul[0] = 1
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key += _PHILOX_W
+        a0, a1 = mul & _U32, mul >> _HIGH
+        p00, p01, p10 = a0 * _PHILOX_M0, a0 * _PHILOX_M1, a1 * _PHILOX_M0
+        mid = (p00 >> _HIGH) + (p01 & _U32) + (p10 & _U32)
+        high = a1 * _PHILOX_M1 + (p01 >> _HIGH) + (p10 >> _HIGH) + (mid >> _HIGH)
+        # with products M0*c0 = (h0, l0) and M1*c2 = (h1, l1):
+        # (c0, c1, c2, c3) <- (h1 ^ c1 ^ k0, l1, h0 ^ c3 ^ k1, l0)
+        mul, kept = high[::-1] ^ kept ^ key, (mul * _PHILOX_M)[::-1]
+    return np.stack([mul[0], kept[0], mul[1], kept[1]], axis=1)
 
 
 class _Key(ISeedSequence):
@@ -194,8 +233,9 @@ class Engine:
         # keyed by the caller's (node id, stream name), so a draw costs one
         # dict lookup
         self._rngs: dict[tuple[Optional[int], str], np.random.Generator] = {}
-        # the undrawn rest of each substream's block, last draw first
-        self._blocks: dict[tuple[Optional[int], str], array] = {}
+        # the undrawn rest of each substream's block, last draw first: an
+        # array, or a list for a block ``prime`` made
+        self._blocks: dict[tuple[Optional[int], str], array | list] = {}
         self._counts = [0] * len(EventKind)  # dispatched, by EventKind.index
         # how a deferred move settles, by EventKind.index: (stream, delay)
         self._settle_by_kind = [None] * len(EventKind)
@@ -205,11 +245,16 @@ class Engine:
     def rng(self, node_id: Optional[int], stream: str) -> np.random.Generator:
         """The substream's generator, for array draws; a stream drawn
         through ``uniform`` must not be read here, since its generator runs
-        ahead of the draws served."""
-        gen = self._rngs.get((node_id, stream))
+        ahead of the draws served. A primed stream's generator starts past
+        the block ``prime`` served."""
+        key = (node_id, stream)
+        gen = self._rngs.get(key)
         if gen is None:
-            gen = self._rngs[node_id, stream] = np.random.Generator(
-                np.random.Philox(_Key(self._key(node_id, stream))))
+            bits = _Key(self._key(node_id, stream))
+            # a block without a generator is a primed one: output 4 is next
+            gen = self._rngs[key] = np.random.Generator(
+                np.random.Philox(bits, counter=1) if key in self._blocks
+                else np.random.Philox(bits))
         return gen
 
     def _key(self, node_id: Optional[int], stream: str) -> np.ndarray:
@@ -221,12 +266,26 @@ class Engine:
             return keys[node]
         return substream_keys(self.seed, [node], [_STREAMS[stream]])[0, 0]
 
+    def prime(self, stream: str) -> None:
+        """Make the first block of ``stream`` for every node below the node
+        count, from one vectorized Philox pass over the key table: the four
+        draws at Philox's first counter, zeros dropped. No generator is
+        built until a node's stream outruns its block. Call it before any
+        draw of ``stream``."""
+        n = self._node_count
+        words = philox_first(self._keys[stream][:n]) >> _DOUBLE_SHIFT
+        blocks = (words[:, ::-1] * 2.0 ** -53).tolist()  # last draw first
+        if not words.all():  # the scalar draws retry these
+            blocks = [[u for u in block if u != 0.0] for block in blocks]
+        self._blocks.update(zip(zip(range(n), [stream] * n), blocks))
+
     def uniform(self, node_id: Optional[int], stream: str) -> float:
         """Uniform draw strictly inside (0, 1); endpoint draws are retried.
 
-        The first draw of a substream is a scalar one, so a stream drawn
-        once costs no block; later draws pop from a block refilled ``_BLOCK``
-        values at a time.
+        Draws pop from the substream's block, refilled ``_BLOCK`` values at
+        a time. A primed stream's first block is the one ``prime`` made; any
+        other stream's first draw is a scalar one, so a stream drawn once
+        costs no block.
         """
         key = (node_id, stream)
         block = self._blocks.get(key)
@@ -234,7 +293,9 @@ class Engine:
             return block.pop()
         gen = self._rngs.get(key)
         if gen is None:
-            return self._first(node_id, stream)
+            if block is None:
+                return self._first(node_id, stream)
+            gen = self.rng(node_id, stream)  # primed, and its block is spent
         block = self._blocks[key] = self._refill(gen)
         return block.pop()
 

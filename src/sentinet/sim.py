@@ -98,6 +98,8 @@ class Simulation:
         self._coverage = metrics_mod.CoverageGrid(
             config.field_width, config.field_height, config.sensing_range,
             config.grid_step)
+        # every node's first sleep draw, with its next three, in one pass
+        self.engine.prime("sleep")
         for node in self.nodes.values():
             protocol.on_deploy(node, self)
         self._schedule_sample(0)

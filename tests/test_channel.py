@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sentinet.channel import (SHADOW_CLIP, Frame, LinkRows, MessageKind,
-                              RadioConfig, compute_lqi, deliver, loss_cap,
-                              make_frame, overhearers, path_loss_db,
+                              RadioConfig, compute_lqi, deliver, least_float,
+                              loss_cap, make_frame, overhearers, path_loss_db,
                               weak_link_floor)
 from sentinet.engine import Engine
 
@@ -104,6 +104,8 @@ def test_lqi_range():
 # radios whose analytic boundary rounds below the floor and above it
 @example(noise=-120.0, snr_min=-10.0, span=0.5, threshold=2, offsets=[])
 @example(noise=-79.0, snr_min=10.0, span=39.0, threshold=10, offsets=[])
+# a boundary at 0 dBm, which a search stepping one ulp at a time never left
+@example(noise=-9.0, snr_min=0.0, span=20.0, threshold=5, offsets=[])
 def test_weak_link_floor_matches_lqi(noise, snr_min, span, threshold, offsets):
     # the floor oracle: a power is below the floor exactly when its LQI is
     # below the threshold, checked at the floor, an ulp either side and
@@ -132,6 +134,8 @@ def test_weak_link_floor_matches_lqi(noise, snr_min, span, threshold, offsets):
        smin=st.floats(-40.0, 0.0))
 @example(tx=-5.0, bound=-math.inf, smin=0.0)
 @example(tx=-5.0, bound=math.inf, smin=0.0)
+# the cut in exact arithmetic is a loss of 0 dB
+@example(tx=-40.0, bound=-40.0, smin=0.0)
 def test_loss_cap_cuts_below_the_bound(tx, bound, smin):
     # past the cap even a draw of smin dB arrives below the bound; nothing
     # arrives below -inf, so no loss is past that cap, and every loss is
@@ -142,6 +146,30 @@ def test_loss_cap_cuts_below_the_bound(tx, bound, smin):
     else:
         assert math.isfinite(cap)
         assert (tx - cap) - smin < bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.floats(allow_nan=False), edge=st.floats(allow_nan=False))
+@example(start=-math.inf, edge=0.0)
+@example(start=-1e-300, edge=5e-324)
+@example(start=0.0, edge=math.inf)
+def test_least_float_finds_the_edge_in_few_calls(start, edge):
+    # the least double at or above start where x >= edge, whichever side of
+    # zero each lies, in at most 130 calls
+    calls = []
+
+    def holds(x):
+        calls.append(x)
+        return x >= edge
+
+    found = least_float(holds, start)
+    assert found == max(start, edge)
+    assert len(calls) <= 130 and not any(math.isnan(x) for x in calls)
+
+
+def test_least_float_stops_at_inf_when_nothing_finite_holds():
+    assert least_float(lambda x: x == math.inf, -5.0) == math.inf
+    assert least_float(lambda x: False, 0.0) == math.inf
 
 
 # -- frame delivery ----------------------------------------------------------

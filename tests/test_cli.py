@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sentinet
 from sentinet.cli import (FLAG_KEYS, CliError, build_parser, main,
                           parse_kill_spec, resolve_config)
 from sentinet.channel import RadioConfig
@@ -133,6 +136,9 @@ def test_flags_override_config_file(tmp_path):
 
 def test_every_config_flag_reaches_the_summary(tmp_path, monkeypatch):
     monkeypatch.delenv("SENTINET_SEED", raising=False)
+    # every tx_draw level must be a power level, and -10 dBm is not one here
+    draws = tmp_path / "draws.cfg"
+    draws.write_text("tx_draw=-5:0.046\n")
     want = {"nodes": "6", "field": "50.0x40.0", "duration": "5.0",
             "seed": "11", "beta": "1.5", "lambda": "0.07",
             "link_control": "standalone", "lqi_threshold": "6",
@@ -142,7 +148,7 @@ def test_every_config_flag_reaches_the_summary(tmp_path, monkeypatch):
             "hazard_feedback": "cycle"}
     argv = [f"--{key.replace('_', '-')}={value}" for key, value in want.items()]
     out = tmp_path / "r1"
-    assert run_cli("run", *argv, "--out", str(out)) == 0
+    assert run_cli("run", "--config", str(draws), *argv, "--out", str(out)) == 0
     config = json.loads((out / "summary.json").read_text())["config"]
     defaults = RunConfig().to_flat()
     assert len(want) == 17
@@ -248,6 +254,32 @@ def test_power_level_with_two_draws_rejected(tmp_path, capsys):
     assert run_cli("run", "--config", str(bad), "--out", str(out)) == 2
     assert "tx_draw lists -10.0 dBm twice" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_draw_for_an_unlisted_power_level_rejected(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("nodes=5\ntx_draw=-10:0.04,-5:0.046,0:0.09\n")
+    out = tmp_path / "x"
+    assert run_cli("run", "--config", str(bad), "--out", str(out)) == 2
+    assert "tx_draw lists 0.0 dBm, which tx_levels=-10.0,-5.0 does not list" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_top_power_at_the_sensitivity_runs_to_the_end(tmp_path):
+    # without shadowing the link-row cut falls at a path loss of 0 dB, where
+    # a search that steps one ulp at a time never ends
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text("nodes=5\nduration=10.0\nsensitivity=-5.0\nshadowing_sigma=0.0\n")
+    out = tmp_path / "edge"
+    src = os.path.dirname(os.path.dirname(sentinet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "sentinet.cli", "run", "--config",
+                           str(cfg), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads((out / "summary.json").read_text())["config"]["sensitivity"] == "-5.0"
 
 
 def test_sweep_layout_and_aggregate(tmp_path):

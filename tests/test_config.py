@@ -157,6 +157,18 @@ def test_power_levels_need_energy_draws():
         RunConfig(radio=radio)
 
 
+def test_draw_for_an_unlisted_power_level_rejected():
+    # no frame is ever sent at a level tx_levels does not list, so its
+    # draw would be echoed into config.txt and never read
+    with pytest.raises(ValueError, match=r"tx_draw lists 0\.0 dBm, which "
+                                         r"tx_levels=-10\.0,-5\.0 does not list"):
+        RunConfig.from_flat({"tx_draw": "-10:0.04,-5:0.046,0:0.09"})
+    with pytest.raises(ValueError, match=r"tx_draw lists -10\.0 dBm"):
+        RunConfig.from_flat({"tx_levels": "-5"})
+    config = RunConfig.from_flat({"tx_levels": "-5", "tx_draw": "-5:0.046"})
+    assert config.energy.tx_draw_w == ((-5.0, 0.046),)
+
+
 def test_power_level_with_two_draws_rejected():
     # tx_draw would read the first draw and never the second
     for text in ("-10:0.04,-10:0.05,-5:0.046", "-5:0.046,-10:0.04,-10.0:0.04"):

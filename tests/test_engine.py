@@ -1,3 +1,4 @@
+import itertools
 import weakref
 from collections import Counter
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sentinet import engine as engine_module
 from sentinet.engine import (_BLOCK, _STREAMS, ClockViolationError, Engine,
-                             EventKind, substream_keys)
+                             EventKind, philox_first, substream_keys)
 
 
 def collect(engine):
@@ -543,11 +545,15 @@ def test_identical_runs_identical_traces():
     assert trace(42) != trace(43)
 
 
-class PlantedZeros:
-    """A generator whose draws at the given positions read 0.0."""
+_PRIMED = 4  # draws in one Philox block, the block ``Engine.prime`` makes
 
-    def __init__(self, gen, zeros):
-        self.gen, self.zeros, self.drawn = gen, zeros, 0
+
+class PlantedZeros:
+    """A generator whose draws at the given positions read 0.0; ``drawn``
+    is the position of its first draw."""
+
+    def __init__(self, gen, zeros, drawn=0):
+        self.gen, self.zeros, self.drawn = gen, zeros, drawn
 
     def random(self, size=None):
         first = self.drawn
@@ -562,16 +568,31 @@ class PlantedZeros:
 
 
 class PlantedEngine(Engine):
-    def __init__(self, seed, zeros):
-        super().__init__(seed)
+    def __init__(self, seed, zeros, node_count=0):
+        super().__init__(seed, node_count)
         self.zeros = zeros  # (node, stream) -> positions planted with 0.0
 
     def rng(self, node_id, stream):
-        gen = self._rngs.get((node_id, stream))
+        key = (node_id, stream)
+        gen = self._rngs.get(key)
         if gen is None:
-            gen = self._rngs[node_id, stream] = PlantedZeros(
-                super().rng(node_id, stream), self.zeros.get((node_id, stream), ()))
+            # a primed stream's generator starts past its four primed draws
+            drawn = _PRIMED if key in self._blocks else 0
+            gen = self._rngs[key] = PlantedZeros(
+                super().rng(node_id, stream), self.zeros.get(key, ()), drawn)
         return gen
+
+    def prime(self, stream):
+        def planted(keys):  # row k is node k's block
+            words = philox_first(keys)
+            for (node, name), positions in self.zeros.items():
+                if name == stream:
+                    words[node, [i for i in positions if i < _PRIMED]] = 0
+            return words
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine_module, "philox_first", planted)
+            super().prime(stream)
 
 
 def scalar_draws(seed, node, stream, zeros=()):
@@ -612,6 +633,74 @@ def test_block_draws_match_scalar_draws(seed, order, zeros):
         if key not in drawn:
             assert key not in eng._blocks
             drawn.add(key)
+
+
+# -- primed first blocks ------------------------------------------------------
+
+WORDS = st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**64 - 1])
+
+
+@pytest.mark.oracle
+@settings(max_examples=200, deadline=None)
+@given(keys=st.lists(st.tuples(WORDS, WORDS), min_size=1, max_size=8))
+@example(keys=[(0, 0), (2**64 - 1, 2**64 - 1), (0, 2**64 - 1), (2**64 - 1, 0)])
+def test_philox_first_matches_numpy(keys):
+    # the block oracle: one vectorized pass gives each key's first Philox
+    # outputs, words 0 and 2**64 - 1 included
+    words = philox_first(np.array(keys, dtype=np.uint64))
+    assert words.shape == (len(keys), _PRIMED) and words.dtype == np.uint64
+    for row, key in zip(words, keys):
+        ref = np.random.Philox(key=np.array(key, dtype=np.uint64))
+        assert row.tolist() == ref.random_raw(_PRIMED).tolist()
+
+
+# planted zeros: a few in the first ten draws, or the whole primed block
+PRIMED_ZEROS = st.sets(st.integers(0, 9), max_size=6) | st.just(set(range(_PRIMED)))
+
+
+@pytest.mark.oracle
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**200 - 1), nodes=st.integers(1, 5), data=st.data())
+def test_primed_draws_match_scalar_draws(seed, nodes, data):
+    # the primed oracle: each node's first ten sleep draws, served from the
+    # primed block and then from a generator built past it, equal scalar
+    # draws under any interleaving with each other and with unprimed conn
+    # streams; zeros planted in or past the block are skipped alike
+    streams = [(node, stream) for node in range(nodes) for stream in ("sleep", "conn")]
+    zeros = data.draw(st.dictionaries(
+        st.sampled_from([key for key in streams if key[1] == "sleep"]),
+        PRIMED_ZEROS, max_size=3))
+    order = data.draw(st.permutations(streams * 10))
+    eng = PlantedEngine(seed, zeros, node_count=nodes)
+    eng.prime("sleep")
+    assert not eng._rngs
+    refs = {key: scalar_draws(seed, *key, zeros.get(key, ())) for key in streams}
+    for key in order:
+        assert eng.uniform(*key) == next(refs[key])
+
+
+def test_primed_stream_builds_its_generator_past_its_block():
+    eng = Engine(11, node_count=3)
+    eng.prime("sleep")
+    assert all(len(eng._blocks[node, "sleep"]) == _PRIMED for node in range(3))
+    first = [eng.uniform(1, "sleep") for _ in range(_PRIMED)]
+    assert not eng._rngs  # no generator for draws the block served
+    fifth = eng.uniform(1, "sleep")
+    assert list(eng._rngs) == [(1, "sleep")]
+    assert first + [fifth] == list(itertools.islice(scalar_draws(11, 1, "sleep"), 5))
+
+
+@pytest.mark.oracle
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**200 - 1), nodes=st.integers(1, 40), draws=st.integers(1, 12))
+def test_primed_draws_do_not_depend_on_the_node_count(seed, nodes, draws):
+    # node k's sleep stream is the same whatever N is, primed or not
+    few, many = Engine(seed, nodes), Engine(seed, 2 * nodes)
+    few.prime("sleep")
+    many.prime("sleep")
+    for node in range(nodes):
+        assert [few.uniform(node, "sleep") for _ in range(draws)] == \
+            [many.uniform(node, "sleep") for _ in range(draws)]
 
 
 # -- substream keys -----------------------------------------------------------
