@@ -131,7 +131,9 @@ class RunConfig:
             if level not in self.radio.power_levels:
                 levels = ",".join(repr(float(p)) for p in self.radio.power_levels)
                 raise ValueError(f"tx_draw lists {float(level)!r} dBm, which "
-                                 f"tx_levels={levels} does not list")
+                                 f"tx_levels={levels} does not list; set tx_draw="
+                                 f"LEVEL:WATTS,... in a --config file, one pair "
+                                 f"per tx_levels entry")
 
     # -- echo / hashing ----------------------------------------------------
 

@@ -27,15 +27,15 @@ SeedSequence is built per key: ``substream_keys`` takes the pool of one
 of the two spawn words of many keys into one vectorized pass, so an engine
 that knows its node count derives every node's keys at construction and
 builds each generator straight from its key.
-``uniform`` serves a substream's draws from blocks of ``gen.random(k)``:
-Philox gives the same values in a block as in k scalar calls, and zeros are
-dropped from a block as the scalar retry skips them, so the values are
-those of scalar draws. Philox is counter-based, so ``philox_first`` ports
-its first block, four words, to one numpy pass over many keys, and
-``prime`` makes every node's first block of a stream from it: the sleep
-draws every node makes at deployment cost no generator, and a node builds
-one, past that block, only on its fifth draw. An unprimed substream's first
-draw is a scalar one, so a stream drawn once costs no block.
+``uniform`` pops a substream's draws from its block, a list, last draw
+first; ``_as_blocks`` makes every block, from ``prime`` or from a refill of
+``_BLOCK`` draws of ``gen.random``. Philox gives the same values in a block
+as in scalar calls, and zeros are dropped from a block as the scalar retry
+skips them, so the values are those of scalar draws. Philox is
+counter-based, so ``philox_first`` ports its first block, four words, to one
+numpy pass over many keys, and ``prime`` makes every node's first block of a
+stream from it: the sleep draws every node makes at deployment cost no
+generator, and a node builds one, past that block, only on its fifth draw.
 
 Dispatch is a table of plain functions ``fn(owner, event)``, one per
 ``EventKind.index`` (``handle``). The engine holds its owner by a weak
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import heapq
 import weakref
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -162,6 +161,15 @@ def philox_first(keys) -> np.ndarray:
     return np.stack([mul[0], kept[0], mul[1], kept[1]], axis=1)
 
 
+def _as_blocks(draws: np.ndarray) -> list[list[float]]:
+    """One block per row of ``draws``: last draw first, zeros dropped, as
+    the scalar draws retry them."""
+    blocks = draws[:, ::-1].tolist()
+    if not draws.all():
+        blocks = [[u for u in block if u != 0.0] for block in blocks]
+    return blocks
+
+
 class _Key(ISeedSequence):
     """Hands Philox a precomputed key where it asks a seed sequence for one."""
 
@@ -233,9 +241,8 @@ class Engine:
         # keyed by the caller's (node id, stream name), so a draw costs one
         # dict lookup
         self._rngs: dict[tuple[Optional[int], str], np.random.Generator] = {}
-        # the undrawn rest of each substream's block, last draw first: an
-        # array, or a list for a block ``prime`` made
-        self._blocks: dict[tuple[Optional[int], str], array | list] = {}
+        # the undrawn rest of each substream's block, last draw first
+        self._blocks: dict[tuple[Optional[int], str], list[float]] = {}
         self._counts = [0] * len(EventKind)  # dispatched, by EventKind.index
         # how a deferred move settles, by EventKind.index: (stream, delay)
         self._settle_by_kind = [None] * len(EventKind)
@@ -274,46 +281,22 @@ class Engine:
         draw of ``stream``."""
         n = self._node_count
         words = philox_first(self._keys[stream][:n]) >> _DOUBLE_SHIFT
-        blocks = (words[:, ::-1] * 2.0 ** -53).tolist()  # last draw first
-        if not words.all():  # the scalar draws retry these
-            blocks = [[u for u in block if u != 0.0] for block in blocks]
+        blocks = _as_blocks(words * 2.0 ** -53)
         self._blocks.update(zip(zip(range(n), [stream] * n), blocks))
 
     def uniform(self, node_id: Optional[int], stream: str) -> float:
         """Uniform draw strictly inside (0, 1); endpoint draws are retried.
 
-        Draws pop from the substream's block, refilled ``_BLOCK`` values at
-        a time. A primed stream's first block is the one ``prime`` made; any
-        other stream's first draw is a scalar one, so a stream drawn once
-        costs no block.
+        Draws pop from the substream's block, a primed stream's first one
+        the block ``prime`` made; a missing or spent block is refilled with
+        ``_BLOCK`` draws of its generator.
         """
         key = (node_id, stream)
         block = self._blocks.get(key)
-        if block:
-            return block.pop()
-        gen = self._rngs.get(key)
-        if gen is None:
-            if block is None:
-                return self._first(node_id, stream)
-            gen = self.rng(node_id, stream)  # primed, and its block is spent
-        block = self._blocks[key] = self._refill(gen)
-        return block.pop()
-
-    def _first(self, node_id: Optional[int], stream: str) -> float:
-        gen = self.rng(node_id, stream)
-        u = gen.random()
-        while u == 0.0:
-            u = gen.random()
-        return u
-
-    @staticmethod
-    def _refill(gen: np.random.Generator) -> array:
-        block = array("d")
         while not block:
-            block = array("d", gen.random(_BLOCK)[::-1].tobytes())
-            if 0.0 in block:  # the scalar draws retry these
-                block = array("d", [u for u in block if u != 0.0])
-        return block
+            block = self._blocks[key] = _as_blocks(
+                self.rng(node_id, stream).random(_BLOCK)[None])[0]
+        return block.pop()
 
     # -- dispatch ---------------------------------------------------------
 

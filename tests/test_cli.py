@@ -266,6 +266,17 @@ def test_draw_for_an_unlisted_power_level_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_tx_levels_flag_alone_names_the_draws_to_give(tmp_path, capsys):
+    # the default tx_draw lists -10 dBm, and no flag sets tx_draw: the error
+    # says to give it in a config file
+    out = tmp_path / "x"
+    assert run_cli("run", "--tx-levels=-5", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "tx_draw lists -10.0 dBm, which tx_levels=-5.0 does not list" in err
+    assert "tx_draw=" in err and "--config" in err
+    assert not out.exists()
+
+
 def test_top_power_at_the_sensitivity_runs_to_the_end(tmp_path):
     # without shadowing the link-row cut falls at a path loss of 0 dB, where
     # a search that steps one ulp at a time never ends
